@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -37,7 +39,9 @@ from . import regions as _regions
 
 SAMPLER_NAME = "splitmix64-ndtri"
 DEFAULT_POPULATION_CAP = 10**8
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
+# Longest header or record line the reader accepts (records are ~100 bytes).
+_MAX_RECORD_LINE = 1 << 20
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
@@ -182,9 +186,11 @@ class Snapshot:
     """The particle population at one generation.
 
     ``positions`` has shape (n, d).  ``id_hi``/``id_lo`` hold the two words
-    of each particle's 128-bit lineage id; they are None for snapshots read
-    back from disk (the file format stores positions only), in which case
-    the snapshot can be analyzed but not advanced.
+    of each particle's 128-bit lineage id.  Snapshots from `run` and `step`
+    carry them, and the snapshot file stores them, so a snapshot read back
+    from disk can be advanced with `step` exactly as the in-memory one.
+    Without ids (e.g. a snapshot built from bare positions) it can be
+    analyzed but not advanced.
     """
 
     t: int
@@ -365,8 +371,13 @@ def _make_children(positions, hi, lo, counts, seed: int, d: int):
     return new_pos, chi, clo
 
 
+def _check_workers(workers) -> None:
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _chunk_slices(n: int, workers: int) -> list[slice]:
-    chunks = max(1, min(workers, n))
+    chunks = min(workers, n)
     bounds = np.linspace(0, n, chunks + 1, dtype=np.int64)
     return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
@@ -386,9 +397,10 @@ def step(
     """
     if not s.has_ids:
         raise ValidationError(
-            "snapshot has no lineage ids (loaded from file?) and cannot be advanced"
+            "snapshot has no lineage ids and cannot be advanced"
         )
     seed = _check_seed(seed)
+    _check_workers(workers)
     d = s.d
     if s.n == 0:
         return Snapshot(
@@ -422,17 +434,28 @@ def step(
     return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo)
 
 
-class SnapshotWriter:
-    """Single-owner line-oriented snapshot file writer.
+def _json_line(obj: dict) -> bytes:
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
 
-    First line is a header record; each snapshot becomes one record with
-    positions flattened row-major.  All floats are written in Python's
-    shortest round-trip decimal form, so reading the file back reproduces
-    the binary values exactly.
+
+def _record_nbytes(n: int, d: int, ids: bool) -> int:
+    return n * d * 8 + (16 * n if ids else 0)
+
+
+class SnapshotWriter:
+    """Single-owner snapshot file writer (format version 2).
+
+    The first line is a JSON header record.  Each snapshot becomes one JSON
+    record line ``{"type", "t", "n", "ids", "nbytes", "crc32"}`` followed by
+    exactly ``nbytes`` raw little-endian bytes: the positions as float64,
+    row-major, then the lineage-id words ``id_hi`` and ``id_lo`` as uint64
+    when ``ids`` is true.  ``crc32`` (zlib) covers those raw bytes.  Values
+    are stored bit for bit, and a snapshot written with its lineage ids reads
+    back as one that can be advanced.
     """
 
     def __init__(self, path, *, d: int, pmf, seed: int):
-        self._fh = open(path, "w", encoding="utf-8")
+        self._fh = open(path, "wb")
         header = {
             "type": "header",
             "version": SNAPSHOT_FORMAT_VERSION,
@@ -441,16 +464,26 @@ class SnapshotWriter:
             "seed": int(seed),
             "sampler": SAMPLER_NAME,
         }
-        self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        self._fh.write(_json_line(header))
 
     def write(self, s: Snapshot) -> None:
+        arrays = [s.positions.astype("<f8", copy=False)]
+        if s.has_ids:
+            arrays += [a.astype("<u8", copy=False) for a in (s.id_hi, s.id_lo)]
+        crc = 0
+        for a in arrays:
+            crc = zlib.crc32(a, crc)
         record = {
             "type": "snapshot",
             "t": s.t,
             "n": s.n,
-            "positions": s.positions.ravel().tolist(),
+            "ids": s.has_ids,
+            "nbytes": _record_nbytes(s.n, s.d, s.has_ids),
+            "crc32": crc,
         }
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._fh.write(_json_line(record))
+        for a in arrays:
+            self._fh.write(a)
 
     def close(self) -> None:
         self._fh.close()
@@ -468,36 +501,86 @@ def write_snapshot_file(path, snapshots: Sequence[Snapshot], *, d, pmf, seed) ->
             w.write(s)
 
 
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
 def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
-    """Read a snapshot file; returns (header, snapshots-without-ids)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+    """Read a snapshot file written by `SnapshotWriter`.
+
+    Returns (header, snapshots); a snapshot keeps its lineage ids when its
+    record stored them.  Any malformed, truncated or corrupted content, and
+    a file in an older format version, raises `ValidationError` naming the
+    record (the header is record 0) and the last complete snapshot time.
+    """
+    snaps: list[Snapshot] = []
+
+    def fail(index: int, msg: str):
+        last = f"t={snaps[-1].t}" if snaps else "none"
+        return ValidationError(
+            f"{path}: record {index}: {msg} (last complete snapshot: {last})"
+        )
+
+    def json_record(fh, index: int):
+        line = fh.readline(_MAX_RECORD_LINE)
+        if not line:
+            return None
+        if not line.endswith(b"\n"):
+            raise fail(index, "record line is truncated or too long")
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad snapshot header: {exc}") from exc
-        if header.get("type") != "header":
-            raise ValidationError("snapshot file does not start with a header record")
+            rec = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # also covers UnicodeDecodeError
+            raise fail(index, f"not a JSON record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise fail(index, "record is not a JSON object")
+        return rec
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = json_record(fh, 0)
+        if header is None or header.get("type") != "header":
+            raise fail(0, "file does not start with a snapshot header")
         if header.get("version") != SNAPSHOT_FORMAT_VERSION:
-            raise ValidationError(f"unsupported format version {header.get('version')}")
-        d = int(header["d"])
-        snaps = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"bad record on line {line_no}: {exc}") from exc
+            raise fail(
+                0,
+                f"snapshot format version {header.get('version')!r} is not "
+                f"supported (this version reads {SNAPSHOT_FORMAT_VERSION}); "
+                "re-run `simulate` to write the file again",
+            )
+        d = header.get("d")
+        if not (_is_count(d) and d >= 1):
+            raise fail(0, f"header dimension {d!r} is not an integer >= 1")
+        index = 1
+        while (rec := json_record(fh, index)) is not None:
             if rec.get("type") != "snapshot":
-                raise ValidationError(f"unexpected record type on line {line_no}")
-            flat = np.asarray(rec["positions"], dtype=np.float64)
-            n = int(rec["n"])
-            if flat.size != n * d:
-                raise ValidationError(
-                    f"line {line_no}: {flat.size} coordinates for n={n}, d={d}"
-                )
-            snaps.append(Snapshot(t=int(rec["t"]), positions=flat.reshape(n, d)))
+                raise fail(index, f"unexpected record type {rec.get('type')!r}")
+            t, n, ids = rec.get("t"), rec.get("n"), rec.get("ids")
+            nbytes, crc = rec.get("nbytes"), rec.get("crc32")
+            if not (_is_count(t) and _is_count(n)):
+                raise fail(index, f"t={t!r} and n={n!r} must be integers >= 0")
+            if type(ids) is not bool or not _is_count(crc):
+                raise fail(index, "record needs a boolean 'ids' and an integer 'crc32'")
+            want = _record_nbytes(n, d, ids)
+            if nbytes != want:
+                raise fail(index, f"nbytes={nbytes!r}, but n={n}, d={d}, ids={ids} "
+                           f"need {want}")
+            # Checked before allocating, so a damaged n cannot ask for the
+            # memory; a file shrinking under the reader fails the crc.
+            left = size - fh.tell()
+            if nbytes > left:
+                raise fail(index, f"truncated: {left} of {nbytes} data bytes present")
+            buf = bytearray(nbytes)
+            fh.readinto(buf)
+            if zlib.crc32(buf) != crc:
+                raise fail(index, "crc32 mismatch: the data bytes are corrupted")
+            positions = np.frombuffer(buf, dtype="<f8", count=n * d).reshape(n, d)
+            id_hi = id_lo = None
+            if ids:
+                off = n * d * 8
+                id_hi = np.frombuffer(buf, dtype="<u8", count=n, offset=off)
+                id_lo = np.frombuffer(buf, dtype="<u8", count=n, offset=off + 8 * n)
+            snaps.append(Snapshot(t=t, positions=positions, id_hi=id_hi, id_lo=id_lo))
+            index += 1
     return header, snaps
 
 
@@ -508,6 +591,7 @@ def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list[Snapshot]:
     on a population-cap abort the already-written times remain in the file
     as a valid partial result.
     """
+    _check_workers(workers)
     law = cfg.law
     wanted = set(cfg.snapshot_times)
     kept: list[Snapshot] = []

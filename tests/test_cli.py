@@ -69,7 +69,7 @@ def test_simulate_seed_override(doubling_config, tmp_path):
               "--seed", "7"])
     cli.main(["simulate", "--config", doubling_config, "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
-    assert json.loads(a.read_text().splitlines()[0])["seed"] == 7
+    assert json.loads(a.read_bytes().split(b"\n", 1)[0])["seed"] == 7
 
 
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
@@ -94,6 +94,13 @@ def test_simulate_population_cap_exits_4(tmp_path, capsys):
     # the already-streamed snapshots stay readable
     _, snaps = sim.read_snapshot_file(str(out))
     assert [s.t for s in snaps] == [0, 1]
+
+
+def test_simulate_zero_workers_exits_2(doubling_config, tmp_path, capsys):
+    rc = cli.main(["simulate", "--config", doubling_config, "--out",
+                   str(tmp_path / "x.snap"), "--workers", "0"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_unwritable_out_exits_5(doubling_config, tmp_path):
@@ -138,6 +145,20 @@ def test_count_region_errors(doubling_config, tmp_path, capsys):
         {"type": "box", "lower": [2.0], "upper": [3.0]},
     ])
     assert cli.main(["count", str(out), "--region", two]) == 2
+
+
+def test_count_damaged_file_exits_2(doubling_config, tmp_path, capsys):
+    out = tmp_path / "snaps.snap"
+    cli.main(["simulate", "--config", doubling_config, "--out", str(out)])
+    good = out.read_bytes()
+    flipped = bytearray(good)
+    flipped[-3] ^= 0x40
+    region = '{"type": "box", "lower": [-1.0], "upper": [1.0]}'
+    for content in (good[:-7], bytes(flipped)):
+        out.write_bytes(content)
+        capsys.readouterr()
+        assert cli.main(["count", str(out), "--region", region]) == cli.EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- kernel-check

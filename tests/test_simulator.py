@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from branchwiener.errors import PopulationCapError, ValidationError
 from branchwiener import regions as rg
@@ -129,6 +131,17 @@ def test_lineage_ids_unique():
     assert len(ids) == s.n == 256
 
 
+def test_worker_count_must_be_positive(tmp_path):
+    cfg = SimConfig(d=1, pmf=(0.25, 0.25, 0.5), seed=42, t_max=2)
+    s = sim.initial_snapshot(cfg)
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match="workers"):
+            sim.step(s, cfg.law, cfg.seed, workers=bad)
+        with pytest.raises(ValidationError, match="workers"):
+            sim.run(cfg, out=str(tmp_path / "w.snap"), workers=bad)
+    assert not (tmp_path / "w.snap").exists()
+
+
 def test_step_requires_ids():
     s = Snapshot(t=2, positions=np.zeros((3, 1)))
     law = OffspringLaw((0.25, 0.25, 0.5))
@@ -209,9 +222,65 @@ def test_snapshot_file_round_trip(tmp_path):
     assert header["sampler"] == sim.SAMPLER_NAME
     assert [s.t for s in snaps] == [0, 2, 4]
     for mem, disk in zip(kept, snaps):
-        # shortest-repr decimal encoding is exactly round-trippable
+        # raw little-endian bytes are exactly round-trippable
         np.testing.assert_array_equal(mem.positions, disk.positions)
-        assert not disk.has_ids
+        np.testing.assert_array_equal(mem.id_hi, disk.id_hi)
+        np.testing.assert_array_equal(mem.id_lo, disk.id_lo)
+
+
+def test_extinct_snapshot_round_trips(tmp_path):
+    cfg = SimConfig(d=2, pmf=(1.0,), seed=3, t_max=2, test_mode=True,
+                    snapshot_times=(0, 1, 2))
+    out = tmp_path / "extinct.snap"
+    sim.run(cfg, out=str(out))
+    _, snaps = sim.read_snapshot_file(str(out))
+    assert [(s.t, s.n, s.d) for s in snaps] == [(0, 1, 2), (1, 0, 2), (2, 0, 2)]
+    assert all(s.has_ids for s in snaps)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_snapshot_read_from_file_advances_like_in_memory(tmp_path, workers):
+    cfg = SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=2718, t_max=20,
+                    snapshot_times=(15, 20))
+    out = tmp_path / "run.snap"
+    kept = sim.run(cfg, out=str(out), workers=workers)
+    _, snaps = sim.read_snapshot_file(str(out))
+    s = snaps[0]
+    assert s.t == 15
+    for _ in range(5):
+        s = sim.step(s, cfg.law, cfg.seed, workers=workers)
+    mem = kept[-1]
+    assert s.t == mem.t == 20 and s.n == mem.n
+    assert s.positions.tobytes() == mem.positions.tobytes()
+    assert s.id_hi.tobytes() == mem.id_hi.tobytes()
+    assert s.id_lo.tobytes() == mem.id_lo.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    t=st.integers(0, 10**6),
+    n=st.integers(0, 8),
+    d=st.integers(1, 4),
+    with_ids=st.booleans(),
+)
+def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d, with_ids):
+    # st.floats() covers -0.0, subnormals, +-max, infinities and NaNs
+    pos = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats()))
+    ids = {}
+    if with_ids:
+        ids = {k: data.draw(hnp.arrays(np.uint64, n)) for k in ("id_hi", "id_lo")}
+    snap = Snapshot(t=t, positions=pos, **ids)
+    out = tmp_path_factory.mktemp("bitexact") / "s.snap"
+    sim.write_snapshot_file(str(out), [snap], d=d, pmf=(0.0, 1.0), seed=1)
+    _, (back,) = sim.read_snapshot_file(str(out))
+    assert back.t == t
+    assert back.positions.shape == (n, d)
+    assert back.positions.tobytes() == pos.tobytes()
+    assert back.has_ids == with_ids
+    if with_ids:
+        assert back.id_hi.tobytes() == ids["id_hi"].tobytes()
+        assert back.id_lo.tobytes() == ids["id_lo"].tobytes()
 
 
 def test_read_rejects_garbage(tmp_path):
@@ -225,6 +294,57 @@ def test_read_rejects_garbage(tmp_path):
     p.write_text('{"type":"header","version":99,"d":1,"pmf":[1.0],"seed":0}\n')
     with pytest.raises(ValidationError):
         sim.read_snapshot_file(str(p))
+
+    p.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ValidationError, match="record 0"):
+        sim.read_snapshot_file(str(p))
+    # a format version 1 file (JSON positions) asks for a re-run
+    p.write_text('{"type":"header","version":1,"d":1,"pmf":[0.0,1.0],"seed":0}\n'
+                 '{"type":"snapshot","t":0,"n":1,"positions":[0.0]}\n')
+    with pytest.raises(ValidationError, match="re-run `simulate`"):
+        sim.read_snapshot_file(str(p))
+
+    # records 1 (t=1, n=2) and 2 (t=3, n=8) of a d=2 doubling run with ids
+    cfg = SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=8, t_max=3, test_mode=True,
+                    snapshot_times=(1, 3))
+    good_path = tmp_path / "good.snap"
+    sim.run(cfg, out=str(good_path))
+    good = good_path.read_bytes()
+    header_line, first = good.split(b"\n", 1)
+    second_at = len(header_line) + 1 + first.index(b"\n") + 1 + 64
+    assert b'"t":3' in good[second_at:]
+    first_bad = [
+        (b'"t":1,', b'"t":-1,', "integers >= 0"),
+        (b'"n":2,', b'"n":-2,', "integers >= 0"),
+        (b'"nbytes":64,', b'"nbytes":63,', "nbytes=63"),
+        # a damaged n with a matching nbytes must not allocate 32 TB
+        (b'"n":2,"ids":true,"nbytes":64,',
+         b'"n":1000000000000,"ids":true,"nbytes":32000000000000,', "truncated"),
+    ]
+    for old, new, msg in first_bad:
+        p.write_bytes(good.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=msg) as info:
+            sim.read_snapshot_file(str(p))
+        assert "record 1" in str(info.value)
+        assert "last complete snapshot: none" in str(info.value)
+    flipped = bytearray(good)
+    flipped[-1] ^= 0x01
+    second_bad = [
+        (good[:-5], "truncated"),
+        (good[:second_at + 10], "truncated"),
+        (bytes(flipped), "crc32 mismatch"),
+        (good[:second_at] + b"\xff{not json}\n", "not a JSON record"),
+    ]
+    for content, msg in second_bad:
+        p.write_bytes(content)
+        with pytest.raises(ValidationError, match=msg) as info:
+            sim.read_snapshot_file(str(p))
+        assert "record 2" in str(info.value)
+        assert "last complete snapshot: t=1" in str(info.value)
+    # a file cut right after a complete record is a valid partial result
+    p.write_bytes(good[:second_at])
+    _, snaps = sim.read_snapshot_file(str(p))
+    assert [s.t for s in snaps] == [1]
 
 
 # ------------------------------------------------------------ snapshot ops

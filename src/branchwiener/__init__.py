@@ -45,8 +45,6 @@ from .martingales import (
     n0_second_moment,
     n_second_moment,
     second_moment_oracle,
-    u_statistic,
-    v_alpha,
 )
 from .expansion import (
     expansion_value,
@@ -94,13 +92,11 @@ __all__ = [
     "merge_snapshots",
     "read_snapshot_file",
     "NTable",
-    "v_alpha",
     "estimate_n",
     "conditional_expectation_field",
     "second_moment_oracle",
     "n0_second_moment",
     "n_second_moment",
-    "u_statistic",
     "lp_increment_diagnostic",
     "required_indices",
     "expansion_value",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -104,17 +103,8 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 def _load_regions(path_or_json: str):
     """A region file may hold one region object or a JSON list of them."""
-    text = path_or_json
-    if not text.lstrip().startswith(("{", "[")):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad region JSON: {exc}") from exc
-    if isinstance(obj, list):
-        return [rg.region_from_dict(o) for o in obj]
-    return [rg.region_from_dict(obj)]
+    obj = rg.load_json(path_or_json, "region")
+    return [rg.region_from_dict(o) for o in (obj if isinstance(obj, list) else [obj])]
 
 
 def _pick_snapshot(snaps, t):
@@ -247,38 +237,12 @@ def _emit_predictions(args, preds, manifest) -> None:
                 )
 
 
-def cmd_expand(args) -> int:
-    table = mg.NTable.load(args.table)
-    regions = _load_regions(args.region)
-    k = args.k if args.k is not None else table.k
-    if k is None:
-        raise ValidationError("table has no order; pass --k")
-    preds = []
-    for region in regions:
-        s_value = xp.expansion_value(region, args.T, k, table)
-        density = (2.0 * math.pi * args.T) ** (-region.dim / 2.0) * s_value
-        raw = table.m**args.T * density if args.T <= inf.RAW_COUNT_MAX_T else None
-        preds.append(
-            inf.Prediction(
-                region=region,
-                T=args.T,
-                k=k,
-                s_value=s_value,
-                normalized_density=density,
-                raw_count=raw,
-            )
-        )
-    manifest = _manifest("expand", args, [args.table], [])
-    _emit_predictions(args, preds, manifest)
-    return EXIT_OK
-
-
 def cmd_predict(args) -> int:
+    """predict and expand: the same evaluation and checks."""
     table = mg.NTable.load(args.table)
     regions = _load_regions(args.region)
-    preds = [predicted for region in regions
-             for predicted in [inf.predict(region, args.T, table, k=args.k)]]
-    manifest = _manifest("predict", args, [args.table], [])
+    preds = [inf.predict(region, args.T, table, k=args.k) for region in regions]
+    manifest = _manifest(args.subcommand, args, [args.table], [])
     _emit_predictions(args, preds, manifest)
     return EXIT_OK
 
@@ -295,6 +259,7 @@ def _read_counts_csv(path: str, n_sets: int) -> np.ndarray:
         ]
     if rows and rows[0][:2] == ["region_id", "count"]:
         rows = rows[1:]
+    seen = set()
     for row in rows:
         if len(row) < 2:
             raise ValidationError(f"bad counts row: {row}")
@@ -307,6 +272,11 @@ def _read_counts_csv(path: str, n_sets: int) -> np.ndarray:
             raise ValidationError(
                 f"region_id {idx} outside 0..{n_sets - 1}"
             )
+        if idx in seen:
+            raise ValidationError(f"region_id {idx} appears more than once")
+        if not math.isfinite(value):
+            raise ValidationError(f"count {value} for region_id {idx} is not finite")
+        seen.add(idx)
         counts[idx] = value
     if np.isnan(counts).any():
         missing = np.nonzero(np.isnan(counts))[0].tolist()
@@ -409,6 +379,18 @@ def cmd_diagnose(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _add_predict_parser(sub, name: str, help_text: str) -> None:
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--table", required=True, help="coefficient table JSON")
+    p.add_argument("--region", required=True,
+                   help="region JSON (object or list; path or inline)")
+    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--k", type=int, default=None, help="order (default: table's)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_predict)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="branchwiener",
@@ -458,15 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="coefficient table JSON to write")
     p.set_defaults(func=cmd_estimate_n)
 
-    p = sub.add_parser("expand", help="evaluate the density expansion for regions")
-    p.add_argument("--table", required=True, help="coefficient table JSON")
-    p.add_argument("--region", required=True,
-                   help="region JSON (object or list; path or inline)")
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--k", type=int, default=None, help="order (default: table's)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_expand)
+    _add_predict_parser(sub, "expand", "evaluate the density expansion for "
+                        "regions (same as predict)")
 
     p = sub.add_parser("infer", help="solve for coefficients from observed counts")
     p.add_argument("--counts", required=True, help="CSV region_id,count")
@@ -477,14 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="coefficient table JSON to write")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("predict", help="forecast normalized counts from a table")
-    p.add_argument("--table", required=True, help="coefficient table JSON")
-    p.add_argument("--region", required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_predict)
+    _add_predict_parser(sub, "predict", "forecast normalized counts from a table")
 
     p = sub.add_parser("diagnose", help="radius, increment, and moment diagnostics")
     p.add_argument("--config", required=True, help="simulation config JSON")

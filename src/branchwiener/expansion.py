@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping
 
 from . import multiindex as mi
 from . import regions as rg
 from .errors import ValidationError
-from .martingales import NTable, v_alpha_many
+from .martingales import v_alpha_many
 from .multiindex import MultiIndex
 from .simulator import Snapshot
 
@@ -51,18 +49,17 @@ def required_indices(k: int, d: int) -> list[MultiIndex]:
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
     if d < 1:
         raise ValidationError(f"dimension {d} must be >= 1")
-    seen = set()
-    for n in range(k + 1):
-        for alpha in mi.enumerate_order(d, n):
-            two_alpha = 2 * alpha
-            for beta in mi.sub_indices(two_alpha):
-                seen.add(two_alpha - beta)
-    out = []
-    for n in range(2 * k + 1):
-        for gamma in mi.enumerate_order(d, n):
-            if gamma in seen:
-                out.append(gamma)
-    return out
+    gammas = {term[5] for term in mi.expansion_terms(k, d)}
+    return sorted(gammas, key=lambda g: (g.order, tuple(-c for c in g)))
+
+
+def _term_weights(region, T: float, k: int):
+    """Yield (gamma, w) per term of S_k(region, T), so that S_k is the sum
+    of w * N_gamma: w = (-T)^-n / 2^n / alpha! * C(2 alpha, beta)
+    * (-1)^|beta| * M_beta(region)."""
+    factors = [(-T) ** (-n) / 2.0**n for n in range(k + 1)]
+    for n, fact, c, sign, beta, gamma in mi.expansion_terms(k, region.dim):
+        yield gamma, factors[n] / fact * c * sign * rg.moment(region, beta)
 
 
 def _table_value(table, gamma: MultiIndex) -> float:
@@ -81,36 +78,9 @@ def expansion_value(region, T: float, k: int, table) -> float:
         raise ValidationError(f"T must be positive and finite, got {T}")
     if not 0 <= k <= MAX_ORDER:
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
-    d = region.dim
-    terms = []
-    for n in range(k + 1):
-        factor = (-T) ** (-n) / 2.0**n
-        for alpha in mi.enumerate_order(d, n):
-            two_alpha = 2 * alpha
-            fa = factor / mi.factorial(alpha)
-            for beta in mi.sub_indices(two_alpha):
-                sign = -1.0 if beta.order % 2 else 1.0
-                terms.append(
-                    fa
-                    * mi.choose(two_alpha, beta)
-                    * sign
-                    * rg.moment(region, beta)
-                    * _table_value(table, two_alpha - beta)
-                )
-    return math.fsum(terms)
-
-
-@dataclass(frozen=True)
-class ExpansionRequest:
-    """A bound evaluation: region, horizon, order, and coefficient table."""
-
-    region: object
-    T: float
-    k: int
-    table: object
-
-    def value(self) -> float:
-        return expansion_value(self.region, self.T, self.k, self.table)
+    return math.fsum(
+        w * _table_value(table, gamma) for gamma, w in _term_weights(region, T, k)
+    )
 
 
 def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MultiIndex, as_multiindex
+from .multiindex import as_multiindex
 
 #: Highest degree accepted by the evaluators.  Series checks need degrees up
 #: to 120 (60 even-order terms); beyond ~150 the values overflow float64 for
@@ -111,13 +111,33 @@ def hermite_multi(alpha, x, t: float):
         for i, ni in enumerate(a):
             out *= hermite_1d(ni, float(x[i]), t)
         return out
-    if x.ndim != 2 or x.shape[1] != a.dim:
-        raise ValidationError(f"batch shape {x.shape} does not match dim {a.dim}")
-    out = np.ones(x.shape[0])
-    for i, ni in enumerate(a):
-        if ni:
-            out *= hermite_1d(ni, x[:, i], t)
-    return out
+    return next(hermite_products(x, t, [a]))
+
+
+def hermite_products(x, t: float, alphas):
+    """Yield H_alpha(x_j, t) over the rows x_j of the (N, d) array x, one
+    (N,) array per alpha, in the order given.
+
+    One hermite_table per coordinate, up to the largest degree any alpha
+    asks of it, serves every index.  Each yielded array is a fresh product,
+    built in place, so only one (N,) array is allocated per alpha.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    alphas = [as_multiindex(a) for a in alphas]
+    d = x.shape[1] if x.ndim == 2 else None
+    for a in alphas:
+        if a.dim != d:
+            raise ValidationError(f"batch shape {x.shape} does not match dim {a.dim}")
+    if not alphas:
+        return
+    tables = [
+        hermite_table(max(a[i] for a in alphas), x[:, i], t) for i in range(d)
+    ]
+    for a in alphas:
+        w = tables[0][a[0]].copy()
+        for i in range(1, d):
+            w *= tables[i][a[i]]
+        yield w
 
 
 def hermite_sum_formula(n: int, x: float, t: float) -> float:

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import multiindex as mi
 from . import regions as rg
 from .errors import ConditioningError, ValidationError
-from .expansion import expansion_value, required_indices
+from .expansion import _term_weights, expansion_value, required_indices
 from .martingales import NTable
 from .multiindex import MultiIndex
 
@@ -63,19 +62,10 @@ class DesignSystem:
         return self.matrix.shape
 
 
-def _coefficient_row(region, T0: float, k: int, d: int, cols) -> np.ndarray:
-    col_pos = {g: j for j, g in enumerate(cols)}
-    row = np.zeros(len(cols))
-    for n in range(k + 1):
-        factor = (-T0) ** (-n) / 2.0**n
-        for alpha in mi.enumerate_order(d, n):
-            two_alpha = 2 * alpha
-            fa = factor / mi.factorial(alpha)
-            for beta in mi.sub_indices(two_alpha):
-                sign = -1.0 if beta.order % 2 else 1.0
-                row[col_pos[two_alpha - beta]] += (
-                    fa * mi.choose(two_alpha, beta) * sign * rg.moment(region, beta)
-                )
+def _coefficient_row(region, T0: float, k: int, col_pos) -> np.ndarray:
+    row = np.zeros(len(col_pos))
+    for gamma, w in _term_weights(region, T0, k):
+        row[col_pos[gamma]] += w
     return row
 
 
@@ -101,7 +91,8 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     if len(sets) > 1:
         # Reuse the union validator's pairwise separation test.
         rg.UnionRegion(sets)
-    matrix = np.vstack([_coefficient_row(a, T0, k, d, cols) for a in sets])
+    col_pos = {g: j for j, g in enumerate(cols)}
+    matrix = np.vstack([_coefficient_row(a, T0, k, col_pos) for a in sets])
     cond = float(np.linalg.cond(matrix, 2))
     return DesignSystem(
         sets=sets,

@@ -16,7 +16,6 @@ that range; results with t/T > 1/2 are flagged with a warning.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -75,16 +74,6 @@ def _as_point(x, d: int) -> np.ndarray:
     return x
 
 
-def _exact_factorial(alpha) -> int:
-    # The multiindex helper caps orders far below MAX_ORDER; kernel
-    # truncations legitimately reach order 64, so compute alpha! directly.
-    return math.prod(math.factorial(c) for c in alpha)
-
-
-def _exact_choose(alpha, beta) -> int:
-    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-
-
 def gauss_kernel(d: int, t: float, x) -> float:
     """Gaussian density (2 pi t)^(-d/2) exp(-|x|^2 / 2t); factorizes over
     coordinates."""
@@ -121,7 +110,7 @@ def truncated_kernel(params: KernelExpansionParams, x) -> float:
             h = 1.0
             for i, a in enumerate(alpha):
                 h *= float(tables[i][2 * a])
-            terms.append(factor * h / _exact_factorial(alpha))
+            terms.append(factor * h / mi.factorial(alpha))
     return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
 
 
@@ -137,20 +126,17 @@ def truncated_kernel_shifted(params: KernelExpansionParams, x, y) -> float:
     y = _as_point(y, params.d)
     _warn_if_flagged(params)
     tables = [hermite_table(2 * params.k, y[i], params.t) for i in range(params.d)]
+    factors = [(-params.T) ** (-n) / 2.0**n for n in range(params.k + 1)]
     terms = []
-    for n in range(params.k + 1):
-        factor = (-params.T) ** (-n) / 2.0**n
-        for alpha in mi.enumerate_order(params.d, n):
-            two_alpha = 2 * alpha
-            fa = factor / _exact_factorial(alpha)
-            for beta in mi.sub_indices(two_alpha):
-                c = _exact_choose(two_alpha, beta)
-                xb = 1.0
-                h = 1.0
-                for i in range(params.d):
-                    xb *= (-x[i]) ** beta[i]
-                    h *= float(tables[i][two_alpha[i] - beta[i]])
-                terms.append(fa * c * xb * h)
+    # The S_k term list, with (-x)^beta H_gamma(y, t) in place of
+    # (-1)^|beta| M_beta N_gamma.
+    for n, fact, c, _, beta, gamma in mi.expansion_terms(params.k, params.d):
+        xb = 1.0
+        h = 1.0
+        for i in range(params.d):
+            xb *= (-x[i]) ** beta[i]
+            h *= float(tables[i][gamma[i]])
+        terms.append(factors[n] / fact * c * xb * h)
     return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
 
 

@@ -22,93 +22,28 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 from scipy.stats import ncx2
 
 from .errors import ValidationError
-from .hermite import hermite_table
+from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import Ball, Box, UnionRegion
 from .simulator import OffspringLaw, Snapshot, ensemble_states
-
-#: Snapshot-size caps for the non-repeated-tuple sums; beyond these the
-#: inclusion-exclusion evaluation still works but the caller almost certainly
-#: did not mean to do it on a raw population.
-U_STATISTIC_CAPS = {1: None, 2: 3000, 3: 300}
 
 #: Exponent in the reported N-estimate error heuristic m^(-t/2.5).
 ERROR_HEURISTIC_EXPONENT = 1 / 2.5
 
 
-def v_alpha(s: Snapshot, alpha) -> float:
-    """V_alpha of a snapshot: sum of H_alpha(position, t) over particles."""
-    a = as_multiindex(alpha)
-    if a.dim != s.d:
-        raise ValidationError(f"index dim {a.dim} != snapshot dim {s.d}")
-    if s.n == 0:
-        return 0.0
-    w = np.ones(s.n)
-    for i, ni in enumerate(a):
-        if ni:
-            tbl = hermite_table(ni, s.positions[:, i], float(s.t))
-            w = w * tbl[ni]
-    return float(np.sum(w))
-
-
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
-    """V_alpha for many indices at once, sharing the per-coordinate Hermite
-    recurrence work."""
+    """V_alpha of a snapshot for each given index: the sum over particles of
+    H_alpha(position, t)."""
     alphas = [as_multiindex(a) for a in alphas]
-    for a in alphas:
-        if a.dim != s.d:
-            raise ValidationError(f"index dim {a.dim} != snapshot dim {s.d}")
-    if s.n == 0:
-        return {a: 0.0 for a in alphas}
-    deg = [max((a[i] for a in alphas), default=0) for i in range(s.d)]
-    tables = [
-        hermite_table(deg[i], s.positions[:, i], float(s.t)) for i in range(s.d)
-    ]
-    out = {}
-    for a in alphas:
-        w = tables[0][a[0]]
-        for i in range(1, s.d):
-            w = w * tables[i][a[i]]
-        out[a] = float(np.sum(w))
-    return out
-
-
-@dataclass(frozen=True)
-class MartingaleSeries:
-    """(t, V_alpha(t), V_alpha(t)/m^t) along one trajectory."""
-
-    alpha: MultiIndex
-    m: float
-    values: tuple[tuple[int, float, float], ...]
-
-    @property
-    def times(self) -> list[int]:
-        return [t for t, _, _ in self.values]
-
-    @property
-    def normalized(self) -> list[float]:
-        return [x for _, _, x in self.values]
-
-
-def martingale_series(snapshots: Sequence[Snapshot], alpha, m: float) -> MartingaleSeries:
-    a = as_multiindex(alpha)
-    if not snapshots:
-        raise ValidationError("empty trajectory")
-    times = [s.t for s in snapshots]
-    if times != sorted(times) or len(set(times)) != len(times):
-        raise ValidationError("snapshots must be at strictly increasing times")
-    vals = []
-    for s in snapshots:
-        v = v_alpha(s, a)
-        vals.append((s.t, v, v / m**s.t))
-    return MartingaleSeries(alpha=a, m=float(m), values=tuple(vals))
+    products = hermite_products(s.positions, float(s.t), alphas)
+    return {a: float(np.sum(w)) for a, w in zip(alphas, products)}
 
 
 @dataclass
@@ -134,6 +69,12 @@ class NTable:
         for a in self.entries:
             if a.dim != self.d:
                 raise ValidationError(f"entry {a} does not have dim {self.d}")
+        for what, values in (("value", self.entries), ("error", self.errors or {})):
+            for a, v in values.items():
+                if not math.isfinite(v):
+                    raise ValidationError(
+                        f"{what} {v} for index {tuple(a)} is not finite"
+                    )
 
     def __getitem__(self, alpha) -> float:
         return self.entries[as_multiindex(alpha)]
@@ -216,18 +157,22 @@ def estimate_n(
     """
     if not snapshots:
         raise ValidationError("empty trajectory")
+    times = [s.t for s in snapshots]
+    if any(a >= b for a, b in zip(times, times[1:])):
+        raise ValidationError("snapshots must be at strictly increasing times")
     alphas = [as_multiindex(a) for a in alphas]
-    series = {a: martingale_series(snapshots, a, m) for a in alphas}
-    t_last = snapshots[-1].t
+    # V_alpha(t)/m^t per snapshot, one Hermite table pass per snapshot.
+    values = [v_alpha_many(s, alphas) for s in snapshots]
+    t_last = times[-1]
     decay = m ** (-t_last * ERROR_HEURISTIC_EXPONENT)
     entries = {}
     errors = {}
-    for a, ser in series.items():
-        xs = ser.normalized
+    for a in alphas:
+        xs = [v[a] / m**t for v, t in zip(values, times)]
         entries[a] = xs[-1]
         if len(xs) >= 2:
             scale = max(
-                abs(xs[i] - xs[i - 1]) * m ** (ser.times[i] * ERROR_HEURISTIC_EXPONENT)
+                abs(xs[i] - xs[i - 1]) * m ** (times[i] * ERROR_HEURISTIC_EXPONENT)
                 for i in range(1, len(xs))
             )
             scale = max(scale, 1e-12)
@@ -398,48 +343,6 @@ def n_second_moment_alt(alpha, law: OffspringLaw) -> float:
     return factorial(a) * (var * s_poly + m * s_jump) / m
 
 
-def _h_values(s: Snapshot, alpha: MultiIndex) -> np.ndarray:
-    w = np.ones(s.n)
-    for i, ni in enumerate(alpha):
-        if ni:
-            w = w * hermite_table(ni, s.positions[:, i], float(s.t))[ni]
-    return w
-
-
-def u_statistic(s: Snapshot, alphas: Sequence) -> float:
-    """Sum over tuples of *distinct* particles of prod_h H_{alpha_h}.
-
-    Evaluated from power sums by inclusion-exclusion (never the naive
-    O(Z^p) loop); p = len(alphas) <= 3, with population caps because the
-    result degrades to noise amplification on huge snapshots.
-    """
-    alphas = [as_multiindex(a) for a in alphas]
-    p = len(alphas)
-    if p not in U_STATISTIC_CAPS:
-        raise ValidationError(f"supported tuple sizes are 1..3, got {p}")
-    cap = U_STATISTIC_CAPS[p]
-    if cap is not None and s.n > cap:
-        raise ValidationError(
-            f"snapshot has {s.n} particles; cap for p={p} is {cap}"
-        )
-    for a in alphas:
-        if a.dim != s.d:
-            raise ValidationError(f"index dim {a.dim} != snapshot dim {s.d}")
-    if s.n == 0:
-        return 0.0
-    f = [_h_values(s, a) for a in alphas]
-    if p == 1:
-        return float(np.sum(f[0]))
-    if p == 2:
-        return float(np.sum(f[0]) * np.sum(f[1]) - np.sum(f[0] * f[1]))
-    s1, s2, s3 = (float(np.sum(x)) for x in f)
-    p12 = float(np.sum(f[0] * f[1]))
-    p13 = float(np.sum(f[0] * f[2]))
-    p23 = float(np.sum(f[1] * f[2]))
-    p123 = float(np.sum(f[0] * f[1] * f[2]))
-    return s1 * s2 * s3 - s1 * p23 - s2 * p13 - s3 * p12 + 2.0 * p123
-
-
 def ensemble_v_matrix(
     law: OffspringLaw,
     d: int,
@@ -461,17 +364,12 @@ def ensemble_v_matrix(
         if a.dim != d:
             raise ValidationError(f"index dim {a.dim} != d={d}")
     out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
-    deg = [max((a[i] for a in alphas), default=0) for i in range(d)]
     for t, pos, rep in ensemble_states(
         law, d, n_replicas, t_max, seed, population_cap=population_cap
     ):
         if pos.shape[0] == 0:
             continue
-        tables = [hermite_table(deg[i], pos[:, i], float(t)) for i in range(d)]
-        for a in alphas:
-            w = tables[0][a[0]]
-            for i in range(1, d):
-                w = w * tables[i][a[i]]
+        for a, w in zip(alphas, hermite_products(pos, float(t), alphas)):
             out[a][:, t] = np.bincount(rep, weights=w, minlength=n_replicas)
     return out
 

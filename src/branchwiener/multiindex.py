@@ -10,15 +10,11 @@ Python ints, never floats.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-
-#: Largest order accepted by :func:`factorial` / :func:`choose`.  The exact
-#: integer arithmetic stays cheap well past this; the cap exists to catch
-#: runaway indices coming out of malformed expansion parameters.
-ORDER_CAP = 20
 
 
 class MultiIndex(tuple):
@@ -102,8 +98,6 @@ def order(alpha) -> int:
 def factorial(alpha) -> int:
     """alpha! = prod_i a_i!  (exact integer)."""
     a = as_multiindex(alpha)
-    if a.order > ORDER_CAP:
-        raise ValidationError(f"order {a.order} exceeds cap {ORDER_CAP}")
     out = 1
     for c in a:
         out *= math.factorial(c)
@@ -121,8 +115,6 @@ def is_sub_index(beta, alpha) -> bool:
 def choose(alpha, beta) -> int:
     """Product of componentwise binomials C(a_i, b_i); requires beta <= alpha."""
     a, b = as_multiindex(alpha), as_multiindex(beta)
-    if a.order > ORDER_CAP:
-        raise ValidationError(f"order {a.order} exceeds cap {ORDER_CAP}")
     if not is_sub_index(b, a):
         raise ValidationError(f"{b} is not a sub-index of {a}")
     out = 1
@@ -172,3 +164,29 @@ def sub_indices(alpha) -> list[MultiIndex]:
     a = as_multiindex(alpha)
     ranges = [range(c + 1) for c in a]
     return [MultiIndex(t) for t in _cartesian(*ranges)]
+
+
+@lru_cache(maxsize=16)
+def expansion_terms(k: int, d: int) -> tuple:
+    """The terms of the order-k expansion double sum in dimension d.
+
+    One tuple ``(n, alpha!, C(2 alpha, beta), (-1)^|beta|, beta,
+    2 alpha - beta)`` per pair |alpha| = n <= k, beta <= 2 alpha: n
+    ascending, alpha in :func:`enumerate_order` order, beta in
+    :func:`sub_indices` order.  The sign is a float, the rest exact.  Every
+    sum over these pairs (the density expansion, its design rows, the
+    shifted kernel) reads this one list.
+    """
+    if k < 0:
+        raise ValidationError(f"order k={k} must be >= 0")
+    terms = []
+    for n in range(k + 1):
+        for alpha in enumerate_order(d, n):
+            two_alpha = 2 * alpha
+            fact = factorial(alpha)
+            for beta in sub_indices(two_alpha):
+                sign = -1.0 if beta.order % 2 else 1.0
+                terms.append(
+                    (n, fact, choose(two_alpha, beta), sign, beta, two_alpha - beta)
+                )
+    return tuple(terms)

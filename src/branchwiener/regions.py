@@ -59,9 +59,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
-    def bounding_box(self) -> "Box":
-        return self
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -79,13 +76,6 @@ class Ball:
     @property
     def dim(self) -> int:
         return len(self.center)
-
-    def bounding_box(self) -> Box:
-        r = self.radius
-        return Box(
-            tuple(c - r for c in self.center),
-            tuple(c + r for c in self.center),
-        )
 
 
 def _separated(a, b) -> bool:
@@ -139,12 +129,6 @@ class UnionRegion:
     @property
     def dim(self) -> int:
         return self.members[0].dim
-
-    def bounding_box(self) -> Box:
-        boxes = [m.bounding_box() for m in self.members]
-        lo = tuple(min(b.lower[i] for b in boxes) for i in range(self.dim))
-        hi = tuple(max(b.upper[i] for b in boxes) for i in range(self.dim))
-        return Box(lo, hi)
 
 
 Region = (Box, Ball, UnionRegion)
@@ -259,14 +243,23 @@ def region_from_dict(obj) -> Box | Ball | UnionRegion:
     raise ValidationError(f"unknown region type {kind!r}")
 
 
-def region_from_json(text_or_path) -> Box | Ball | UnionRegion:
-    """Parse a region from a JSON string or a path to a JSON file."""
+def load_json(text_or_path, what: str):
+    """Parse JSON given inline or as a file path.
+
+    Text starting with ``{`` or ``[`` (after whitespace) is the JSON itself;
+    anything else names a file to read.  ``what`` names the content in the
+    error raised on malformed JSON.
+    """
     text = str(text_or_path)
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad region JSON: {exc}") from exc
-    return region_from_dict(obj)
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
+
+
+def region_from_json(text_or_path) -> Box | Ball | UnionRegion:
+    """Parse a region from a JSON string or a path to a JSON file."""
+    return region_from_dict(load_json(text_or_path, "region"))

@@ -324,15 +324,7 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, text_or_path) -> "SimConfig":
-        text = str(text_or_path)
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad config JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(_regions.load_json(text_or_path, "config"))
 
 
 def initial_snapshot(cfg: SimConfig) -> Snapshot:

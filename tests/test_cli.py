@@ -219,6 +219,32 @@ def test_estimate_then_predict_pipeline(doubling_config, tmp_path, capsys):
                      "--T", "40", "--k", "3"]) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["predict", "expand"])
+def test_predict_checks_the_table(subcommand, tmp_path, capsys):
+    region = '{"type": "box", "lower": [-2.0], "upper": [2.0]}'
+    table = NTable(d=1, m=1.5, entries={(0,): 1.0, (1,): 0.2, (2,): 0.5}, k=1,
+                   meta={"T0": 25.0})
+    good = tmp_path / "table.json"
+    table.save(str(good))
+
+    def run(path, T="30"):
+        return cli.main([subcommand, "--table", str(path), "--region", region,
+                         "--T", T])
+
+    assert run(good) == 0
+    # A horizon before the observation time is refused, for expand as well.
+    assert run(good, T="10") == cli.EXIT_VALIDATION
+    assert "precedes the observation time" in capsys.readouterr().err
+    # Non-finite values or errors are refused rather than printed as nan.
+    for field, bad in (("value", "NaN"), ("value", "Infinity"), ("err", "-Infinity")):
+        obj = table.to_dict()
+        obj["entries"][1][field] = float(bad)
+        path = tmp_path / f"bad-{field}-{bad}.json"
+        path.write_text(json.dumps(obj))
+        assert run(path) == cli.EXIT_VALIDATION
+        assert "not finite" in capsys.readouterr().err
+
+
 def test_estimate_n_missing_file_exits_5(tmp_path):
     rc = cli.main(["estimate-n", str(tmp_path / "absent.jsonl"), "--k", "1",
                    "--out", str(tmp_path / "t.json")])
@@ -256,6 +282,19 @@ def test_infer_round_trip(tmp_path, capsys):
     assert cli.main(["infer", "--counts", str(tmp_path / "short.csv"),
                      "--sets", sets_path, "--T0", "25", "--k", "1",
                      "--m", "1.5", "--out", str(out)]) == 2
+
+
+def test_infer_rejects_duplicate_region_id(tmp_path, capsys):
+    sets = inf.default_sets(1, 1, 2.0)
+    sets_path = write_regions(tmp_path / "sets.json", sets)
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("region_id,count\n0,5.0\n1,7.0\n2,-1.5\n1,9.0\n")
+    rc = cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
+                   "--T0", "25", "--k", "1", "--m", "1.5",
+                   "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "region_id 1 appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_infer_ill_conditioned_exits_3(tmp_path, capsys):

@@ -70,13 +70,6 @@ def test_expansion_missing_coefficient():
         xp.expansion_value(box, math.inf, 1, table)
 
 
-def test_expansion_request_wrapper():
-    table = NTable(d=1, m=2.0, entries={(0,): 1.0, (1,): 2.0, (2,): 3.0})
-    box = rg.Box((0.0,), (1.0,))
-    req = xp.ExpansionRequest(region=box, T=10.0, k=1, table=table)
-    assert req.value() == pytest.approx(14 / 15)
-
-
 def test_theorem_a_form_identity_random():
     rng = np.random.default_rng(31)
     for _ in range(25):

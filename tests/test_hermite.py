@@ -80,6 +80,23 @@ def test_hermite_multi_factorizes():
     assert hm.hermite_multi(alpha, pts[0], 1.3) == pytest.approx(got[0], rel=1e-13)
 
 
+def test_hermite_products_one_array_per_index():
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(30, 2))
+    alphas = [(0, 0), (3, 1), (0, 2)]
+    got = list(hm.hermite_products(pts, 0.9, alphas))
+    assert len(got) == len(alphas)
+    for a, w in zip(alphas, got):
+        ref = hm.hermite_1d(a[0], pts[:, 0], 0.9) * hm.hermite_1d(a[1], pts[:, 1], 0.9)
+        np.testing.assert_allclose(w, ref, rtol=1e-13)
+    # Each array is the caller's own.
+    got[0][:] = 5.0
+    np.testing.assert_array_equal(next(hm.hermite_products(pts, 0.9, [(0, 0)])), 1.0)
+    assert list(hm.hermite_products(pts, 0.9, [])) == []
+    with pytest.raises(ValidationError):
+        next(hm.hermite_products(pts, 0.9, [(1,)]))
+
+
 def test_addition_shift_equals_shifted_polynomial():
     for n in range(9):
         for x in (-1.1, 0.25, 2.0):

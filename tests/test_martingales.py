@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -23,9 +22,10 @@ def snap(t, positions):
 
 def test_v_alpha_single_particle():
     s = snap(3, [[2.0]])
-    assert mg.v_alpha(s, (2,)) == pytest.approx(2.0**2 - 3.0)  # H_2(2,3) = 1
-    assert mg.v_alpha(s, (0,)) == 1.0
-    assert mg.v_alpha(snap(3, np.zeros((0, 1))), (2,)) == 0.0
+    v = mg.v_alpha_many(s, [(2,), (0,)])
+    assert v[(2,)] == pytest.approx(2.0**2 - 3.0)  # H_2(2,3) = 1
+    assert v[(0,)] == 1.0
+    assert mg.v_alpha_many(snap(3, np.zeros((0, 1))), [(2,)]) == {(2,): 0.0}
 
 
 def test_v_alpha_many_matches_individuals():
@@ -34,49 +34,29 @@ def test_v_alpha_many_matches_individuals():
     alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
     table = mg.v_alpha_many(s, alphas)
     for a in alphas:
-        assert table[a] == pytest.approx(mg.v_alpha(s, a), rel=1e-12)
-
-
-def test_martingale_series_and_validation():
-    snaps = [snap(0, [[0.0]]), snap(1, [[0.5], [1.0]]), snap(2, [[0.2], [0.9]])]
-    ser = mg.martingale_series(snaps, (1,), 2.0)
-    assert ser.times == [0, 1, 2]
-    assert ser.normalized[0] == 0.0  # H_1(0,0) = 0
-    assert ser.normalized[1] == pytest.approx(1.5 / 2.0)
-    with pytest.raises(ValidationError):
-        mg.martingale_series([], (1,), 2.0)
-    with pytest.raises(ValidationError):
-        mg.martingale_series([snaps[1], snaps[0]], (1,), 2.0)
-
-
-def test_u_statistic_matches_naive_loops():
-    rng = np.random.default_rng(17)
-    s = snap(2, rng.normal(size=(9, 1)))
-    h = {n: hm.hermite_1d(n, s.positions[:, 0], 2.0) for n in (0, 1, 2, 3)}
-
-    def naive(alphas):
-        degs = [a[0] for a in alphas]
-        total = 0.0
-        for combo in itertools.permutations(range(s.n), len(alphas)):
-            total += math.prod(h[deg][i] for deg, i in zip(degs, combo))
-        return total
-
-    for alphas in [[(1,)], [(2,)], [(1,), (2,)], [(0,), (3,)],
-                   [(1,), (1,), (2,)], [(2,), (3,), (1,)]]:
-        assert mg.u_statistic(s, alphas) == pytest.approx(
-            naive(alphas), rel=1e-10, abs=1e-9
+        naive = np.sum(
+            hm.hermite_1d(a[0], s.positions[:, 0], 4.0)
+            * hm.hermite_1d(a[1], s.positions[:, 1], 4.0)
         )
+        assert table[a] == pytest.approx(naive, rel=1e-12)
+    with pytest.raises(ValidationError):
+        mg.v_alpha_many(s, [(1,)])
 
 
-def test_u_statistic_caps_and_checks():
-    big = snap(1, np.zeros((3001, 1)))
+def test_estimate_n_trajectory_validation():
+    snaps = [snap(0, [[0.0]]), snap(1, [[0.5], [1.0]]), snap(2, [[0.2], [0.9]])]
+    table = mg.estimate_n(snaps, [(1,)], 2.0)
+    # V_1(t)/2^t along the trajectory: 0 (H_1(0,0) = 0), 1.5/2, 1.1/4.
+    xs = [0.0, 0.75, 0.275]
+    assert table[(1,)] == pytest.approx(xs[-1])
+    scale = max(abs(xs[t] - xs[t - 1]) * 2.0 ** (t / 2.5) for t in (1, 2))
+    assert table.errors[(1,)] == pytest.approx(scale * 2.0 ** (-2 / 2.5))
     with pytest.raises(ValidationError):
-        mg.u_statistic(big, [(1,), (1,)])
+        mg.estimate_n([], [(1,)], 2.0)
     with pytest.raises(ValidationError):
-        mg.u_statistic(snap(1, np.zeros((2, 1))), [(1,)] * 4)
+        mg.estimate_n([snaps[1], snaps[0]], [(1,)], 2.0)
     with pytest.raises(ValidationError):
-        mg.u_statistic(snap(1, np.zeros((2, 1))), [(1, 0)])
-    assert mg.u_statistic(snap(1, np.zeros((0, 1))), [(1,)]) == 0.0
+        mg.estimate_n([snaps[1], snaps[1]], [(1,)], 2.0)
 
 
 # ------------------------------------------------------------ second moments
@@ -263,7 +243,8 @@ def test_estimate_n_uses_last_snapshot():
     table = mg.estimate_n(snaps, alphas, m, k=1, seed=404)
     last = snaps[-1]
     for a in alphas:
-        assert table[a] == pytest.approx(mg.v_alpha(last, a) / m**last.t)
+        v = np.sum(hm.hermite_1d(a[0], last.positions[:, 0], last.t))
+        assert table[a] == pytest.approx(v / m**last.t)
         assert table.errors[a] > 0
     assert table.meta["source_t"] == 8
     assert table.meta["seed"] == 404

@@ -194,6 +194,23 @@ def test_region_from_json_inline_and_path(tmp_path):
         rg.region_from_json('{"type": "box", "lower": [0.0]}')
 
 
+def test_load_json_inline_and_path_agree(tmp_path):
+    from branchwiener import cli
+    from branchwiener.simulator import SimConfig
+
+    regions = ('[{"type": "box", "lower": [0.0], "upper": [1.0]},'
+               ' {"type": "ball", "center": [3.0], "radius": 0.5}]')
+    config = '{"d": 1, "pmf": [0.0, 0.5, 0.5], "seed": 3, "t_max": 4}'
+    for text, load in ((regions, cli._load_regions), (config, SimConfig.from_json)):
+        p = tmp_path / "obj.json"
+        p.write_text(text)
+        assert rg.load_json(text, "x") == rg.load_json(str(p), "x") == json.loads(text)
+        assert load(text) == load(str(p))
+    assert cli._load_regions(regions) == [Box((0.0,), (1.0,)), Ball((3.0,), 0.5)]
+    with pytest.raises(ValidationError, match="bad config JSON"):
+        rg.load_json('[1, 2', "config")
+
+
 # ------------------------------------------------------------- properties
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 from . import multiindex as mi
 from . import regions as rg
@@ -45,12 +46,17 @@ def required_indices(k: int, d: int) -> list[MultiIndex]:
     a strict subset of all indices of order <= 2k once d > 1: for k=1, d=2
     the index (1,1) never arises.
     """
+    return list(_required_indices(k, d))
+
+
+@lru_cache(maxsize=16)
+def _required_indices(k: int, d: int) -> tuple[MultiIndex, ...]:
     if not 0 <= k <= MAX_ORDER:
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
     if d < 1:
         raise ValidationError(f"dimension {d} must be >= 1")
     gammas = {term[5] for term in mi.expansion_terms(k, d)}
-    return sorted(gammas, key=lambda g: (g.order, tuple(-c for c in g)))
+    return tuple(sorted(gammas, key=lambda g: (g.order, tuple(-c for c in g))))
 
 
 def _term_weights(region, T: float, k: int):

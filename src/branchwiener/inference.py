@@ -105,6 +105,15 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     )
 
 
+def _times_power(x: float, m: float, T: float) -> float | None:
+    """m**T * x, or None where that is not a finite float."""
+    try:
+        value = m**T * x
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def solve_n(
     observed_counts,
     system: DesignSystem,
@@ -123,13 +132,16 @@ def solve_n(
         raise ValidationError(
             f"{counts.size} counts for {len(system.sets)} observation sets"
         )
+    growth = _times_power(1.0, m, system.T0) if m > 0 else None
+    if not growth:
+        raise ValidationError(f"need 0 < m**T0 < inf; got T0={system.T0}, m={m}")
     if system.condition_number > condition_threshold:
         raise ConditioningError(
             f"design matrix condition number {system.condition_number:.3e} "
             f"exceeds {condition_threshold:.1e}; choose observation sets "
             "with more varied geometry (or a larger scale) and retry"
         )
-    b = (2.0 * math.pi * system.T0) ** (system.d / 2.0) * counts / m**system.T0
+    b = (2.0 * math.pi * system.T0) ** (system.d / 2.0) * counts / growth
     col_scale = np.linalg.norm(system.matrix, axis=0)
     if np.any(col_scale == 0.0):
         dead = [tuple(system.indices[j]) for j in np.nonzero(col_scale == 0.0)[0]]
@@ -169,20 +181,17 @@ class Prediction:
     raw_count: float | None
 
 
-#: Raw m^T counts are only materialized below this horizon (overflow guard).
+#: Raw m^T counts are only materialized up to this horizon.
 RAW_COUNT_MAX_T = 40.0
 
 
-def predict(region, T: float, table: NTable, k: int | None = None,
-            m: float | None = None) -> Prediction:
+def predict(region, T: float, table: NTable, k: int | None = None) -> Prediction:
     """Forecast the normalized count (2 pi T)^(-d/2) S_k, i.e. the expected
-    psi(A, T)/m^T; the raw expected count is attached only for T <= 40."""
+    psi(A, T)/m^T; the raw count, if finite, is attached only for T <= 40."""
     if k is None:
         k = table.k
     if k is None:
         raise ValidationError("no expansion order: pass k or use a table that has one")
-    if m is None:
-        m = table.m
     t0 = table.meta.get("T0")
     if t0 is not None and T < t0:
         raise ValidationError(
@@ -194,7 +203,7 @@ def predict(region, T: float, table: NTable, k: int | None = None,
         )
     s_value = expansion_value(region, T, k, table)
     density = (2.0 * math.pi * T) ** (-region.dim / 2.0) * s_value
-    raw = m**T * density if T <= RAW_COUNT_MAX_T else None
+    raw = _times_power(density, table.m, T) if T <= RAW_COUNT_MAX_T else None
     return Prediction(
         region=region,
         T=float(T),

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import ncx2
 
 from .errors import ValidationError
 from .hermite import hermite_products
@@ -66,6 +64,8 @@ class NTable:
         self.entries = {as_multiindex(a): float(v) for a, v in self.entries.items()}
         if self.errors is not None:
             self.errors = {as_multiindex(a): float(v) for a, v in self.errors.items()}
+        if not (self.m > 0 and math.isfinite(self.m)):
+            raise ValidationError(f"m={self.m} must be positive and finite")
         for a in self.entries:
             if a.dim != self.d:
                 raise ValidationError(f"entry {a} does not have dim {self.d}")
@@ -83,11 +83,9 @@ class NTable:
         return as_multiindex(alpha) in self.entries
 
     def covers(self, k: int, d: int) -> bool:
-        from .expansion import required_indices
+        from .expansion import _required_indices
 
-        return d == self.d and all(
-            g in self.entries for g in required_indices(k, d)
-        )
+        return d == self.d and all(g in self.entries for g in _required_indices(k, d))
 
     def to_dict(self) -> dict:
         entries = []
@@ -193,6 +191,8 @@ def estimate_n(
 
 def _box_gauss_mass(box: Box, positions: np.ndarray, s: float) -> np.ndarray:
     """P(position + sqrt(s) G in box) per particle, G standard Gaussian."""
+    # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
+    from scipy.special import ndtr
     sd = math.sqrt(s)
     lo = (np.asarray(box.lower) - positions) / sd
     hi = (np.asarray(box.upper) - positions) / sd
@@ -203,10 +203,12 @@ def _ball_gauss_mass(ball: Ball, positions: np.ndarray, s: float) -> np.ndarray:
     """P(position + sqrt(s) G in ball): |x + sqrt(s) G - c|^2 / s is
     noncentral chi-square with d degrees of freedom and noncentrality
     |x - c|^2 / s, so the mass is its CDF at radius^2/s."""
+    # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
+    from scipy.special import chndtr
     d = positions.shape[1]
     delta = positions - np.asarray(ball.center)
     nc = np.einsum("ij,ij->i", delta, delta) / s
-    return ncx2.cdf(ball.radius**2 / s, d, nc)
+    return chndtr(ball.radius**2 / s, d, nc)
 
 
 def _region_gauss_mass(region, positions: np.ndarray, s: float) -> np.ndarray:
@@ -385,10 +387,6 @@ class IncrementRow:
 class IncrementTable:
     """Empirical L^p norms of the martingale increments per generation."""
 
-    alpha: MultiIndex
-    p: int
-    m: float
-    n_replicas: int
     rows: tuple[IncrementRow, ...]
 
     def mean_successive_ratio(self, t_lo: int = 2, t_hi: int = 8) -> float:
@@ -402,21 +400,6 @@ class IncrementTable:
         if not ratios:
             return float("nan")
         return float(np.mean(ratios))
-
-    def write_csv(self, dest, comments: list[str] | None = None) -> None:
-        own = isinstance(dest, (str, bytes))
-        fh = open(dest, "w", encoding="utf-8") if own else dest
-        try:
-            for line in comments or []:
-                fh.write(f"# {line}\n")
-            fh.write("alpha,p,t,empirical_norm,exact_norm\n")
-            tag = "+".join(str(c) for c in self.alpha)
-            for r in self.rows:
-                exact = "" if r.exact_norm is None else repr(r.exact_norm)
-                fh.write(f"{tag},{self.p},{r.t},{r.empirical_norm!r},{exact}\n")
-        finally:
-            if own:
-                fh.close()
 
 
 def lp_increment_diagnostic(
@@ -451,6 +434,4 @@ def lp_increment_diagnostic(
             e_prev = second_moment_oracle(a, t - 1, law) / m ** (2 * (t - 1))
             exact = math.sqrt(max(e_t - e_prev, 0.0))
         rows.append(IncrementRow(t=t, empirical_norm=emp, exact_norm=exact))
-    return IncrementTable(
-        alpha=a, p=p, m=m, n_replicas=replicas, rows=tuple(rows)
-    )
+    return IncrementTable(rows=tuple(rows))

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import PopulationCapError, ValidationError
 from . import regions as _regions
@@ -344,6 +343,8 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
 
 
 def _make_children(positions, hi, lo, counts, seed: int, d: int):
+    # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
+    from scipy.special import ndtri
     total = int(counts.sum())
     if total == 0:
         return (

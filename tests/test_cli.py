@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import branchwiener
 from branchwiener import cli
 from branchwiener import expansion as xp
 from branchwiener import inference as inf
@@ -219,6 +224,19 @@ def test_estimate_then_predict_pipeline(doubling_config, tmp_path, capsys):
                      "--T", "40", "--k", "3"]) == 2
 
 
+def test_predict_overflowing_raw_count_is_left_empty(tmp_path, capsys):
+    table = NTable(d=1, m=1e12, entries={(0,): 1.0}, k=0)
+    path = tmp_path / "table.json"
+    table.save(str(path))
+    rc = cli.main(["predict", "--table", str(path), "--region",
+                   '{"type": "box", "lower": [-2.0], "upper": [2.0]}',
+                   "--T", "39", "--format", "json"])
+    assert rc == 0
+    pred = json.loads(capsys.readouterr().out)[0]
+    assert pred["raw_count"] is None  # 1e12**39 overflows a float
+    assert math.isfinite(pred["normalized_density"]) and pred["s_value"] > 0
+
+
 @pytest.mark.parametrize("subcommand", ["predict", "expand"])
 def test_predict_checks_the_table(subcommand, tmp_path, capsys):
     region = '{"type": "box", "lower": [-2.0], "upper": [2.0]}'
@@ -243,6 +261,11 @@ def test_predict_checks_the_table(subcommand, tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert run(path) == cli.EXIT_VALIDATION
         assert "not finite" in capsys.readouterr().err
+    # A non-positive m would make m**T complex.
+    path = tmp_path / "negative-m.json"
+    path.write_text(json.dumps(dict(table.to_dict(), m=-1.5)))
+    assert run(path, T="30.5") == cli.EXIT_VALIDATION
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_estimate_n_missing_file_exits_5(tmp_path):
@@ -294,6 +317,19 @@ def test_infer_rejects_duplicate_region_id(tmp_path, capsys):
                    "--out", str(tmp_path / "t.json")])
     assert rc == cli.EXIT_VALIDATION
     assert "region_id 1 appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_infer_overflowing_m_pow_T0_exits_2(tmp_path, capsys):
+    sets_path = write_regions(tmp_path / "sets.json", inf.default_sets(0, 1, 2.0))
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("region_id,count\n0,5.0\n")
+    rc = cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
+                   "--T0", "3000", "--k", "0", "--m", "1.5",
+                   "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "T0=3000" in err and "m=1.5" in err
     assert not (tmp_path / "t.json").exists()
 
 
@@ -349,6 +385,54 @@ def test_diagnose_outputs(doubling_config, tmp_path, capsys):
     assert len(rows) == 4  # alpha = 0, e1, 2e1
     sidecar = json.loads((tmp_path / "diag.manifest.json").read_text())
     assert len(sidecar["outputs"]) == 3
+
+
+# --------------------------------------------------------------- cold start
+
+# The test modules import scipy themselves, so each check runs in a fresh
+# interpreter and reports the scipy modules it loaded.
+_SCIPY_MODULES = (
+    "import json, sys\n"
+    "{body}\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+)
+
+
+def _scipy_loaded_by(body: str) -> list[str]:
+    src = str(Path(branchwiener.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES.format(body=body)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_by("import branchwiener") == []
+
+
+def test_package_source_never_names_scipy_stats():
+    package = Path(branchwiener.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        assert "scipy.stats" not in path.read_text(encoding="utf-8"), path
+
+
+@pytest.mark.parametrize("command", ["count", "estimate-n", "predict"])
+def test_reading_commands_load_no_scipy(command, doubling_config, tmp_path):
+    snaps = tmp_path / "snaps.bin"
+    table = tmp_path / "table.json"
+    assert cli.main(["simulate", "--config", doubling_config, "--out", str(snaps)]) == 0
+    assert cli.main(["estimate-n", str(snaps), "--k", "1", "--out", str(table)]) == 0
+    region = '{"type": "box", "lower": [-2.0], "upper": [2.0]}'
+    argv = {
+        "count": [str(snaps), "--region", region],
+        "estimate-n": [str(snaps), "--k", "1", "--out", str(tmp_path / "t2.json")],
+        "predict": ["--table", str(table), "--region", region, "--T", "30"],
+    }[command]
+    body = f"from branchwiener.cli import main\nassert main({[command, *argv]!r}) == 0"
+    assert _scipy_loaded_by(body) == []
 
 
 # ------------------------------------------------------------------ parser

@@ -48,6 +48,7 @@ from .martingales import (
 )
 from .expansion import (
     expansion_value,
+    expansion_values,
     plugin_expansion,
     plugin_time,
     required_indices,
@@ -59,6 +60,7 @@ from .inference import (
     default_sets,
     design_matrix,
     predict,
+    predict_all,
     solve_n,
 )
 
@@ -100,6 +102,7 @@ __all__ = [
     "lp_increment_diagnostic",
     "required_indices",
     "expansion_value",
+    "expansion_values",
     "theorem_a_form",
     "plugin_expansion",
     "plugin_time",
@@ -107,6 +110,7 @@ __all__ = [
     "design_matrix",
     "solve_n",
     "predict",
+    "predict_all",
     "Prediction",
     "default_sets",
 ]

@@ -241,7 +241,7 @@ def cmd_predict(args) -> int:
     """predict and expand: the same evaluation and checks."""
     table = mg.NTable.load(args.table)
     regions = _load_regions(args.region)
-    preds = [inf.predict(region, args.T, table, k=args.k) for region in regions]
+    preds = inf.predict_all(regions, args.T, table, k=args.k)
     manifest = _manifest(args.subcommand, args, [args.table], [])
     _emit_predictions(args, preds, manifest)
     return EXIT_OK
@@ -286,6 +286,8 @@ def _read_counts_csv(path: str, n_sets: int) -> np.ndarray:
 
 def cmd_infer(args) -> int:
     sets = _load_regions(args.sets)
+    if not sets:
+        raise ValidationError(f"--sets {args.sets} holds no regions")
     d = sets[0].dim
     system = inf.design_matrix(sets, args.T0, args.k, d)
     counts = _read_counts_csv(args.counts, len(sets))

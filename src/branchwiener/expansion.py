@@ -22,6 +22,8 @@ import math
 import warnings
 from functools import lru_cache
 
+import numpy as np
+
 from . import multiindex as mi
 from . import regions as rg
 from .errors import ValidationError
@@ -59,34 +61,40 @@ def _required_indices(k: int, d: int) -> tuple[MultiIndex, ...]:
     return tuple(sorted(gammas, key=lambda g: (g.order, tuple(-c for c in g))))
 
 
-def _term_weights(region, T: float, k: int):
-    """Yield (gamma, w) per term of S_k(region, T), so that S_k is the sum
-    of w * N_gamma: w = (-T)^-n / 2^n / alpha! * C(2 alpha, beta)
-    * (-1)^|beta| * M_beta(region)."""
-    factors = [(-T) ** (-n) / 2.0**n for n in range(k + 1)]
-    for n, fact, c, sign, beta, gamma in mi.expansion_terms(k, region.dim):
-        yield gamma, factors[n] / fact * c * sign * rg.moment(region, beta)
-
-
-def _table_value(table, gamma: MultiIndex) -> float:
-    try:
-        return float(table[gamma])
-    except KeyError:
-        raise ValidationError(
-            f"coefficient table is missing index {tuple(gamma)}"
-        ) from None
-
-
-def expansion_value(region, T: float, k: int, table) -> float:
-    """S_k(A, T) for a coefficient table (NTable or any mapping from
-    multi-index to value covering required_indices(k, d))."""
+def _weight_matrix(regions, T: float, k: int, d: int):
+    """(W, gammas) with W[i, t] = (-T)^-n / 2^n / alpha! * C(2 alpha, beta)
+    * (-1)^|beta| * M_beta(regions[i]) for term t of S_k, so that
+    S_k(regions[i], T) is the sum over t of W[i, t] * N_{gammas[t]}."""
     if not (T > 0 and math.isfinite(T)):
         raise ValidationError(f"T must be positive and finite, got {T}")
     if not 0 <= k <= MAX_ORDER:
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
-    return math.fsum(
-        w * _table_value(table, gamma) for gamma, w in _term_weights(region, T, k)
-    )
+    terms = mi.expansion_terms(k, d)
+    col = {b: j for j, b in enumerate(dict.fromkeys(t[4] for t in terms))}
+    factors = [(-T) ** (-n) / 2.0**n for n in range(k + 1)]
+    q = [factors[n] / fact * c * sign for n, fact, c, sign, _, _ in terms]
+    moments = rg.moment_matrix(regions, list(col))
+    return moments[:, [col[t[4]] for t in terms]] * q, [t[5] for t in terms]
+
+
+def expansion_values(regions, T: float, k: int, table) -> list[float]:
+    """S_k(A, T) for regions A of one dimension d, each the correctly rounded
+    sum of its terms, for an NTable or any mapping from multi-index to value
+    covering required_indices(k, d)."""
+    if not regions:
+        return []
+    weights, gammas = _weight_matrix(regions, T, k, regions[0].dim)
+    try:
+        n = np.array([float(table[g]) for g in gammas])
+    except KeyError as exc:
+        missing = tuple(exc.args[0])
+        raise ValidationError(f"coefficient table is missing index {missing}") from None
+    return [math.fsum(row) for row in (weights * n).tolist()]
+
+
+def expansion_value(region, T: float, k: int, table) -> float:
+    """S_k(A, T) for one region; see expansion_values."""
+    return expansion_values([region], T, k, table)[0]
 
 
 def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:
@@ -101,16 +109,13 @@ def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:
     n1 = [float(c) for c in n1]
     if len(n1) != d:
         raise ValidationError(f"N1 has dim {len(n1)}, region has {d}")
-    vol = rg.volume(region)
-    unit = [0] * d
-    quad = 0.0
-    lin = 0.0
+    eye = np.eye(d, dtype=int).tolist()
+    betas = [[0] * d] + eye + [[2 * c for c in e] for e in eye]
+    m = rg.moment_matrix([region], betas)[0].tolist()
+    vol, quad, lin = m[0], 0.0, 0.0
     for i in range(d):
-        e_i = unit.copy()
-        e_i[i] = 1
-        lin += n1[i] * rg.moment(region, MultiIndex(e_i))
-        e_i[i] = 2
-        quad += rg.moment(region, MultiIndex(e_i))
+        lin += n1[i] * m[1 + i]
+        quad += m[1 + d + i]
     return n0 * vol - (n0 * quad - 2.0 * lin + n2 * vol) / (2.0 * T)
 
 

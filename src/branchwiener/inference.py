@@ -28,7 +28,7 @@ import numpy as np
 
 from . import regions as rg
 from .errors import ConditioningError, ValidationError
-from .expansion import _term_weights, expansion_value, required_indices
+from .expansion import _weight_matrix, expansion_values, required_indices
 from .martingales import NTable
 from .multiindex import MultiIndex
 
@@ -62,13 +62,6 @@ class DesignSystem:
         return self.matrix.shape
 
 
-def _coefficient_row(region, T0: float, k: int, col_pos) -> np.ndarray:
-    row = np.zeros(len(col_pos))
-    for gamma, w in _term_weights(region, T0, k):
-        row[col_pos[gamma]] += w
-    return row
-
-
 def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     """Build the system for the given observation sets.
 
@@ -89,10 +82,13 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
         if a.dim != d:
             raise ValidationError(f"set dimension {a.dim} != {d}")
     if len(sets) > 1:
-        # Reuse the union validator's pairwise separation test.
+        # Reuse the union validator's separation sweep.
         rg.UnionRegion(sets)
+    weights, gammas = _weight_matrix(sets, T0, k, d)
     col_pos = {g: j for j, g in enumerate(cols)}
-    matrix = np.vstack([_coefficient_row(a, T0, k, col_pos) for a in sets])
+    matrix = np.zeros((len(sets), len(cols)))
+    for t, gamma in enumerate(gammas):  # term order, as in S_k
+        matrix[:, col_pos[gamma]] += weights[:, t]
     cond = float(np.linalg.cond(matrix, 2))
     return DesignSystem(
         sets=sets,
@@ -185,9 +181,12 @@ class Prediction:
 RAW_COUNT_MAX_T = 40.0
 
 
-def predict(region, T: float, table: NTable, k: int | None = None) -> Prediction:
+def predict_all(
+    regions, T: float, table: NTable, k: int | None = None
+) -> list[Prediction]:
     """Forecast the normalized count (2 pi T)^(-d/2) S_k, i.e. the expected
-    psi(A, T)/m^T; the raw count, if finite, is attached only for T <= 40."""
+    psi(A, T)/m^T, for each region A; the raw count, if finite, is attached
+    only for T <= 40.  The table is checked once per dimension."""
     if k is None:
         k = table.k
     if k is None:
@@ -197,21 +196,21 @@ def predict(region, T: float, table: NTable, k: int | None = None) -> Prediction
         raise ValidationError(
             f"prediction horizon T={T} precedes the observation time T0={t0}"
         )
-    if not table.covers(k, region.dim):
-        raise ValidationError(
-            f"table does not cover required_indices(k={k}, d={region.dim})"
-        )
-    s_value = expansion_value(region, T, k, table)
-    density = (2.0 * math.pi * T) ** (-region.dim / 2.0) * s_value
-    raw = _times_power(density, table.m, T) if T <= RAW_COUNT_MAX_T else None
-    return Prediction(
-        region=region,
-        T=float(T),
-        k=int(k),
-        s_value=s_value,
-        normalized_density=density,
-        raw_count=raw,
-    )
+    for d in dict.fromkeys(region.dim for region in regions):
+        if not table.covers(k, d):
+            raise ValidationError(f"table does not cover required_indices(k={k}, d={d})")
+    preds = []
+    for region, s_value in zip(regions, expansion_values(regions, T, k, table)):
+        density = (2.0 * math.pi * T) ** (-region.dim / 2.0) * s_value
+        raw = _times_power(density, table.m, T) if T <= RAW_COUNT_MAX_T else None
+        preds.append(Prediction(region=region, T=float(T), k=int(k), s_value=s_value,
+                                normalized_density=density, raw_count=raw))
+    return preds
+
+
+def predict(region, T: float, table: NTable, k: int | None = None) -> Prediction:
+    """The forecast of predict_all for one region."""
+    return predict_all([region], T, table, k)[0]
 
 
 def _box_grid(n_sets: int, d: int, scale: float) -> list[rg.Box]:

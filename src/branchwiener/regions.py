@@ -12,6 +12,7 @@ for off-center balls.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MultiIndex, as_multiindex, choose, sub_indices
+from .multiindex import MultiIndex, as_multiindex
 
 #: Largest |beta| served by moment(); expansion orders k <= 8 need at most
 #: |beta| = 2k.
@@ -30,7 +31,7 @@ MOMENT_CAP = 16
 def _as_float_tuple(v, what: str) -> tuple[float, ...]:
     try:
         out = tuple(float(c) for c in v)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a sequence of reals") from exc
     if len(out) == 0:
         raise ValidationError(f"{what} must be non-empty")
@@ -69,7 +70,10 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_float_tuple(self.center, "center"))
-        object.__setattr__(self, "radius", float(self.radius))
+        try:
+            object.__setattr__(self, "radius", float(self.radius))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"radius must be a real, got {self.radius!r}") from exc
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValidationError(f"radius must be positive, got {self.radius}")
 
@@ -101,6 +105,15 @@ def _separated(a, b) -> bool:
     return dist_sq > b.radius**2
 
 
+def _axis0_extent(m) -> tuple[float, float]:
+    """[lo, hi] on axis 0, a ball's widened by 1e-12 (radius + |center_0|),
+    far above rounding, and by 1e-150, above squares that underflow."""
+    if isinstance(m, Box):
+        return m.lower[0], m.upper[0]
+    reach = m.radius + 1e-12 * (m.radius + abs(m.center[0])) + 1e-150
+    return m.center[0] - reach, m.center[0] + reach
+
+
 @dataclass(frozen=True)
 class UnionRegion:
     """Disjoint union of boxes and balls; members are validated pairwise."""
@@ -118,20 +131,23 @@ class UnionRegion:
         for m in members:
             if not isinstance(m, (Box, Ball)):
                 raise ValidationError("union members must be boxes or balls")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not _separated(members[i], members[j]):
+        # Sweep along axis 0: only members whose extents there meet get
+        # the exact test; every pair skipped is one _separated accepts.
+        ext = [_axis0_extent(m) for m in members]
+        active = []
+        for j in sorted(range(len(members)), key=lambda i: ext[i][0]):
+            active = [i for i in active if ext[i][1] > ext[j][0]]
+            for i in active:
+                if not _separated(members[min(i, j)], members[max(i, j)]):
                     raise ValidationError(
-                        f"union members {i} and {j} overlap (or touch in a "
-                        "way the separation test cannot certify)"
+                        f"union members {min(i, j)} and {max(i, j)} overlap (or "
+                        "touch in a way the separation test cannot certify)"
                     )
+            active.append(j)
 
     @property
     def dim(self) -> int:
         return self.members[0].dim
-
-
-Region = (Box, Ball, UnionRegion)
 
 
 def contains(region, x):
@@ -159,57 +175,69 @@ def contains(region, x):
     return bool(mask[0]) if single else mask
 
 
-def _centered_ball_moment(radius: float, beta: MultiIndex) -> float:
-    """Dirichlet integral over the centered ball; zero if any component is
-    odd.  For even beta:
+@lru_cache(maxsize=64)
+def _moment_plan(betas: tuple[tuple[int, ...], ...]):
+    """What moment_matrix needs from the beta list alone, as ints and floats.
 
-        M_beta = 2 R^(|beta|+d) * prod_i Gamma((beta_i+1)/2)
-                 / ((|beta|+d) * Gamma((|beta|+d)/2))
-    """
-    if any(b % 2 for b in beta):
-        return 0.0
-    d = beta.dim
-    n = beta.order
-    num = 2.0 * radius ** (n + d)
-    for b in beta:
-        num *= math.gamma((b + 1) / 2.0)
-    return num / ((n + d) * math.gamma((n + d) / 2.0))
+    ``cores``: per even gamma <= some beta, (|gamma|+d, Gamma((g_i+1)/2) per
+    axis, (|gamma|+d) Gamma((|gamma|+d)/2)); the centered ball's Dirichlet
+    integral (zero for odd gamma) is 2 R^(|gamma|+d) times them over the
+    last.  ``shifted[j]``: (core, C(beta, gamma), beta - gamma) over the even
+    gamma <= beta_j, expanding (c + y)^beta for an off-center ball."""
+    d = len(betas[0])
+    if max(map(sum, betas)) > MOMENT_CAP:
+        raise ValidationError(f"moment order exceeds cap {MOMENT_CAP}")
+    cores, core_of, shifted = [], {}, []
+    for beta in betas:
+        terms = []
+        for g in itertools.product(*(range(0, b + 1, 2) for b in beta)):
+            if g not in core_of:
+                nd, core_of[g] = sum(g) + d, len(cores)
+                gammas = [math.gamma((c + 1) / 2.0) for c in g]
+                cores.append((nd, gammas, nd * math.gamma(nd / 2.0)))
+            choose = math.prod(map(math.comb, beta, g))
+            terms.append((core_of[g], choose, tuple(b - c for b, c in zip(beta, g))))
+        shifted.append(terms)
+    tops = tuple(max(col) for col in zip(*betas))
+    return d, tops, betas, cores, [core_of.get(b) for b in betas], shifted
 
 
-@lru_cache(maxsize=65536)
-def _moment_cached(region, beta: MultiIndex) -> float:
+def _moment_row(region, plan) -> list[float]:
+    """One region's moments for every beta of the plan; math.prod multiplies
+    left to right, as the closed forms read."""
+    _, tops, betas, cores, centered, shifted = plan
     if isinstance(region, Box):
-        out = 1.0
-        for lo, hi, b in zip(region.lower, region.upper, beta):
-            out *= (hi ** (b + 1) - lo ** (b + 1)) / (b + 1)
-        return out
+        f = [[(hi ** (e + 1) - lo ** (e + 1)) / (e + 1) for e in range(top + 1)]
+             for lo, hi, top in zip(region.lower, region.upper, tops)]
+        return [math.prod(fi[b] for fi, b in zip(f, beta)) for beta in betas]
     if isinstance(region, Ball):
+        core = [math.prod(g, start=2.0 * region.radius**nd) / den for nd, g, den in cores]
         if all(c == 0.0 for c in region.center):
-            return _centered_ball_moment(region.radius, beta)
+            return [0.0 if j is None else core[j] for j in centered]
         # Shift to the centered case: x = c + y, expand x^beta binomially.
-        acc = []
-        for gamma in sub_indices(beta):
-            core = _centered_ball_moment(region.radius, gamma)
-            if core == 0.0:
-                continue
-            shift = 1.0
-            for c, b, g in zip(region.center, beta, gamma):
-                shift *= c ** (b - g)
-            acc.append(choose(beta, gamma) * shift * core)
-        return math.fsum(acc)
+        powers = [[c**e for e in range(top + 1)] for c, top in zip(region.center, tops)]
+        return [math.fsum(choose * math.prod(p[e] for p, e in zip(powers, exps)) * core[j]
+                          for j, choose, exps in terms if core[j] != 0.0)
+                for terms in shifted]
     if isinstance(region, UnionRegion):
-        return math.fsum(_moment_cached(m, beta) for m in region.members)
+        return [math.fsum(c) for c in zip(*(_moment_row(m, plan) for m in region.members))]
     raise ValidationError(f"not a region: {region!r}")
+
+
+def moment_matrix(regions, betas) -> np.ndarray:
+    """M[i, j] = moment(regions[i], betas[j]) for distinct betas of one
+    dimension; each region computes each beta once."""
+    plan = _moment_plan(tuple(map(tuple, betas)))
+    for region in regions:
+        if region.dim != plan[0]:
+            raise ValidationError(f"moment index dim {plan[0]} != region dim {region.dim}")
+    rows = [_moment_row(r, plan) for r in regions]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(plan[2]))
 
 
 def moment(region, beta) -> float:
     """M_beta(A) = integral over A of x^beta dx (exact closed forms)."""
-    b = as_multiindex(beta)
-    if b.dim != region.dim:
-        raise ValidationError(f"moment index dim {b.dim} != region dim {region.dim}")
-    if b.order > MOMENT_CAP:
-        raise ValidationError(f"moment order {b.order} exceeds cap {MOMENT_CAP}")
-    return _moment_cached(region, b)
+    return float(moment_matrix([region], [as_multiindex(beta)])[0, 0])
 
 
 def volume(region) -> float:
@@ -240,6 +268,8 @@ def region_from_dict(obj) -> Box | Ball | UnionRegion:
             return UnionRegion(tuple(region_from_dict(m) for m in obj["members"]))
     except KeyError as exc:
         raise ValidationError(f"region object missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"bad {kind} region field: {exc}") from exc
     raise ValidationError(f"unknown region type {kind!r}")
 
 

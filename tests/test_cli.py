@@ -268,6 +268,38 @@ def test_predict_checks_the_table(subcommand, tmp_path, capsys):
     assert "must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("region", [
+    '{"type": "box", "lower": ["a"], "upper": [1]}',
+    '{"type": "ball", "center": [0.0], "radius": "x"}',
+    '{"type": "union", "members": 5}',
+], ids=["box-lower", "ball-radius", "union-members"])
+def test_predict_non_numeric_region_field_exits_2(region, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0).save(str(path))
+    rc = cli.main(["predict", "--table", str(path), "--region", region, "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_predict_empty_region_list_writes_only_the_header(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0).save(str(path))
+    rc = cli.main(["predict", "--table", str(path), "--region", "[]", "--T", "30"])
+    assert rc == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert lines == ["region_id,T,k,s_value,normalized_density,raw_count"]
+
+
+def test_predict_mixed_dimensions_exit_2(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0).save(str(path))
+    regions = write_regions(tmp_path / "regions.json", [
+        rg.Box((0.0,), (1.0,)), rg.Box((0.0, 0.0), (1.0, 1.0))])
+    rc = cli.main(["predict", "--table", str(path), "--region", regions, "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "table does not cover required_indices(k=0, d=2)" in capsys.readouterr().err
+
+
 def test_estimate_n_missing_file_exits_5(tmp_path):
     rc = cli.main(["estimate-n", str(tmp_path / "absent.jsonl"), "--k", "1",
                    "--out", str(tmp_path / "t.json")])
@@ -355,6 +387,17 @@ def test_infer_overlapping_sets_exit_2(tmp_path):
     assert cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
                      "--T0", "25", "--k", "1", "--m", "1.5",
                      "--out", str(tmp_path / "t.json")]) == 2
+
+
+def test_infer_empty_sets_exits_2(tmp_path, capsys):
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("region_id,count\n")
+    rc = cli.main(["infer", "--counts", str(counts_path), "--sets", "[]",
+                   "--T0", "25", "--k", "1", "--m", "1.5",
+                   "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "holds no regions" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 # ----------------------------------------------------------------- diagnose

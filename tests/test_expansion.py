@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchwiener.errors import ValidationError
 from branchwiener import expansion as xp
 from branchwiener import martingales as mg
+from branchwiener import multiindex as mi
 from branchwiener import regions as rg
 from branchwiener import simulator as sim
 from branchwiener.martingales import NTable
@@ -145,3 +147,63 @@ def test_plugin_time_window():
             prev = t
     with pytest.raises(ValidationError):
         xp.plugin_time(1.0, 0)
+
+
+# ------------------------------------------------------------- properties
+
+
+coord = st.floats(-4, 4, allow_nan=False)
+
+
+@st.composite
+def expansion_case(draw):
+    """(regions, T, k, table) with boxes, balls and two-member unions."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+
+    def leaf(shift):
+        point = [draw(coord) for _ in range(d)]
+        point[0] += shift
+        if draw(st.booleans()):
+            return rg.Box(tuple(point), tuple(p + draw(st.floats(0.1, 3)) for p in point))
+        return rg.Ball(tuple(point), draw(st.floats(0.1, 3)))
+
+    regions = [
+        rg.UnionRegion((leaf(0.0), leaf(20.0))) if draw(st.booleans()) else leaf(0.0)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    values = st.floats(-2, 2, allow_nan=False)
+    table = {g: draw(values) for g in xp.required_indices(k, d)}
+    return regions, draw(st.floats(1.0, 200.0)), k, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=expansion_case())
+def test_expansion_values_are_fsum_of_per_term_products(case):
+    regions, T, k, table = case
+    want = []
+    for region in regions:
+        factors = [(-T) ** (-n) / 2.0**n for n in range(k + 1)]
+        want.append(math.fsum(
+            factors[n] / fact * c * sign * rg.moment(region, beta) * table[gamma]
+            for n, fact, c, sign, beta, gamma in mi.expansion_terms(k, region.dim)
+        ))
+    assert xp.expansion_values(regions, T, k, table) == want
+    assert [xp.expansion_value(r, T, k, table) for r in regions] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=expansion_case(), a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 99))
+def test_expansion_is_linear_in_the_table(case, a, b, seed):
+    regions, T, k, first = case
+    rng = np.random.default_rng(seed)
+    second = {g: float(rng.uniform(-2, 2)) for g in first}
+    mixed = {g: a * first[g] + b * second[g] for g in first}
+    weights, gammas = xp._weight_matrix(regions, T, k, regions[0].dim)
+    size = np.abs(weights) @ np.array(
+        [abs(a * first[g]) + abs(b * second[g]) + abs(mixed[g]) for g in gammas]
+    )
+    got = xp.expansion_values(regions, T, k, mixed)
+    s1 = xp.expansion_values(regions, T, k, first)
+    s2 = xp.expansion_values(regions, T, k, second)
+    for value, v1, v2, tol in zip(got, s1, s2, size.tolist()):
+        assert abs(value - (a * v1 + b * v2)) <= 1e-13 * tol + 1e-300

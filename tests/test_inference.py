@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchwiener.errors import ConditioningError, ValidationError
 from branchwiener import expansion as xp
@@ -173,3 +174,27 @@ def test_default_sets_counts_and_conditioning():
 def test_default_sets_impossible_threshold():
     with pytest.raises(ConditioningError):
         inf.default_sets(1, 1, 1.0, condition_threshold=1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, 2),
+    extra=st.integers(0, 6),
+    values=st.lists(st.floats(-2, 2, allow_nan=False), min_size=5, max_size=5),
+    T0=st.floats(5.0, 60.0),
+    m=st.floats(1.1, 2.0),
+    seed=st.integers(0, 999),
+)
+def test_design_matrix_and_solve_recover_a_d1_table(k, extra, values, T0, m, seed):
+    gammas = xp.required_indices(k, 1)
+    true = NTable(d=1, m=m, entries=dict(zip(gammas, values)), k=k)
+    # Disjoint intervals of random widths and gaps spread over about [-6, 6].
+    rng = np.random.default_rng(seed)
+    n = len(gammas) + extra
+    widths = rng.uniform(0.4, 1.6, n) * 12.0 / (1.45 * n)
+    edges = np.cumsum(widths + rng.uniform(0.1, 0.8, n) * 12.0 / (1.45 * n)) - 6.0
+    sets = [rg.Box((a - w,), (a,)) for a, w in zip(edges.tolist(), widths.tolist())]
+    system = inf.design_matrix(sets, T0, k, 1)
+    got = inf.solve_n(synthetic_counts(system, true, m), system, m)
+    for g in gammas:
+        assert got[g] == pytest.approx(true[g], abs=1e-6)

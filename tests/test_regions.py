@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,3 +245,127 @@ def test_ball_odd_central_moment_property(center, radius):
     assert rg.moment(ball, beta) == pytest.approx(
         center[0] * rg.volume(ball), rel=1e-10, abs=1e-10
     )
+
+
+# A grid with optional one-ulp nudges makes touching and nearly touching
+# members common; the scale checks that the sweep's padding is relative.
+grid = st.integers(-12, 12)
+nudge = st.sampled_from([0, -1, 1])
+
+
+def _near(x, step):
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+@st.composite
+def union_member(draw, d, scale):
+    point = [_near(draw(grid) * 0.5 * scale, draw(nudge)) for _ in range(d)]
+    if draw(st.booleans()):
+        upper = [_near(p + draw(st.integers(1, 4)) * 0.5 * scale, draw(nudge)) for p in point]
+        return Box(tuple(point), tuple(upper))
+    return Ball(tuple(point), _near(draw(st.integers(1, 4)) * 0.5 * scale, draw(nudge)))
+
+
+@st.composite
+def member_chain(draw, d, scale):
+    """Members laid end to end along axis 0, mostly touching, in any order."""
+    members, edge = [], draw(grid) * 0.5 * scale
+    for _ in range(draw(st.integers(1, 8))):
+        start = _near(edge + draw(st.sampled_from([0, 0, 1, -1])) * 0.5 * scale,
+                      draw(nudge))
+        width = draw(st.integers(1, 4)) * scale
+        rest = [draw(st.integers(-2, 2)) * 0.5 * scale for _ in range(d - 1)]
+        if draw(st.booleans()):
+            members.append(Box((start, *rest), (_near(start + width, draw(nudge)),
+                                                *(r + scale for r in rest))))
+        else:
+            radius = _near(width / 2, draw(nudge))
+            members.append(Ball((start + width / 2, *rest), radius))
+        edge = start + width
+    return draw(st.permutations(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_union_sweep_matches_all_pairs(data):
+    d = data.draw(st.integers(1, 3))
+    scale = data.draw(st.sampled_from([1e-9, 1.0, 1e7]))
+    members = data.draw(st.one_of(
+        st.lists(union_member(d, scale), min_size=1, max_size=8),
+        member_chain(d, scale),
+    ))
+    bad = [
+        (i, j)
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+        if not rg._separated(members[i], members[j])
+    ]
+    if not bad:
+        UnionRegion(tuple(members))
+        return
+    with pytest.raises(ValidationError, match="overlap") as err:
+        UnionRegion(tuple(members))
+    named = re.search(r"members (\d+) and (\d+)", str(err.value))
+    assert (int(named[1]), int(named[2])) in bad
+
+
+def _moment_by_closed_form(region, beta):
+    """Term by term, in the float operations of the closed forms."""
+    if isinstance(region, UnionRegion):
+        return math.fsum(_moment_by_closed_form(m, beta) for m in region.members)
+    if isinstance(region, Box):
+        out = 1.0
+        for lo, hi, b in zip(region.lower, region.upper, beta):
+            out *= (hi ** (b + 1) - lo ** (b + 1)) / (b + 1)
+        return out
+
+    def core(gamma):
+        if any(g % 2 for g in gamma):
+            return 0.0
+        nd = sum(gamma) + len(gamma)
+        num = 2.0 * region.radius**nd
+        for g in gamma:
+            num *= math.gamma((g + 1) / 2.0)
+        return num / (nd * math.gamma(nd / 2.0))
+
+    if all(c == 0.0 for c in region.center):
+        return core(beta)
+    acc = []
+    for gamma in itertools.product(*(range(b + 1) for b in beta)):
+        if core(gamma) == 0.0:
+            continue
+        shift = 1.0
+        for c, b, g in zip(region.center, beta, gamma):
+            shift *= c ** (b - g)
+        acc.append(math.prod(map(math.comb, beta, gamma)) * shift * core(gamma))
+    return math.fsum(acc)
+
+
+coord = st.floats(-4, 4, allow_nan=False)
+
+
+@st.composite
+def any_region(draw, d):
+    def leaf(shift):
+        point = [draw(st.one_of(coord, st.just(0.0))) for _ in range(d)]
+        point[0] += shift
+        if draw(st.booleans()):
+            return Box(tuple(point), tuple(p + draw(st.floats(0.1, 3)) for p in point))
+        return Ball(tuple(point), draw(st.floats(0.1, 3)))
+
+    if draw(st.booleans()):
+        return leaf(0.0)
+    return UnionRegion((leaf(0.0), leaf(20.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_moment_matrix_matches_closed_forms_bitwise(data):
+    d = data.draw(st.integers(1, 3))
+    regions = data.draw(st.lists(any_region(d), min_size=0, max_size=4))
+    betas = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1,
+                               max_size=12, unique=True))
+    got = rg.moment_matrix(regions, betas)
+    assert got.shape == (len(regions), len(betas))
+    for row, region in zip(got.tolist(), regions):
+        assert row == [_moment_by_closed_form(region, b) for b in betas]

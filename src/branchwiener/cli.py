@@ -339,10 +339,11 @@ def cmd_diagnose(args) -> int:
         for line in _comment_lines(manifest):
             fh.write(f"# {line}\n")
         fh.write("alpha,p,t,empirical_norm,exact_norm\n")
-        for alpha in ((0,) * cfg.d, e1):
-            table = mg.lp_increment_diagnostic(
-                args.replicas, alpha, 2, min(cfg.t_max, 8), law, seed=base_seed
-            )
+        alphas = ((0,) * cfg.d, e1)
+        tables = mg.lp_increment_diagnostic(
+            args.replicas, alphas, 2, min(cfg.t_max, 8), law, seed=base_seed
+        )
+        for alpha, table in zip(alphas, tables):
             tag = "+".join(str(c) for c in alpha)
             for row in table.rows:
                 exact = "" if row.exact_norm is None else repr(row.exact_norm)

@@ -51,6 +51,15 @@ def _check_degree(n: int) -> int:
     return int(n)
 
 
+def _rows(x, t: float, top: int):
+    """Yield H_2(x,t) ... H_top(x,t) by the recurrence, each a new array;
+    H_0 enters as the scalar 1.0, which gives the floats a row of ones does."""
+    prev, cur = 1.0, x
+    for j in range(1, top):
+        prev, cur = cur, x * cur - (t * j) * prev
+        yield cur
+
+
 def hermite_1d(n: int, x, t: float):
     """Evaluate H_n(x, t).
 
@@ -69,14 +78,10 @@ def hermite_1d(n: int, x, t: float):
     """
     n = _check_degree(n)
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return float(h_prev) if scalar else h_prev
-    h = x.copy()
-    for j in range(1, n):
-        h_prev, h = h, x * h - (t * j) * h_prev
-    return float(h) if scalar else h
+    h = np.ones_like(x) if n == 0 else x.copy()
+    for h in _rows(x, t, n):
+        pass
+    return float(h) if x.ndim == 0 else h
 
 
 def hermite_table(n_max: int, x, t: float) -> np.ndarray:
@@ -87,13 +92,7 @@ def hermite_table(n_max: int, x, t: float) -> np.ndarray:
     """
     n_max = _check_degree(n_max)
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((n_max + 1,) + x.shape, dtype=np.float64)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for j in range(1, n_max):
-        out[j + 1] = x * out[j] - (t * j) * out[j - 1]
-    return out
+    return np.array([np.ones_like(x), x, *_rows(x, t, n_max)][:n_max + 1])
 
 
 def hermite_multi(alpha, x, t: float):
@@ -104,23 +103,21 @@ def hermite_multi(alpha, x, t: float):
     """
     a = as_multiindex(alpha)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != a.dim:
-            raise ValidationError(f"point has dim {x.shape[0]}, index {a.dim}")
-        out = 1.0
-        for i, ni in enumerate(a):
-            out *= hermite_1d(ni, float(x[i]), t)
-        return out
-    return next(hermite_products(x, t, [a]))
+    if x.ndim != 1:
+        return next(hermite_products(x, t, [a]))
+    if x.shape[0] != a.dim:
+        raise ValidationError(f"point has dim {x.shape[0]}, index {a.dim}")
+    return float(next(hermite_products(x[None, :], t, [a]))[0])
 
 
 def hermite_products(x, t: float, alphas):
     """Yield H_alpha(x_j, t) over the rows x_j of the (N, d) array x, one
     (N,) array per alpha, in the order given.
 
-    One hermite_table per coordinate, up to the largest degree any alpha
-    asks of it, serves every index.  Each yielded array is a fresh product,
-    built in place, so only one (N,) array is allocated per alpha.
+    Per coordinate, the rows H_2..H_top up to the largest degree any alpha
+    asks of it serve every index; H_1 is the column view of x, and H_0 is
+    skipped in the product, since multiplying by 1.0 is exact.  Each yielded
+    array is a fresh product, built in place: one (N,) array per alpha.
     """
     x = np.asarray(x, dtype=np.float64)
     alphas = [as_multiindex(a) for a in alphas]
@@ -130,13 +127,13 @@ def hermite_products(x, t: float, alphas):
             raise ValidationError(f"batch shape {x.shape} does not match dim {a.dim}")
     if not alphas:
         return
-    tables = [
-        hermite_table(max(a[i] for a in alphas), x[:, i], t) for i in range(d)
-    ]
+    tops = [_check_degree(max(a[i] for a in alphas)) for i in range(d)]
+    rows = [[None, x[:, i], *_rows(x[:, i], t, top)] for i, top in enumerate(tops)]
     for a in alphas:
-        w = tables[0][a[0]].copy()
-        for i in range(1, d):
-            w *= tables[i][a[i]]
+        factors = [rows[i][ai] for i, ai in enumerate(a) if ai]
+        w = factors[0].copy() if factors else np.ones(x.shape[0])
+        for f in factors[1:]:
+            w *= f
         yield w
 
 

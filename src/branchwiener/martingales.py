@@ -404,14 +404,15 @@ class IncrementTable:
 
 def lp_increment_diagnostic(
     replicas: int,
-    alpha,
+    alphas: Sequence,
     p: int,
     t_max: int,
     law: OffspringLaw,
     *,
     seed: int = 0,
-) -> IncrementTable:
-    """Empirical p-norms of X_t - X_{t-1} with X_t = V_alpha(t)/m^t.
+) -> list[IncrementTable]:
+    """Empirical p-norms of X_t - X_{t-1} with X_t = V_alpha(t)/m^t, one
+    table per index in ``alphas``, all from one ensemble of replicas.
 
     For p = 2 an exact column accompanies the estimate: martingale
     increments are orthogonal, so E[(X_t - X_{t-1})^2] =
@@ -419,19 +420,24 @@ def lp_increment_diagnostic(
     """
     if p not in (2, 4):
         raise ValidationError(f"p must be 2 or 4, got {p}")
-    a = as_multiindex(alpha)
+    alphas = [as_multiindex(a) for a in alphas]
+    if not alphas:
+        raise ValidationError("need at least one index")
     m = law.mean
-    mat = ensemble_v_matrix(law, a.dim, [a], t_max, replicas, seed)[a]
+    mats = ensemble_v_matrix(law, alphas[0].dim, alphas, t_max, replicas, seed)
     scale = m ** (-np.arange(t_max + 1, dtype=np.float64))
-    x = mat * scale
-    rows = []
-    for t in range(1, t_max + 1):
-        diff = x[:, t] - x[:, t - 1]
-        emp = float(np.mean(np.abs(diff) ** p) ** (1.0 / p))
-        exact = None
-        if p == 2:
-            e_t = second_moment_oracle(a, t, law) / m ** (2 * t)
-            e_prev = second_moment_oracle(a, t - 1, law) / m ** (2 * (t - 1))
-            exact = math.sqrt(max(e_t - e_prev, 0.0))
-        rows.append(IncrementRow(t=t, empirical_norm=emp, exact_norm=exact))
-    return IncrementTable(rows=tuple(rows))
+    tables = []
+    for a in alphas:
+        x = mats[a] * scale
+        rows = []
+        for t in range(1, t_max + 1):
+            diff = x[:, t] - x[:, t - 1]
+            emp = float(np.mean(np.abs(diff) ** p) ** (1.0 / p))
+            exact = None
+            if p == 2:
+                e_t = second_moment_oracle(a, t, law) / m ** (2 * t)
+                e_prev = second_moment_oracle(a, t - 1, law) / m ** (2 * (t - 1))
+                exact = math.sqrt(max(e_t - e_prev, 0.0))
+            rows.append(IncrementRow(t=t, empirical_norm=emp, exact_norm=exact))
+        tables.append(IncrementTable(rows=tuple(rows)))
+    return tables

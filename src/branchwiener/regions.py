@@ -29,6 +29,8 @@ MOMENT_CAP = 16
 
 
 def _as_float_tuple(v, what: str) -> tuple[float, ...]:
+    if isinstance(v, (str, bytes)):
+        raise ValidationError(f"{what} must be a sequence of reals, got {v!r}")
     try:
         out = tuple(float(c) for c in v)
     except (TypeError, ValueError) as exc:
@@ -95,22 +97,18 @@ def _separated(a, b) -> bool:
         return gap > a.radius + b.radius
     if isinstance(a, Ball):
         a, b = b, a
-    # a: Box, b: Ball — distance from the center to the closed box.
-    dist_sq = 0.0
-    for lo, hi, c in zip(a.lower, a.upper, b.center):
-        if c < lo:
-            dist_sq += (lo - c) ** 2
-        elif c > hi:
-            dist_sq += (c - hi) ** 2
-    return dist_sq > b.radius**2
+    # a: Box, b: Ball — distance from the center to the closed box, by
+    # hypot, which neither overflows nor underflows as squares would.
+    gaps = (max(lo - c, c - hi, 0.0) for lo, hi, c in zip(a.lower, a.upper, b.center))
+    return math.hypot(*gaps) > b.radius
 
 
 def _axis0_extent(m) -> tuple[float, float]:
     """[lo, hi] on axis 0, a ball's widened by 1e-12 (radius + |center_0|),
-    far above rounding, and by 1e-150, above squares that underflow."""
+    far above rounding."""
     if isinstance(m, Box):
         return m.lower[0], m.upper[0]
-    reach = m.radius + 1e-12 * (m.radius + abs(m.center[0])) + 1e-150
+    reach = m.radius + 1e-12 * (m.radius + abs(m.center[0]))
     return m.center[0] - reach, m.center[0] + reach
 
 
@@ -165,7 +163,9 @@ def contains(region, x):
         mask = np.all((pts >= lo) & (pts < hi), axis=1)
     elif isinstance(region, Ball):
         c = np.asarray(region.center)
-        mask = np.einsum("ij,ij->i", pts - c, pts - c) <= region.radius**2
+        # radius**2 overflows above 1.3e154, where any finite distance**2 is inside.
+        r2 = region.radius**2 if region.radius < 1e154 else math.inf
+        mask = np.einsum("ij,ij->i", pts - c, pts - c) <= r2
     elif isinstance(region, UnionRegion):
         mask = np.zeros(pts.shape[0], dtype=bool)
         for m in region.members:
@@ -224,6 +224,16 @@ def _moment_row(region, plan) -> list[float]:
     raise ValidationError(f"not a region: {region!r}")
 
 
+def _finite_row(i: int, region, plan) -> list[float]:
+    try:
+        row = _moment_row(region, plan)
+        if all(map(math.isfinite, row)):
+            return row
+    except OverflowError:
+        pass
+    raise ValidationError(f"region {i}: a moment overflows float64 (coordinates too large)")
+
+
 def moment_matrix(regions, betas) -> np.ndarray:
     """M[i, j] = moment(regions[i], betas[j]) for distinct betas of one
     dimension; each region computes each beta once."""
@@ -231,7 +241,7 @@ def moment_matrix(regions, betas) -> np.ndarray:
     for region in regions:
         if region.dim != plan[0]:
             raise ValidationError(f"moment index dim {plan[0]} != region dim {region.dim}")
-    rows = [_moment_row(r, plan) for r in regions]
+    rows = [_finite_row(i, r, plan) for i, r in enumerate(regions)]
     return np.array(rows, dtype=np.float64).reshape(len(rows), len(plan[2]))
 
 
@@ -261,9 +271,9 @@ def region_from_dict(obj) -> Box | Ball | UnionRegion:
     kind = obj["type"]
     try:
         if kind == "box":
-            return Box(tuple(obj["lower"]), tuple(obj["upper"]))
+            return Box(obj["lower"], obj["upper"])
         if kind == "ball":
-            return Ball(tuple(obj["center"]), obj["radius"])
+            return Ball(obj["center"], obj["radius"])
         if kind == "union":
             return UnionRegion(tuple(region_from_dict(m) for m in obj["members"]))
     except KeyError as exc:

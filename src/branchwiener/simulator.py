@@ -23,6 +23,7 @@ headers is ``splitmix64-ndtri``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -53,6 +54,10 @@ _TAG_POSITION = 0x7C15E4D5B9A30001
 _TAG_STRIDE = 0x636F6F7264313375
 
 _INV_2_53 = 2.0**-53
+
+#: Parents per block of the branching kernel, and the one threshold for
+#: threads: a step of fewer than two blocks runs on the calling thread.
+BLOCK = 1 << 16
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -338,41 +343,55 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
         # Point-mass law: the draw would be constant; skipping it changes
         # nothing because counter-based draws consume no shared state.
         return np.full(hi.shape[0], det, dtype=np.int64)
-    u = _draw_u01(seed, hi, lo, _TAG_OFFSPRING)
-    return np.searchsorted(law._cumulative, u, side="right").astype(np.int64)
+    counts = np.empty(hi.shape[0], dtype=np.int64)
+    for a in range(0, hi.shape[0], BLOCK):
+        u = _draw_u01(seed, hi[a:a + BLOCK], lo[a:a + BLOCK], _TAG_OFFSPRING)
+        counts[a:a + BLOCK] = np.searchsorted(law._cumulative, u, side="right")
+    return counts
 
 
-def _make_children(positions, hi, lo, counts, seed: int, d: int):
+def _make_children(positions, hi, lo, counts, seed: int, d: int, pos, chi, clo):
+    """Write the children of one block of parents into pos, chi and clo,
+    whose length is counts.sum()."""
     # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
     from scipy.special import ndtri
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            np.empty((0, d), dtype=np.float64),
-            np.empty(0, dtype=np.uint64),
-            np.empty(0, dtype=np.uint64),
-        )
     parents = np.repeat(np.arange(counts.shape[0]), counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    ranks = (np.arange(total, dtype=np.int64) - offsets).astype(np.uint64)
-    chi, clo = _child_ids(hi[parents], lo[parents], ranks)
-    new_pos = positions[parents].copy()
+    ranks = (np.arange(pos.shape[0], dtype=np.int64) - offsets).astype(np.uint64)
+    chi[:], clo[:] = _child_ids(hi[parents], lo[parents], ranks)
+    pos[:] = positions[parents]
     tag = _TAG_POSITION
     for j in range(d):
-        new_pos[:, j] += ndtri(_draw_u01(seed, chi, clo, tag))
+        pos[:, j] += ndtri(_draw_u01(seed, chi, clo, tag))
         tag = (tag + _TAG_STRIDE) & _MASK
-    return new_pos, chi, clo
+
+
+def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
+    """(positions, id_hi, id_lo) of all children, in parent order, filled
+    BLOCK parents at a time, on up to ``workers`` threads when there are at
+    least two blocks; draws are counter-based, so threads change nothing."""
+    firsts = range(0, counts.shape[0], BLOCK)
+    ends = [0, *itertools.accumulate(int(counts[a:a + BLOCK].sum()) for a in firsts)]
+    pos = np.empty((ends[-1], d), dtype=np.float64)
+    hi = np.empty(ends[-1], dtype=np.uint64)
+    lo = np.empty(ends[-1], dtype=np.uint64)
+
+    def build(b: int) -> None:
+        p, c = slice(firsts[b], firsts[b] + BLOCK), slice(ends[b], ends[b + 1])
+        _make_children(positions[p], id_hi[p], id_lo[p], counts[p], seed, d,
+                       pos[c], hi[c], lo[c])
+
+    if workers > 1 and len(firsts) >= 2:
+        with ThreadPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
+            list(pool.map(build, range(len(firsts))))
+    else:
+        list(map(build, range(len(firsts))))
+    return pos, hi, lo
 
 
 def _check_workers(workers) -> None:
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
-
-
-def _chunk_slices(n: int, workers: int) -> list[slice]:
-    chunks = min(workers, n)
-    bounds = np.linspace(0, n, chunks + 1, dtype=np.int64)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
 def step(
@@ -385,45 +404,19 @@ def step(
 ) -> Snapshot:
     """Advance one generation: branch at the parent position, then diffuse.
 
-    Output is a pure function of (snapshot, law, seed); the worker count
-    only partitions the work.
+    Output is a pure function of (snapshot, law, seed).  ``workers`` caps
+    the threads that build the children; a step of fewer than two blocks
+    of BLOCK parents runs on the calling thread.
     """
     if not s.has_ids:
-        raise ValidationError(
-            "snapshot has no lineage ids and cannot be advanced"
-        )
+        raise ValidationError("snapshot has no lineage ids and cannot be advanced")
     seed = _check_seed(seed)
     _check_workers(workers)
-    d = s.d
-    if s.n == 0:
-        return Snapshot(
-            t=s.t + 1,
-            positions=np.empty((0, d)),
-            id_hi=np.empty(0, dtype=np.uint64),
-            id_lo=np.empty(0, dtype=np.uint64),
-        )
-    slices = _chunk_slices(s.n, workers)
-    counts = [
-        _offspring_counts(law, seed, s.id_hi[sl], s.id_lo[sl]) for sl in slices
-    ]
-    total = int(sum(int(c.sum()) for c in counts))
+    counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
+    total = int(counts.sum())
     if population_cap is not None and total > population_cap:
         raise PopulationCapError(s.t + 1, total, population_cap)
-
-    def build(i: int):
-        sl = slices[i]
-        return _make_children(
-            s.positions[sl], s.id_hi[sl], s.id_lo[sl], counts[i], seed, d
-        )
-
-    if len(slices) == 1:
-        parts = [build(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(pool.map(build, range(len(slices))))
-    pos = np.concatenate([p[0] for p in parts], axis=0)
-    hi = np.concatenate([p[1] for p in parts])
-    lo = np.concatenate([p[2] for p in parts])
+    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d, workers)
     return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo)
 
 
@@ -486,12 +479,6 @@ class SnapshotWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def write_snapshot_file(path, snapshots: Sequence[Snapshot], *, d, pmf, seed) -> None:
-    with SnapshotWriter(path, d=d, pmf=pmf, seed=seed) as w:
-        for s in snapshots:
-            w.write(s)
 
 
 def _is_count(x) -> bool:
@@ -728,7 +715,6 @@ def ensemble_states(
         total = int(counts.sum())
         if population_cap is not None and total > population_cap:
             raise PopulationCapError(t, total, population_cap)
-        parents = np.repeat(np.arange(counts.shape[0]), counts)
-        rep = rep[parents]
-        pos, hi, lo = _make_children(pos, hi, lo, counts, seed, d)
+        rep = np.repeat(rep, counts)
+        pos, hi, lo = _branch(pos, hi, lo, counts, seed, d, 1)
         yield t, pos, rep

@@ -446,11 +446,11 @@ def test_a12_radius_bound_and_increment_decay(binary_law, mixed_law):
             if t >= 3:
                 assert radius <= float(t) ** 2, (i, t, radius)
 
-    tab1 = mg.lp_increment_diagnostic(2000, (1,), 2, 8, binary_law, seed=5151)
+    [tab1] = mg.lp_increment_diagnostic(2000, [(1,)], 2, 8, binary_law, seed=5151)
     ratio1 = tab1.mean_successive_ratio()
     assert ratio1 < 1.0
     assert abs(ratio1 - 2.0**-0.5) <= 0.1
-    tab2 = mg.lp_increment_diagnostic(2000, (2,), 2, 8, binary_law, seed=5252)
+    [tab2] = mg.lp_increment_diagnostic(2000, [(2,)], 2, 8, binary_law, seed=5252)
     assert tab2.mean_successive_ratio() < 1.0
-    tab0 = mg.lp_increment_diagnostic(4000, (0,), 2, 8, mixed_law, seed=6161)
+    [tab0] = mg.lp_increment_diagnostic(4000, [(0,)], 2, 8, mixed_law, seed=6161)
     assert tab0.mean_successive_ratio() < 1.0

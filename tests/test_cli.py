@@ -281,6 +281,35 @@ def test_predict_non_numeric_region_field_exits_2(region, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("region, message", [
+    ('{"type": "box", "lower": [1e100, 0, 0], "upper": [2e100, 1, 1]}',
+     "a moment overflows"),
+    ('{"type": "union", "members": [{"type": "box", "lower": [0, 0, 0], '
+     '"upper": [1, 1, 1]}, {"type": "ball", "center": [5, 0, 0], "radius": 1e200}]}',
+     "overlap"),
+    ('{"type": "union", "members": [{"type": "box", "lower": [0, 0, 0], '
+     '"upper": [1, 1, 1]}, {"type": "ball", "center": [0.5, 2e154, 0], "radius": 1}]}',
+     "a moment overflows"),
+    ('{"type": "box", "lower": "000", "upper": "111"}', "sequence of reals"),
+], ids=["box-1e100", "ball-radius-1e200", "gap-2e154", "string-lower"])
+def test_predict_huge_or_string_coordinates_exit_2(region, message, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    entries = {a: 1.0 for a in xp.required_indices(2, 3)}
+    NTable(d=3, m=2.0, entries=entries, k=2).save(str(path))
+    rc = cli.main(["predict", "--table", str(path), "--region", region, "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_count_in_a_huge_ball(doubling_config, tmp_path, capsys):
+    out = tmp_path / "run.snap"
+    assert cli.main(["simulate", "--config", doubling_config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    ball = '{"type": "ball", "center": [0.0], "radius": 1e200}'
+    assert cli.main(["count", str(out), "--region", ball, "--t", "6"]) == 0
+    assert capsys.readouterr().out.strip() == "64"
+
+
 def test_predict_empty_region_list_writes_only_the_header(tmp_path, capsys):
     path = tmp_path / "table.json"
     NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0).save(str(path))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,24 @@ def test_hermite_products_one_array_per_index():
     assert list(hm.hermite_products(pts, 0.9, [])) == []
     with pytest.raises(ValidationError):
         next(hm.hermite_products(pts, 0.9, [(1,)]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hermite_products_equal_products_of_table_rows_bitwise(d):
+    # H_0 is skipped and H_1 is the column itself, yet every product is
+    # the left-to-right product of hermite_table rows, bit for bit.
+    rng = np.random.default_rng(d)
+    pts = rng.normal(scale=2.0, size=(200, d))
+    pts[:3] = 0.0
+    alphas = [a for a in itertools.product(range(7), repeat=d) if sum(a) <= 6]
+    assert alphas[0] == (0,) * d
+    for t in (0.0, 0.8, 9.0):
+        tables = [hm.hermite_table(6, pts[:, i], t) for i in range(d)]
+        for a, w in zip(alphas, hm.hermite_products(pts, t, alphas)):
+            ref = tables[0][a[0]].copy()
+            for i in range(1, d):
+                ref *= tables[i][a[i]]
+            assert w.tobytes() == ref.tobytes(), (a, t)
 
 
 def test_addition_shift_equals_shifted_polynomial():

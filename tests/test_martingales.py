@@ -257,7 +257,7 @@ def test_estimate_n_uses_last_snapshot():
 
 
 def test_increment_table_p2_exact_column(binary_law):
-    table = mg.lp_increment_diagnostic(400, (1,), 2, 5, binary_law, seed=3)
+    [table] = mg.lp_increment_diagnostic(400, [(1,)], 2, 5, binary_law, seed=3)
     assert [r.t for r in table.rows] == [1, 2, 3, 4, 5]
     for row in table.rows:
         assert row.exact_norm is not None
@@ -268,10 +268,22 @@ def test_increment_table_p2_exact_column(binary_law):
 
 
 def test_increment_table_p4_and_validation(binary_law):
-    table = mg.lp_increment_diagnostic(100, (1,), 4, 3, binary_law, seed=4)
+    [table] = mg.lp_increment_diagnostic(100, [(1,)], 4, 3, binary_law, seed=4)
     assert all(r.exact_norm is None for r in table.rows)
     with pytest.raises(ValidationError):
-        mg.lp_increment_diagnostic(10, (1,), 3, 3, binary_law)
+        mg.lp_increment_diagnostic(10, [(1,)], 3, 3, binary_law)
+    with pytest.raises(ValidationError, match="at least one index"):
+        mg.lp_increment_diagnostic(10, [], 2, 3, binary_law)
+
+
+def test_increment_tables_share_one_ensemble(mixed_law):
+    # One call over several indices runs one ensemble; each table equals
+    # the one a single-index call with the same seed gives.
+    alphas = [(0, 0), (1, 0), (0, 2)]
+    tables = mg.lp_increment_diagnostic(300, alphas, 2, 5, mixed_law, seed=12)
+    assert len(tables) == 3
+    for a, table in zip(alphas, tables):
+        assert [table] == mg.lp_increment_diagnostic(300, [a], 2, 5, mixed_law, seed=12)
 
 
 def test_ensemble_v_matrix_shape_and_integrality(mixed_law):

@@ -167,6 +167,40 @@ def test_moment_cap_and_dim_checks():
     assert math.isfinite(rg.moment(box, (rg.MOMENT_CAP,)))
 
 
+def test_overflowing_moments_raise_validation_error():
+    # Finite coordinates whose moments exceed float64: a raised
+    # OverflowError (hi ** 5), and a silent inf (radius ** d), both exit 2.
+    betas = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
+    for region in (Box((1e100, 0.0, 0.0), (2e100, 1.0, 1.0)),
+                   Ball((0.0, 0.0, 0.0), 1e200),
+                   Ball((0.5, 2e154, 0.0), 1.0)):
+        with pytest.raises(ValidationError, match="region 1: a moment overflows"):
+            rg.moment_matrix([Box((0.0,) * 3, (1.0,) * 3), region], betas)
+    assert rg.volume(Box((1e100,), (2e100,))) == 1e100
+
+
+def test_separation_test_never_overflows():
+    # A huge radius overlaps the box; a gap above 1.3e154 once overflowed
+    # as a square, and is a plain separation.
+    with pytest.raises(ValidationError, match="overlap"):
+        UnionRegion((Box((0.0,), (1.0,)), Ball((5.0,), 1e200)))
+    assert rg._separated(Box((0.0, 0.0), (1.0, 1.0)), Ball((0.5, 2e154), 1.0))
+    UnionRegion((Box((0.0, 0.0), (1.0, 1.0)), Ball((0.5, 2e154), 1.0)))
+    assert not rg._separated(Box((0.0, 0.0), (1.0, 1.0)), Ball((0.5, 2e154), 3e154))
+    assert rg.contains(Ball((0.0,), 1e200), np.array([[0.0], [1e150]])).all()
+
+
+@pytest.mark.parametrize("field", ["000", b"000"])
+def test_string_coordinates_are_rejected(field):
+    # A string is not read as a list of digits.
+    with pytest.raises(ValidationError, match="sequence of reals"):
+        Box(field, (1.0, 1.0, 1.0))
+    with pytest.raises(ValidationError, match="sequence of reals"):
+        Ball(field, 1.0)
+    with pytest.raises(ValidationError, match="sequence of reals"):
+        rg.region_from_dict({"type": "box", "lower": field, "upper": "111"})
+
+
 # ------------------------------------------------------------ serialization
 
 
@@ -289,7 +323,7 @@ def member_chain(draw, d, scale):
 @given(data=st.data())
 def test_union_sweep_matches_all_pairs(data):
     d = data.draw(st.integers(1, 3))
-    scale = data.draw(st.sampled_from([1e-9, 1.0, 1e7]))
+    scale = data.draw(st.sampled_from([1e-170, 1e-9, 1.0, 1e7, 1e170]))
     members = data.draw(st.one_of(
         st.lists(union_member(d, scale), min_size=1, max_size=8),
         member_chain(d, scale),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,90 @@ def test_worker_count_does_not_change_output():
         np.testing.assert_array_equal(got.positions, ref.positions)
         np.testing.assert_array_equal(got.id_hi, ref.id_hi)
         np.testing.assert_array_equal(got.id_lo, ref.id_lo)
+
+
+def _whole_population_step(s, law, seed):
+    """The children of every parent built in one pass, as one array per
+    field: the reference the block kernel must match bit for bit."""
+    from scipy.special import ndtri
+    u = sim._draw_u01(seed, s.id_hi, s.id_lo, sim._TAG_OFFSPRING)
+    counts = np.searchsorted(law._cumulative, u, side="right")
+    parents = np.repeat(np.arange(s.n), counts)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    ranks = (np.arange(parents.shape[0]) - offsets).astype(np.uint64)
+    hi, lo = sim._child_ids(s.id_hi[parents], s.id_lo[parents], ranks)
+    pos = s.positions[parents].copy()
+    tag = sim._TAG_POSITION
+    for j in range(s.d):
+        pos[:, j] += ndtri(sim._draw_u01(seed, hi, lo, tag))
+        tag = (tag + sim._TAG_STRIDE) & sim._MASK
+    return pos, hi, lo
+
+
+def _parents(n, d, seed=5):
+    hi, lo = sim._root_ids(seed, n)
+    pos = np.random.default_rng(n).normal(size=(n, d))
+    return Snapshot(t=3, positions=pos, id_hi=hi, id_lo=lo)
+
+
+B = sim.BLOCK
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+def test_block_kernel_matches_whole_population_build(n):
+    law = OffspringLaw((0.3, 0.2, 0.3, 0.2), test_mode=True)
+    s = _parents(n, 2)
+    pos, hi, lo = _whole_population_step(s, law, 77)
+    for workers in (1, 2, 4):
+        got = sim.step(s, law, 77, workers=workers)
+        assert got.t == 4
+        np.testing.assert_array_equal(got.positions, pos)
+        np.testing.assert_array_equal(got.id_hi, hi)
+        np.testing.assert_array_equal(got.id_lo, lo)
+
+
+def test_threads_start_only_on_steps_of_two_blocks(monkeypatch):
+    opened = []
+
+    class Pool(sim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+    law = OffspringLaw((0.0, 1.0), test_mode=True)
+    sim.step(_parents(B, 1), law, 3, workers=4)
+    assert opened == []
+    sim.step(_parents(B + 1, 1), law, 3, workers=4)
+    sim.step(_parents(5 * B, 1), law, 3, workers=4)
+    sim.step(_parents(5 * B, 1), law, 3, workers=1)
+    assert opened == [2, 4]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_scratch_memory_is_bounded_by_blocks(workers):
+    # Besides its outputs and the counts, a step holds a constant times
+    # BLOCK per running block (under 200 bytes per parent of a doubling
+    # law); building all children at once held about 1000.
+    law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
+    s = _parents(8 * B, 1)
+    bound = 256 * workers * B + 8 * s.n  # scratch, and the counts
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = build()
+            return tracemalloc.get_traced_memory()[1] - base - sum(a.nbytes for a in out)
+        finally:
+            tracemalloc.stop()
+
+    def step():
+        c = sim.step(s, law, 9, workers=workers)
+        return c.positions, c.id_hi, c.id_lo
+
+    assert peak(lambda: _whole_population_step(s, law, 9)) > bound
+    assert peak(step) <= bound
 
 
 def test_same_seed_reproduces_different_seed_differs():
@@ -272,7 +357,8 @@ def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d, with_ids):
         ids = {k: data.draw(hnp.arrays(np.uint64, n)) for k in ("id_hi", "id_lo")}
     snap = Snapshot(t=t, positions=pos, **ids)
     out = tmp_path_factory.mktemp("bitexact") / "s.snap"
-    sim.write_snapshot_file(str(out), [snap], d=d, pmf=(0.0, 1.0), seed=1)
+    with sim.SnapshotWriter(str(out), d=d, pmf=(0.0, 1.0), seed=1) as w:
+        w.write(snap)
     _, (back,) = sim.read_snapshot_file(str(out))
     assert back.t == t
     assert back.positions.shape == (n, d)
@@ -362,6 +448,36 @@ def test_count_against_manual_mask():
     assert sim.count(s, box) == manual
     with pytest.raises(ValidationError):
         sim.count(s, rg.Box((-1.0,), (1.0,)))
+
+
+@st.composite
+def disjoint_members(draw, d):
+    """Members in distinct cells of the unit grid: a cell's half-open box,
+    or a closed ball strictly inside it, so they never meet."""
+    cells = draw(st.lists(st.tuples(*[st.integers(-2, 1)] * d),
+                          min_size=1, max_size=6, unique=True))
+    members = []
+    for cell in cells:
+        if draw(st.booleans()):
+            members.append(rg.Box(cell, tuple(c + 1 for c in cell)))
+        else:
+            radius = draw(st.floats(0.05, 0.49))
+            members.append(rg.Ball(tuple(c + 0.5 for c in cell), radius))
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3))
+def test_union_count_is_the_sum_of_member_counts(data, d):
+    members = data.draw(disjoint_members(d))
+    # Points on the grid and its half-steps lie on box faces and ball
+    # centres; the rest are spread over the grid.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = np.concatenate([rng.uniform(-2.5, 2.5, size=(300, d)),
+                          rng.integers(-6, 6, size=(100, d)) * 0.5])
+    s = Snapshot(t=1, positions=pts)
+    union = rg.UnionRegion(tuple(members))
+    assert sim.count(s, union) == sum(sim.count(s, m) for m in members)
 
 
 def test_max_radius_and_merge():

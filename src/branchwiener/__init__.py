@@ -32,7 +32,6 @@ from .simulator import (
     Snapshot,
     count,
     max_radius,
-    merge_snapshots,
     read_snapshot_file,
     run,
     step,
@@ -91,7 +90,6 @@ __all__ = [
     "step",
     "count",
     "max_radius",
-    "merge_snapshots",
     "read_snapshot_file",
     "NTable",
     "estimate_n",

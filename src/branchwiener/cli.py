@@ -118,11 +118,6 @@ def _pick_snapshot(snaps, t):
     )
 
 
-def _header_mean(header: dict) -> float:
-    pmf = header.get("pmf", [])
-    return float(sum(ell * p for ell, p in enumerate(pmf)))
-
-
 # ---------------------------------------------------------------- simulate
 
 
@@ -194,9 +189,9 @@ def cmd_estimate_n(args) -> int:
     header, snaps = sim.read_snapshot_file(args.snapshots)
     if not snaps:
         raise ValidationError(f"{args.snapshots} holds no snapshots")
-    m = args.m if args.m is not None else _header_mean(header)
-    if not m > 0:
-        raise ValidationError(f"offspring mean {m} must be positive")
+    m = args.m
+    if m is None:
+        m = sim.OffspringLaw(header.get("pmf"), test_mode=True).mean
     d = snaps[-1].d
     alphas = xp.required_indices(args.k, d)
     table = mg.estimate_n(snaps, alphas, m, k=args.k, seed=header.get("seed"))

@@ -25,9 +25,6 @@ is exactly cancellation-free).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -37,10 +34,6 @@ from .multiindex import as_multiindex
 #: to 120 (60 even-order terms); beyond ~150 the values overflow float64 for
 #: moderate t anyway.
 MAX_DEGREE = 130
-
-#: Longest generating-function partial sum; n! in the denominator makes
-#: longer sums pointless in double precision.
-MAX_GENERATING_TERMS = 64
 
 
 def _check_degree(n: int) -> int:
@@ -136,101 +129,3 @@ def hermite_products(x, t: float, alphas):
             w *= f
         yield w
 
-
-def hermite_sum_formula(n: int, x: float, t: float) -> float:
-    """H_n by the defining alternating sum with exact integer coefficients.
-
-    Slow and (for large n) numerically poor; kept as an independent
-    cross-check of the recurrence.
-    """
-    n = _check_degree(n)
-    acc = []
-    for j in range(n // 2 + 1):
-        coeff = math.factorial(n) // (math.factorial(j) * math.factorial(n - 2 * j))
-        acc.append(coeff * (-t / 2.0) ** j * x ** (n - 2 * j))
-    return math.fsum(acc)
-
-
-def addition_shift(n: int, x: float, y, t: float):
-    """Binomial shift sum_{j<=n} C(n,j) x^(n-j) H_j(y, t).
-
-    Equals H_n(x + y, t); exposed so the identity can be exercised directly.
-    """
-    n = _check_degree(n)
-    table = hermite_table(n, np.asarray(y, dtype=np.float64), t)
-    acc = [math.comb(n, j) * x ** (n - j) * table[j] for j in range(n + 1)]
-    if table.ndim == 1:
-        return math.fsum(acc)
-    return np.sum(acc, axis=0)
-
-
-def generating_sum(s: float, x: float, t: float, n_terms: int) -> float:
-    """Partial sum sum_{n<n_terms} s^n/n! * H_n(x,t).
-
-    Converges to exp(s*x - t*s**2/2) as n_terms grows.
-    """
-    if not 1 <= n_terms <= MAX_GENERATING_TERMS:
-        raise ValidationError(f"n_terms {n_terms} outside [1, {MAX_GENERATING_TERMS}]")
-    table = hermite_table(n_terms - 1, np.float64(x), t)
-    return math.fsum(
-        s**n / math.factorial(n) * float(table[n]) for n in range(n_terms)
-    )
-
-
-def generating_closed_form(s: float, x: float, t: float) -> float:
-    """exp(s*x - t*s^2/2), the limit of :func:`generating_sum`."""
-    return math.exp(s * x - t * s * s / 2.0)
-
-
-@dataclass(frozen=True)
-class LinearizationTerm:
-    """One term c * t^t_power * H_degree(x,t) of a product linearization."""
-
-    degree: int
-    t_power: int
-    coefficient: int
-
-
-@dataclass(frozen=True)
-class HermiteLinearization:
-    """H_n * H_m rewritten in the H basis.
-
-    H_n(x,t) H_m(x,t) = sum_{k=0}^{min(n,m)} t^k * n! m! /
-                        (k! (n-k)! (m-k)!) * H_{n+m-2k}(x,t)
-
-    Coefficients are exact integers.
-    """
-
-    n: int
-    m: int
-    terms: tuple[LinearizationTerm, ...]
-
-    def evaluate(self, x: float, t: float) -> float:
-        top = max(term.degree for term in self.terms)
-        table = hermite_table(top, np.float64(x), t)
-        return math.fsum(
-            term.coefficient * t**term.t_power * float(table[term.degree])
-            for term in self.terms
-        )
-
-
-def product_linearize(n: int, m: int) -> HermiteLinearization:
-    """Exact linearization of the product H_n * H_m."""
-    n = _check_degree(n)
-    m = _check_degree(m)
-    terms = []
-    for k in range(min(n, m) + 1):
-        coeff = (
-            math.factorial(n)
-            * math.factorial(m)
-            // (math.factorial(k) * math.factorial(n - k) * math.factorial(m - k))
-        )
-        terms.append(LinearizationTerm(degree=n + m - 2 * k, t_power=k, coefficient=coeff))
-    return HermiteLinearization(n=n, m=m, terms=tuple(terms))
-
-
-def hermite_even_at_zero(n: int, t: float) -> float:
-    """Closed form H_{2n}(0, t) = (2n)!/n! * (-t/2)**n."""
-    if n < 0 or 2 * n > MAX_DEGREE:
-        raise ValidationError(f"2n = {2*n} outside [0, {MAX_DEGREE}]")
-    return math.factorial(2 * n) / math.factorial(n) * (-t / 2.0) ** n

@@ -29,7 +29,7 @@ import numpy as np
 from . import regions as rg
 from .errors import ConditioningError, ValidationError
 from .expansion import _weight_matrix, expansion_values, required_indices
-from .martingales import NTable
+from .martingales import NTable, _growth, _times_power
 from .multiindex import MultiIndex
 
 #: solve_n refuses systems whose 2-norm condition number exceeds this.
@@ -101,15 +101,6 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     )
 
 
-def _times_power(x: float, m: float, T: float) -> float | None:
-    """m**T * x, or None where that is not a finite float."""
-    try:
-        value = m**T * x
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def solve_n(
     observed_counts,
     system: DesignSystem,
@@ -128,9 +119,7 @@ def solve_n(
         raise ValidationError(
             f"{counts.size} counts for {len(system.sets)} observation sets"
         )
-    growth = _times_power(1.0, m, system.T0) if m > 0 else None
-    if not growth:
-        raise ValidationError(f"need 0 < m**T0 < inf; got T0={system.T0}, m={m}")
+    growth = _growth(m, system.T0, "T0")
     if system.condition_number > condition_threshold:
         raise ConditioningError(
             f"design matrix condition number {system.condition_number:.3e} "

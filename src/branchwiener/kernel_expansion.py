@@ -177,11 +177,6 @@ class ScanTable:
     rows: tuple[ScanRow, ...]
     slopes: dict[int, float] = field(compare=False)
 
-    def errors_for(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        sel = [(r.T, r.error) for r in self.rows if r.k == k]
-        Ts, errs = zip(*sel)
-        return np.asarray(Ts), np.asarray(errs)
-
     def write_csv(self, dest, comments: list[str] | None = None) -> None:
         """Emit columns k, T, error, fitted_slope, flagged (one row per grid
         point; the slope column repeats the per-k fit)."""
@@ -242,17 +237,3 @@ def truncation_error_scan(
         d=d, t=t, offset=tuple(offset), scaled=scaled, rows=tuple(rows), slopes=slopes
     )
 
-
-def monotone_threshold(scan: ScanTable, k: int) -> float | None:
-    """Smallest T in the scan grid from which the order-(k+1) error stays at
-    or below the order-k error; None when no such grid point exists.
-
-    Order-to-order improvement is not guaranteed pointwise, so this is
-    reported rather than asserted.
-    """
-    Ts, err_k = scan.errors_for(k)
-    _, err_k1 = scan.errors_for(k + 1)
-    for i in range(len(Ts)):
-        if np.all(err_k1[i:] <= err_k[i:]):
-            return float(Ts[i])
-    return None

@@ -44,6 +44,24 @@ def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
     return {a: float(np.sum(w)) for a, w in zip(alphas, products)}
 
 
+def _times_power(x: float, m: float, t: float) -> float | None:
+    """m**t * x, or None where that is not a finite float."""
+    try:
+        value = m**t * x
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _growth(m: float, t: float, name: str = "t") -> float:
+    """m**t, refused unless it is a positive finite float; ``name`` is what
+    the error calls t."""
+    growth = _times_power(1.0, m, t) if m > 0 else None
+    if not growth:
+        raise ValidationError(f"need 0 < m**{name} < inf; got {name}={t}, m={m}")
+    return growth
+
+
 @dataclass
 class NTable:
     """Estimated (or synthetic) martingale limits N_alpha.
@@ -151,17 +169,19 @@ def estimate_n(
     later snapshots strictly dominate earlier ones, so no cross-time
     averaging is done.  The reported error is the heuristic
     c_alpha * m^(-t_last/2.5) with c_alpha calibrated from the observed
-    increment sizes when at least two snapshots are available.
+    increment sizes when at least two snapshots are available.  An m for
+    which m**t_last is not a positive finite float is refused.
     """
     if not snapshots:
         raise ValidationError("empty trajectory")
     times = [s.t for s in snapshots]
     if any(a >= b for a, b in zip(times, times[1:])):
         raise ValidationError("snapshots must be at strictly increasing times")
+    t_last = times[-1]
+    _growth(m, t_last)
     alphas = [as_multiindex(a) for a in alphas]
     # V_alpha(t)/m^t per snapshot, one Hermite table pass per snapshot.
     values = [v_alpha_many(s, alphas) for s in snapshots]
-    t_last = times[-1]
     decay = m ** (-t_last * ERROR_HEURISTIC_EXPONENT)
     entries = {}
     errors = {}
@@ -237,19 +257,6 @@ def conditional_expectation_field(s: Snapshot, region, T: float, m: float) -> fl
         return 0.0
     mass = _region_gauss_mass(region, s.positions, float(T) - s.t)
     return float(np.sum(mass)) * m ** (-s.t)
-
-
-def gw_second_moment(t: int, law: OffspringLaw) -> float:
-    """Classical branching-process population second moment E[Z_t^2] =
-    sigma^2 m^(t-1) (m^t - 1)/(m - 1) + m^(2t), for m != 1."""
-    m, var = law.mean, law.variance
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    if t == 0:
-        return 1.0
-    if m == 1.0:
-        return var * t + 1.0
-    return var * m ** (t - 1) * (m**t - 1.0) / (m - 1.0) + m ** (2 * t)
 
 
 def second_moment_oracle(alpha, t: int, law: OffspringLaw) -> float:

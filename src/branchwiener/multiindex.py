@@ -90,11 +90,6 @@ def as_multiindex(alpha) -> MultiIndex:
     return MultiIndex(alpha)
 
 
-def order(alpha) -> int:
-    """|alpha|, the sum of components."""
-    return as_multiindex(alpha).order
-
-
 def factorial(alpha) -> int:
     """alpha! = prod_i a_i!  (exact integer)."""
     a = as_multiindex(alpha)
@@ -144,14 +139,6 @@ def enumerate_order(d: int, n: int) -> list[MultiIndex]:
                 yield (head,) + rest
 
     return [MultiIndex(t) for t in rec(d, n)]
-
-
-def enumerate_up_to_order(d: int, n: int) -> list[MultiIndex]:
-    """All multi-indices of dimension ``d`` with order 0, 1, ..., ``n``."""
-    out: list[MultiIndex] = []
-    for k in range(n + 1):
-        out.extend(enumerate_order(d, k))
-    return out
 
 
 def sub_indices(alpha) -> list[MultiIndex]:

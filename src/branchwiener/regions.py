@@ -255,16 +255,6 @@ def volume(region) -> float:
     return moment(region, MultiIndex([0] * region.dim))
 
 
-def region_to_dict(region) -> dict:
-    if isinstance(region, Box):
-        return {"type": "box", "lower": list(region.lower), "upper": list(region.upper)}
-    if isinstance(region, Ball):
-        return {"type": "ball", "center": list(region.center), "radius": region.radius}
-    if isinstance(region, UnionRegion):
-        return {"type": "union", "members": [region_to_dict(m) for m in region.members]}
-    raise ValidationError(f"not a region: {region!r}")
-
-
 def region_from_dict(obj) -> Box | Ball | UnionRegion:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("region object needs a 'type' field")

@@ -30,7 +30,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -104,12 +104,14 @@ def _root_ids(seed: int, count: int):
     return _mix(s0 ^ (idx * _M1)), _mix(s1 ^ (idx * _M2))
 
 
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError(f"seed {seed} outside [0, 2^64)")
-    return int(seed)
+def _check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high); bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        top = "inf" if high is None else high
+        raise ValidationError(f"{what} {value} outside [{low}, {top})")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,10 @@ class OffspringLaw:
     test_mode: bool = False
 
     def __post_init__(self):
-        pmf = tuple(float(p) for p in self.pmf)
+        pmf = _regions._as_float_tuple(self.pmf, "pmf")
         object.__setattr__(self, "pmf", pmf)
-        if len(pmf) == 0:
-            raise ValidationError("pmf must be non-empty")
-        if any(not (p >= 0 and math.isfinite(p)) for p in pmf):
-            raise ValidationError("pmf entries must be finite and >= 0")
+        if any(p < 0 for p in pmf):
+            raise ValidationError("pmf entries must be >= 0")
         if abs(math.fsum(pmf) - 1.0) > 1e-12:
             raise ValidationError(f"pmf sums to {math.fsum(pmf)!r}, not 1")
         mean = math.fsum(ell * p for ell, p in enumerate(pmf))
@@ -255,38 +255,32 @@ class SimConfig:
     test_mode: bool = False
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"dimension {self.d} must be >= 1")
-        object.__setattr__(self, "pmf", tuple(float(p) for p in self.pmf))
-        _check_seed(self.seed)
-        if self.t_max < 0:
-            raise ValidationError(f"t_max {self.t_max} must be >= 0")
-        if self.population_cap < 1:
-            raise ValidationError("population_cap must be >= 1")
+        _check_int(self.d, "dimension d", 1)
+        _check_int(self.seed, "seed", 0, 2**64)
+        _check_int(self.t_max, "t_max", 0)
+        _check_int(self.population_cap, "population_cap", 1)
+        if not isinstance(self.test_mode, bool):
+            raise ValidationError(f"test_mode must be a boolean, got {self.test_mode!r}")
+        # Validates the pmf eagerly so bad configs fail at construction.
+        object.__setattr__(self, "pmf", self.law.pmf)
         times = self.snapshot_times
         if times is None:
             times = (self.t_max,)
-        times = tuple(sorted(int(t) for t in times))
+        times = tuple(sorted(
+            _check_int(t, "snapshot time", 0, self.t_max + 1) for t in times
+        ))
         if len(set(times)) != len(times):
             raise ValidationError("snapshot_times contains duplicates")
-        if times and (times[0] < 0 or times[-1] > self.t_max):
-            raise ValidationError(
-                f"snapshot_times {times} outside [0, t_max={self.t_max}]"
-            )
         object.__setattr__(self, "snapshot_times", times)
         pos = self.initial_position
         if pos is None:
             pos = (0.0,) * self.d
-        pos = tuple(float(c) for c in pos)
+        pos = _regions._as_float_tuple(pos, "initial_position")
         if len(pos) != self.d:
             raise ValidationError(
                 f"initial_position has dim {len(pos)}, config says {self.d}"
             )
-        if not all(math.isfinite(c) for c in pos):
-            raise ValidationError("initial_position must be finite")
         object.__setattr__(self, "initial_position", pos)
-        # Validates the pmf eagerly so bad configs fail at construction.
-        self.law  # noqa: B018
 
     @property
     def law(self) -> OffspringLaw:
@@ -314,15 +308,8 @@ class SimConfig:
         missing = {"d", "pmf", "seed", "t_max"} - set(obj)
         if missing:
             raise ValidationError(f"config missing keys: {sorted(missing)}")
-        kwargs = dict(obj)
-        if kwargs.get("pmf") is not None:
-            kwargs["pmf"] = tuple(kwargs["pmf"])
-        if kwargs.get("snapshot_times") is not None:
-            kwargs["snapshot_times"] = tuple(kwargs["snapshot_times"])
-        if kwargs.get("initial_position") is not None:
-            kwargs["initial_position"] = tuple(kwargs["initial_position"])
         try:
-            return cls(**kwargs)
+            return cls(**obj)
         except TypeError as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -389,11 +376,6 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
     return pos, hi, lo
 
 
-def _check_workers(workers) -> None:
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
-
-
 def step(
     s: Snapshot,
     law: OffspringLaw,
@@ -410,8 +392,8 @@ def step(
     """
     if not s.has_ids:
         raise ValidationError("snapshot has no lineage ids and cannot be advanced")
-    seed = _check_seed(seed)
-    _check_workers(workers)
+    seed = _check_int(seed, "seed", 0, 2**64)
+    _check_int(workers, "workers", 1)
     counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
     total = int(counts.sum())
     if population_cap is not None and total > population_cap:
@@ -571,7 +553,7 @@ def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list[Snapshot]:
     on a population-cap abort the already-written times remain in the file
     as a valid partial result.
     """
-    _check_workers(workers)
+    _check_int(workers, "workers", 1)
     law = cfg.law
     wanted = set(cfg.snapshot_times)
     kept: list[Snapshot] = []
@@ -602,31 +584,6 @@ def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list[Snapshot]:
     return kept
 
 
-def run_surviving(cfg: SimConfig, *, max_attempts: int = 100, workers: int = 1):
-    """Rejection mode: rerun with derived seeds until the final generation is
-    non-empty.  Returns (snapshots, seed_used).  The returned runs are biased
-    by construction — they sample the law conditioned on survival to t_max.
-    """
-    wanted = cfg.snapshot_times
-    times = wanted if cfg.t_max in wanted else tuple(sorted((*wanted, cfg.t_max)))
-    for attempt in range(max_attempts):
-        seed = (cfg.seed + attempt) % 2**64
-        trial = SimConfig(
-            d=cfg.d,
-            pmf=cfg.pmf,
-            seed=seed,
-            t_max=cfg.t_max,
-            population_cap=cfg.population_cap,
-            snapshot_times=times,
-            initial_position=cfg.initial_position,
-            test_mode=cfg.test_mode,
-        )
-        snaps = run(trial, workers=workers)
-        if snaps[-1].n > 0:
-            return [s for s in snaps if s.t in wanted], seed
-    raise RuntimeError(f"no surviving run in {max_attempts} attempts")
-
-
 def count(s: Snapshot, region) -> int:
     """ψ(A, t): number of particles of the snapshot inside the region."""
     if s.d != region.dim:
@@ -642,25 +599,6 @@ def max_radius(s: Snapshot) -> float:
         raise ValidationError("empty snapshot has no radius")
     sq = np.einsum("ij,ij->i", s.positions, s.positions)
     return float(math.sqrt(float(sq.max())))
-
-
-def merge_snapshots(snaps: Sequence[Snapshot]) -> Snapshot:
-    """Concatenate same-time snapshots (e.g. independently seeded runs) into
-    one population.  Lineage ids are kept only if every input has them."""
-    snaps = list(snaps)
-    if not snaps:
-        raise ValidationError("nothing to merge")
-    t = snaps[0].t
-    d = snaps[0].d
-    for s in snaps[1:]:
-        if s.t != t or s.d != d:
-            raise ValidationError("snapshots disagree on t or d")
-    pos = np.concatenate([s.positions for s in snaps], axis=0)
-    if all(s.has_ids for s in snaps):
-        hi = np.concatenate([s.id_hi for s in snaps])
-        lo = np.concatenate([s.id_lo for s in snaps])
-        return Snapshot(t=t, positions=pos, id_hi=hi, id_lo=lo)
-    return Snapshot(t=t, positions=pos)
 
 
 def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float]]:
@@ -702,7 +640,7 @@ def ensemble_states(
         raise ValidationError("need at least one replica")
     if d < 1:
         raise ValidationError(f"dimension {d} must be >= 1")
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed", 0, 2**64)
     hi, lo = _root_ids(seed, n_replicas)
     if initial_position is None:
         pos = np.zeros((n_replicas, d))

@@ -5,6 +5,7 @@ tests (means, second moments, increment decay) share one batch of replicas
 instead of re-simulating per test.  All seeds are frozen.
 """
 
+import numpy as np
 import pytest
 
 from branchwiener import martingales as mg
@@ -45,12 +46,12 @@ def merged_1024():
     """d -> one t=3 snapshot of 1024 particles (128 doubling runs merged)."""
     out = {}
     for d in (1, 2):
-        runs = []
+        positions = []
         for i in range(128):
             cfg = sim.SimConfig(
                 d=d, pmf=BINARY_PMF, seed=3_000 + 17 * i + d, t_max=3,
                 test_mode=True,
             )
-            runs.append(sim.run(cfg)[-1])
-        out[d] = sim.merge_snapshots(runs)
+            positions.append(sim.run(cfg)[-1].positions)
+        out[d] = sim.Snapshot(t=3, positions=np.concatenate(positions))
     return out

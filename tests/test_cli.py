@@ -16,6 +16,8 @@ from branchwiener import regions as rg
 from branchwiener import simulator as sim
 from branchwiener.martingales import NTable
 
+import oracles
+
 
 @pytest.fixture()
 def doubling_config(tmp_path):
@@ -33,7 +35,7 @@ def doubling_config(tmp_path):
 
 
 def write_regions(path, regions):
-    objs = [rg.region_to_dict(r) for r in regions]
+    objs = [oracles.region_to_dict(r) for r in regions]
     payload = objs[0] if len(objs) == 1 else objs
     path.write_text(json.dumps(payload))
     return str(path)
@@ -84,6 +86,26 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
                    str(tmp_path / "x.jsonl")])
     assert rc == cli.EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"t_max": 2.5}, "t_max must be an integer"),
+    ({"pmf": [0, "x"]}, "pmf must be a sequence of reals"),
+    ({"pmf": "1", "test_mode": True}, "pmf must be a sequence of reals"),
+    ({"snapshot_times": ["a"]}, "snapshot time must be an integer"),
+    ({"snapshot_times": [1.7]}, "snapshot time must be an integer"),
+    ({"initial_position": ["a"]}, "initial_position must be a sequence of reals"),
+    ({"population_cap": 100.5}, "population_cap must be an integer"),
+    ({"test_mode": "false"}, "test_mode must be a boolean"),
+], ids=["t_max-float", "pmf-string-entry", "pmf-string", "time-string", "time-float",
+        "position-string", "cap-float", "test_mode-string"])
+def test_simulate_bad_config_field_types_exit_2(field, message, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.5, 0.5], "seed": 1, "t_max": 3,
+                             **field}))
+    rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "x.snap")])
+    assert rc == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_population_cap_exits_4(tmp_path, capsys):
@@ -327,6 +349,39 @@ def test_predict_mixed_dimensions_exit_2(tmp_path, capsys):
     rc = cli.main(["predict", "--table", str(path), "--region", regions, "--T", "30"])
     assert rc == cli.EXIT_VALIDATION
     assert "table does not cover required_indices(k=0, d=2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pmf", [["x"], None], ids=["string", "missing"])
+def test_estimate_n_bad_header_pmf_exits_2(pmf, doubling_config, tmp_path, capsys):
+    snaps = tmp_path / "snaps.bin"
+    assert cli.main(["simulate", "--config", doubling_config, "--out", str(snaps)]) == 0
+    head, rest = snaps.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header.pop("pmf")
+    if pmf is not None:
+        header["pmf"] = pmf
+    snaps.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    capsys.readouterr()
+    out = str(tmp_path / "t.json")
+    assert cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out]) == 2
+    assert "error: pmf" in capsys.readouterr().err
+    # With --m the header pmf is not read.
+    assert cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out, "--m", "2"]) == 0
+
+
+@pytest.mark.parametrize("m", ["1e200", "1e-200"])
+def test_estimate_n_overflowing_m_pow_t_exits_2(m, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.0, 1.0], "seed": 3, "t_max": 4,
+                               "test_mode": True}))
+    snaps = tmp_path / "snaps.bin"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(snaps)]) == 0
+    out = tmp_path / "t.json"
+    rc = cli.main(["estimate-n", str(snaps), "--k", "1", "--m", m, "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"m={float(m)}" in err and "t=4" in err
+    assert not out.exists()
 
 
 def test_estimate_n_missing_file_exits_5(tmp_path):

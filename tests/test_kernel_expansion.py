@@ -102,9 +102,8 @@ def test_scan_rejects_small_horizons():
 def test_scan_table_and_csv():
     scan = kx.truncation_error_scan(1, 1.0, [0.7], 1, [64.0, 128.0, 256.0])
     assert len(scan.rows) == 2 * 3
-    Ts, errs = scan.errors_for(0)
-    assert list(Ts) == [64.0, 128.0, 256.0]
-    assert np.all(errs >= 0)
+    assert [r.T for r in scan.rows if r.k == 0] == [64.0, 128.0, 256.0]
+    assert all(r.error >= 0 for r in scan.rows)
     assert set(scan.slopes) == {0, 1}
     buf = io.StringIO()
     scan.write_csv(buf, comments=["demo"])
@@ -125,18 +124,3 @@ def test_raw_scan_rolls_off_faster():
     raw = kx.truncation_error_scan(1, 1.0, [0.0], 0, Ts, scaled=False)
     assert raw.slopes[0] == pytest.approx(scaled.slopes[0] - 0.5, abs=0.05)
 
-
-def test_monotone_threshold():
-    scan = kx.truncation_error_scan(1, 1.0, [0.7], 2, [64.0, 128.0, 256.0, 512.0])
-    thr = kx.monotone_threshold(scan, 0)
-    assert thr is None or thr in (64.0, 128.0, 256.0, 512.0)
-    # synthetic: order k+1 never better -> None
-    rows = tuple(
-        kx.ScanRow(k=k, T=T, error=e, flagged=False)
-        for k, e0 in ((0, 1.0), (1, 2.0))
-        for T, e in ((10.0, e0), (20.0, e0 / 2))
-    )
-    table = kx.ScanTable(
-        d=1, t=0.5, offset=(0.0,), scaled=True, rows=rows, slopes={0: -1.0, 1: -1.0}
-    )
-    assert kx.monotone_threshold(table, 0) is None

@@ -8,9 +8,10 @@ from branchwiener.errors import ValidationError
 from branchwiener import hermite as hm
 from branchwiener import martingales as mg
 from branchwiener import regions as rg
-from branchwiener import simulator as sim
 from branchwiener.martingales import NTable
 from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot
+
+import oracles
 
 
 def snap(t, positions):
@@ -80,7 +81,7 @@ def test_recursion_matches_classical_population_formula():
         law = OffspringLaw(pmf, test_mode=True)
         for t in range(11):
             a = mg.second_moment_oracle((0,), t, law)
-            b = mg.gw_second_moment(t, law)
+            b = oracles.gw_second_moment(t, law)
             assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -119,7 +120,7 @@ def test_variant_closed_form_disagrees_by_design():
 
 def test_field_over_huge_box_is_normalized_population():
     cfg = SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=88, t_max=5)
-    s = sim.run_surviving(cfg)[0][-1]
+    s = oracles.surviving_run(cfg)[-1]
     m = cfg.law.mean
     box = rg.Box((-1e9, -1e9), (1e9, 1e9))
     field = mg.conditional_expectation_field(s, box, 12.0, m)
@@ -237,7 +238,7 @@ def test_ntable_covers_and_validation(tmp_path):
 def test_estimate_n_uses_last_snapshot():
     cfg = SimConfig(d=1, pmf=(0.25, 0.25, 0.5), seed=404, t_max=8,
                     snapshot_times=(2, 5, 8))
-    snaps, _ = sim.run_surviving(cfg)
+    snaps = oracles.surviving_run(cfg)
     m = cfg.law.mean
     alphas = [(0,), (1,), (2,)]
     table = mg.estimate_n(snaps, alphas, m, k=1, seed=404)

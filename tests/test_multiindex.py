@@ -76,11 +76,6 @@ def test_enumerate_order():
             assert all(g.order == n for g in got)
 
 
-def test_enumerate_up_to_order():
-    got = mi.enumerate_up_to_order(2, 2)
-    assert got == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-
-
 def test_sub_indices_odometer_order():
     got = mi.sub_indices((1, 1))
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -1,9 +1,13 @@
-"""Every ```python block of README.md runs without error."""
+"""The ```python blocks of README.md run without error, and its
+``$ branchwiener`` transcripts print what the README shows."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from branchwiener import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _TEXT = README.read_text(encoding="utf-8")
@@ -14,6 +18,22 @@ BLOCKS = [
     for m in re.finditer(r"^```python\n(.*?)^```", _TEXT, flags=re.S | re.M)
 ]
 
+#: Input files the README shows: a line naming `file` and ending in ":",
+#: then a json block.
+FILES = dict(re.findall(r"^`([\w.]+)`[^\n]*:\n\n```json\n(.*?)^```", _TEXT, flags=re.S | re.M))
+
+#: (command, printed lines) for each `$ branchwiener` line of a sh block.
+TRANSCRIPTS = [
+    (command, output.strip("\n").splitlines())
+    for block in re.findall(r"^```sh\n(.*?)^```", _TEXT, flags=re.S | re.M)
+    for command, _, output in (e.partition("\n") for e in re.split(r"^\$ ", block, flags=re.M))
+    if command.startswith("branchwiener ")
+]
+
+# infer reads sets.json, which the README does not show, so infer and the
+# predict of the table it writes stay unchecked.
+UNCHECKED = ("sets.json", "inferred.json")
+
 
 def test_readme_has_python_blocks():
     assert BLOCKS
@@ -22,3 +42,16 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code, capsys):
     exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_transcripts_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    checked = [(c, out) for c, out in TRANSCRIPTS if not any(f in c for f in UNCHECKED)]
+    assert [c.split()[1] for c, _ in checked] == [
+        "simulate", "count", "estimate-n", "predict", "kernel-check", "diagnose"
+    ]
+    for command, expected in checked:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command

@@ -12,6 +12,8 @@ from branchwiener import regions as rg
 from branchwiener import simulator as sim
 from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot
 
+import oracles
+
 
 # ------------------------------------------------------------ offspring law
 
@@ -270,9 +272,7 @@ def test_population_mean_and_variance(vmat_mixed, mixed_law):
         assert abs(sample.mean() - m**t) <= 4 * se
         second = sample**2
         se2 = second.std(ddof=1) / math.sqrt(n)
-        from branchwiener.martingales import gw_second_moment
-
-        assert abs(second.mean() - gw_second_moment(t, mixed_law)) <= 4 * se2
+        assert abs(second.mean() - oracles.gw_second_moment(t, mixed_law)) <= 4 * se2
 
 
 def test_single_particle_positions_are_brownian():
@@ -438,7 +438,7 @@ def test_read_rejects_garbage(tmp_path):
 
 def test_count_against_manual_mask():
     cfg = SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=31337, t_max=6)
-    s = sim.run_surviving(cfg)[0][-1]
+    s = oracles.surviving_run(cfg)[-1]
     box = rg.Box((-1.0, -1.0), (1.0, 1.0))
     manual = int(
         np.sum(
@@ -480,31 +480,11 @@ def test_union_count_is_the_sum_of_member_counts(data, d):
     assert sim.count(s, union) == sum(sim.count(s, m) for m in members)
 
 
-def test_max_radius_and_merge():
+def test_max_radius():
     a = Snapshot(t=3, positions=np.array([[3.0, 4.0]]))
-    b = Snapshot(t=3, positions=np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert sim.max_radius(a) == pytest.approx(5.0)
-    merged = sim.merge_snapshots([a, b])
-    assert merged.n == 3 and merged.t == 3
-    assert not merged.has_ids
-    with pytest.raises(ValidationError):
-        sim.merge_snapshots([])
-    with pytest.raises(ValidationError):
-        sim.merge_snapshots([a, Snapshot(t=2, positions=np.zeros((1, 2)))])
     with pytest.raises(ValidationError):
         sim.max_radius(Snapshot(t=0, positions=np.zeros((0, 1))))
-
-
-def test_run_surviving_filters_requested_times():
-    cfg = SimConfig(d=1, pmf=(0.3, 0.3, 0.4), seed=60, t_max=6, test_mode=True,
-                    snapshot_times=(0, 3))
-    snaps, seed_used = sim.run_surviving(cfg)
-    assert [s.t for s in snaps] == [0, 3]
-    assert seed_used >= cfg.seed
-    # the seed that survived is reproducible: rerunning it gives particles
-    check = SimConfig(d=1, pmf=(0.3, 0.3, 0.4), seed=seed_used, t_max=6,
-                      test_mode=True)
-    assert sim.run(check)[-1].n > 0
 
 
 def test_radius_profile_monotone_time():

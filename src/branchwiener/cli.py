@@ -189,16 +189,14 @@ def cmd_estimate_n(args) -> int:
     header, snaps = sim.read_snapshot_file(args.snapshots)
     if not snaps:
         raise ValidationError(f"{args.snapshots} holds no snapshots")
-    m = args.m
-    if m is None:
-        m = sim.OffspringLaw(header.get("pmf"), test_mode=True).mean
-    d = snaps[-1].d
-    alphas = xp.required_indices(args.k, d)
-    table = mg.estimate_n(snaps, alphas, m, k=args.k, seed=header.get("seed"))
+    law = sim.OffspringLaw(header.get("pmf"), test_mode=True)
+    last = snaps[-1]
+    alphas = xp.required_indices(args.k, last.d)
+    table = mg.estimate_n(last, alphas, law, k=args.k, seed=header.get("seed"))
     manifest = _manifest("estimate-n", args, [args.snapshots], [args.out])
     table.save(args.out)
     _write_sidecar(args.out, manifest)
-    print(f"{args.out}: {len(table.entries)} coefficients from t={snaps[-1].t}")
+    print(f"{args.out}: {len(table.entries)} coefficients from t={last.t}")
     return EXIT_OK
 
 
@@ -336,7 +334,8 @@ def cmd_diagnose(args) -> int:
         fh.write("alpha,p,t,empirical_norm,exact_norm\n")
         alphas = ((0,) * cfg.d, e1)
         tables = mg.lp_increment_diagnostic(
-            args.replicas, alphas, 2, min(cfg.t_max, 8), law, seed=base_seed
+            args.replicas, alphas, 2, min(cfg.t_max, 8), law, seed=base_seed,
+            population_cap=cfg.population_cap,
         )
         for alpha, table in zip(alphas, tables):
             tag = "+".join(str(c) for c in alpha)
@@ -430,11 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_kernel_check)
 
-    p = sub.add_parser("estimate-n", help="estimate coefficients from a trajectory")
-    p.add_argument("snapshots", help="snapshot file with one or more times")
+    p = sub.add_parser("estimate-n",
+                       help="estimate coefficients from the last snapshot of a file")
+    p.add_argument("snapshots", help="snapshot file; its header pmf gives the law")
     p.add_argument("--k", type=int, required=True, help="expansion order to cover")
-    p.add_argument("--m", type=float, default=None,
-                   help="offspring mean (default: from the file header pmf)")
     p.add_argument("--out", required=True, help="coefficient table JSON to write")
     p.set_defaults(func=cmd_estimate_n)
 

@@ -177,23 +177,18 @@ class ScanTable:
     rows: tuple[ScanRow, ...]
     slopes: dict[int, float] = field(compare=False)
 
-    def write_csv(self, dest, comments: list[str] | None = None) -> None:
-        """Emit columns k, T, error, fitted_slope, flagged (one row per grid
-        point; the slope column repeats the per-k fit)."""
-        own = isinstance(dest, (str, bytes))
-        fh = open(dest, "w", encoding="utf-8") if own else dest
-        try:
-            for line in comments or []:
-                fh.write(f"# {line}\n")
-            fh.write("k,T,error,fitted_slope,flagged\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.k},{row.T:g},{row.error!r},"
-                    f"{self.slopes[row.k]!r},{int(row.flagged)}\n"
-                )
-        finally:
-            if own:
-                fh.close()
+    def write_csv(self, fh, comments: list[str] | None = None) -> None:
+        """Write columns k, T, error, fitted_slope, flagged to an open text
+        file (one row per grid point; the slope column repeats the per-k
+        fit)."""
+        for line in comments or []:
+            fh.write(f"# {line}\n")
+        fh.write("k,T,error,fitted_slope,flagged\n")
+        for row in self.rows:
+            fh.write(
+                f"{row.k},{row.T:g},{row.error!r},"
+                f"{self.slopes[row.k]!r},{int(row.flagged)}\n"
+            )
 
 
 def truncation_error_scan(
@@ -216,20 +211,24 @@ def truncation_error_scan(
     T_arr = [float(T) for T in np.atleast_1d(np.asarray(T_list, dtype=np.float64))]
     if len(T_arr) == 0:
         raise ValidationError("empty T list")
+    scales = []
     for T in T_arr:
         if not T > 2 * t:
             raise ValidationError(f"scan requires T > 2t, got T={T}, t={t}")
+        try:
+            scales.append((2.0 * math.pi * T) ** (d / 2.0) if scaled else 1.0)
+        except OverflowError:
+            msg = f"the scale (2 pi T)^(d/2) overflows a float at d={d}, T={T}"
+            raise ValidationError(msg) from None
     rows = []
     slopes: dict[int, float] = {}
     for k in range(k_max + 1):
         errs = []
-        for T in T_arr:
+        for T, scale in zip(T_arr, scales):
             params = KernelExpansionParams(d=d, T=T, t=t, k=k)
             exact = gauss_kernel(d, T - t, offset)
             approx = truncated_kernel(params, offset)
-            err = abs(exact - approx)
-            if scaled:
-                err *= (2.0 * math.pi * T) ** (d / 2.0)
+            err = abs(exact - approx) * scale
             rows.append(ScanRow(k=k, T=T, error=err, flagged=params.flagged))
             errs.append(err)
         slopes[k] = fit_loglog_slope(T_arr, errs)

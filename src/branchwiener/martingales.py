@@ -30,10 +30,7 @@ from .errors import ValidationError
 from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import Ball, Box, UnionRegion
-from .simulator import OffspringLaw, Snapshot, ensemble_states
-
-#: Exponent in the reported N-estimate error heuristic m^(-t/2.5).
-ERROR_HEURISTIC_EXPONENT = 1 / 2.5
+from .simulator import OffspringLaw, Snapshot, _check_int, ensemble_states
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
@@ -53,6 +50,16 @@ def _times_power(x: float, m: float, t: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _real(value, what: str) -> float:
+    """value as a float; bools, strings and numbers beyond float are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} does not fit a float") from None
+
+
 def _growth(m: float, t: float, name: str = "t") -> float:
     """m**t, refused unless it is a positive finite float; ``name`` is what
     the error calls t."""
@@ -67,7 +74,7 @@ class NTable:
     """Estimated (or synthetic) martingale limits N_alpha.
 
     ``entries`` maps MultiIndex -> value; ``errors`` optionally carries a
-    per-index error heuristic; ``meta`` records provenance (source time,
+    per-index error bar; ``meta`` records provenance (source time,
     seed, solver condition number, caveats).
     """
 
@@ -120,25 +127,34 @@ class NTable:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NTable":
-        try:
-            entries = {
-                MultiIndex(e["alpha"]): float(e["value"]) for e in obj["entries"]
-            }
-            errors = {
-                MultiIndex(e["alpha"]): float(e["err"])
-                for e in obj["entries"]
-                if e.get("err") is not None
-            }
-            return cls(
-                d=int(obj["d"]),
-                m=float(obj["m"]),
-                entries=entries,
-                errors=errors or None,
-                k=None if obj.get("k") is None else int(obj["k"]),
-                meta=dict(obj.get("meta", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad N-table object: {exc!r}") from exc
+        """The table of a `to_dict` object.  A missing or mistyped field and
+        an index given twice raise `ValidationError` naming the field."""
+        if not isinstance(obj, dict):
+            raise ValidationError("an N-table must be a JSON object")
+        k, meta, rows = obj.get("k"), obj.get("meta") or {}, obj.get("entries")
+        if not (isinstance(meta, dict) and isinstance(rows, list)):
+            raise ValidationError("N-table fields entries and meta must be a list "
+                                  "and an object")
+        entries, errors = {}, {}
+        for i, e in enumerate(rows):
+            where = f"N-table entry {i} field"
+            alpha = e.get("alpha") if isinstance(e, dict) else None
+            if not isinstance(alpha, list):
+                raise ValidationError(f"{where} alpha must be a list, got {alpha!r}")
+            a = MultiIndex(_check_int(c, f"{where} alpha", 0) for c in alpha)
+            if a in entries:
+                raise ValidationError(f"{where} alpha: {list(a)} appears twice")
+            entries[a] = _real(e.get("value"), f"{where} value")
+            if e.get("err") is not None:
+                errors[a] = _real(e["err"], f"{where} err")
+        return cls(
+            d=_check_int(obj.get("d"), "N-table field d", 1),
+            m=_real(obj.get("m"), "N-table field m"),
+            entries=entries,
+            errors=errors or None,
+            k=None if k is None else _check_int(k, "N-table field k", 0),
+            meta=dict(meta),
+        )
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -150,63 +166,29 @@ class NTable:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a number too long to parse
                 raise ValidationError(f"bad N-table JSON: {exc}") from exc
         return cls.from_dict(obj)
 
 
-def estimate_n(
-    snapshots: Sequence[Snapshot],
-    alphas: Sequence,
-    m: float,
-    *,
-    k: int | None = None,
-    seed: int | None = None,
-) -> NTable:
-    """Estimate every N_alpha from the last snapshot of a trajectory.
-
-    The estimate is the current martingale value V_alpha(t_last)/m^t_last —
-    later snapshots strictly dominate earlier ones, so no cross-time
-    averaging is done.  The reported error is the heuristic
-    c_alpha * m^(-t_last/2.5) with c_alpha calibrated from the observed
-    increment sizes when at least two snapshots are available.  An m for
-    which m**t_last is not a positive finite float is refused.
-    """
-    if not snapshots:
-        raise ValidationError("empty trajectory")
-    times = [s.t for s in snapshots]
-    if any(a >= b for a, b in zip(times, times[1:])):
-        raise ValidationError("snapshots must be at strictly increasing times")
-    t_last = times[-1]
-    _growth(m, t_last)
+def estimate_n(s: Snapshot, alphas: Sequence, law: OffspringLaw, *,
+               k: int | None = None, seed: int | None = None) -> NTable:
+    """Estimate every N_alpha from one snapshot as V_alpha(t)/m^t, with the
+    exact `l2_remainder` as its error.  A law with m <= 1, whose N_alpha are
+    not L^2 limits, and a t where m**t is not a finite float are refused."""
+    m = law.mean
+    if not m > 1.0:
+        raise ValidationError(f"estimate_n needs a supercritical law; got m={m}")
+    growth = _growth(m, s.t)
     alphas = [as_multiindex(a) for a in alphas]
-    # V_alpha(t)/m^t per snapshot, one Hermite table pass per snapshot.
-    values = [v_alpha_many(s, alphas) for s in snapshots]
-    decay = m ** (-t_last * ERROR_HEURISTIC_EXPONENT)
-    entries = {}
-    errors = {}
-    for a in alphas:
-        xs = [v[a] / m**t for v, t in zip(values, times)]
-        entries[a] = xs[-1]
-        if len(xs) >= 2:
-            scale = max(
-                abs(xs[i] - xs[i - 1]) * m ** (times[i] * ERROR_HEURISTIC_EXPONENT)
-                for i in range(1, len(xs))
-            )
-            scale = max(scale, 1e-12)
-        else:
-            scale = max(abs(xs[-1]), 1.0)
-        errors[a] = scale * decay
-    meta = {
-        "source_t": t_last,
-        "m": m,
-        "error_heuristic": "scale * m^(-t/2.5)",
-    }
+    errors = {a: l2_remainder(a, s.t, law) for a in alphas}
+    values = v_alpha_many(s, alphas)
+    entries = {a: values[a] / growth for a in alphas}
+    meta = {"source_t": s.t, "m": m,
+            "err": "exact L2 remainder sqrt(E[(N_alpha - V_alpha(t)/m^t)^2])"}
     if seed is not None:
         meta["seed"] = seed
-    return NTable(
-        d=snapshots[-1].d, m=float(m), entries=entries, errors=errors, k=k, meta=meta
-    )
+    return NTable(d=s.d, m=m, entries=entries, errors=errors, k=k, meta=meta)
 
 
 def _box_gauss_mass(box: Box, positions: np.ndarray, s: float) -> np.ndarray:
@@ -303,6 +285,24 @@ def _power_series(m: float, q: int, weight) -> float:
                 return acc
         if j > 100000:
             raise ValidationError("second-moment series failed to converge")
+
+
+def l2_remainder(alpha, t: int, law: OffspringLaw) -> float:
+    """sqrt(E[(N_alpha - V_alpha(t)/m^t)^2]).  Martingale increments are
+    orthogonal, so its square sums the later increments of the recursion:
+
+        alpha! * sum_{s>t} m^(-s-1) ( m (s^q - (s-1)^q) + sigma^2 (s-1)^q ),
+
+    summed over j = s - t (as E[N^2] - E[X_t^2] it cancels at large t).
+    """
+    a = as_multiindex(alpha)
+    m, var, q = law.mean, law.variance, a.order
+    if not m > 1.0:
+        raise ValidationError(f"requires a supercritical law; got m={m}")
+    tail = _power_series(
+        m, q, lambda j: m * ((t + j) ** q - (t + j - 1) ** q) + var * (t + j - 1) ** q
+    )
+    return math.sqrt(factorial(a) * m ** (-t - 1) * tail)
 
 
 def n_second_moment(alpha, law: OffspringLaw) -> float:
@@ -417,9 +417,11 @@ def lp_increment_diagnostic(
     law: OffspringLaw,
     *,
     seed: int = 0,
+    population_cap: int | None = 10**8,
 ) -> list[IncrementTable]:
     """Empirical p-norms of X_t - X_{t-1} with X_t = V_alpha(t)/m^t, one
-    table per index in ``alphas``, all from one ensemble of replicas.
+    table per index in ``alphas``, all from one ensemble of replicas whose
+    total population is capped at ``population_cap``.
 
     For p = 2 an exact column accompanies the estimate: martingale
     increments are orthogonal, so E[(X_t - X_{t-1})^2] =
@@ -431,7 +433,8 @@ def lp_increment_diagnostic(
     if not alphas:
         raise ValidationError("need at least one index")
     m = law.mean
-    mats = ensemble_v_matrix(law, alphas[0].dim, alphas, t_max, replicas, seed)
+    mats = ensemble_v_matrix(law, alphas[0].dim, alphas, t_max, replicas, seed,
+                             population_cap=population_cap)
     scale = m ** (-np.arange(t_max + 1, dtype=np.float64))
     tables = []
     for a in alphas:

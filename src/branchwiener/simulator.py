@@ -470,10 +470,11 @@ def _is_count(x) -> bool:
 def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
     """Read a snapshot file written by `SnapshotWriter`.
 
-    Returns (header, snapshots); a snapshot keeps its lineage ids when its
-    record stored them.  Any malformed, truncated or corrupted content, and
-    a file in an older format version, raises `ValidationError` naming the
-    record (the header is record 0) and the last complete snapshot time.
+    Returns (header, snapshots) in strictly increasing t; a snapshot keeps
+    its lineage ids when its record stored them.  Any malformed, truncated,
+    corrupted or out-of-order content, and a file in an older format
+    version, raises `ValidationError` naming the record (the header is
+    record 0) and the last complete snapshot time.
     """
     snaps: list[Snapshot] = []
 
@@ -520,6 +521,8 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
             nbytes, crc = rec.get("nbytes"), rec.get("crc32")
             if not (_is_count(t) and _is_count(n)):
                 raise fail(index, f"t={t!r} and n={n!r} must be integers >= 0")
+            if snaps and t <= snaps[-1].t:
+                raise fail(index, f"t={t} does not follow the previous record's t")
             if type(ids) is not bool or not _is_count(crc):
                 raise fail(index, "record needs a boolean 'ids' and an integer 'crc32'")
             want = _record_nbytes(n, d, ids)
@@ -625,9 +628,8 @@ def ensemble_states(
     seed: int,
     *,
     population_cap: int | None = DEFAULT_POPULATION_CAP,
-    initial_position=None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Advance ``n_replicas`` independent runs in lockstep.
+    """Advance ``n_replicas`` independent runs from the origin in lockstep.
 
     Yields (t, positions, replica_index) for t = 0..t_max, where
     ``replica_index[i]`` says which replica particle row i belongs to.  The
@@ -642,10 +644,7 @@ def ensemble_states(
         raise ValidationError(f"dimension {d} must be >= 1")
     seed = _check_int(seed, "seed", 0, 2**64)
     hi, lo = _root_ids(seed, n_replicas)
-    if initial_position is None:
-        pos = np.zeros((n_replicas, d))
-    else:
-        pos = np.tile(np.asarray(initial_position, dtype=np.float64), (n_replicas, 1))
+    pos = np.zeros((n_replicas, d))
     rep = np.arange(n_replicas, dtype=np.int64)
     yield 0, pos, rep
     for t in range(1, t_max + 1):

@@ -207,6 +207,12 @@ def test_kernel_check_csv(tmp_path):
     assert cli.main(["kernel-check", "--t", "40.0", "--T", "64"]) == 2
 
 
+def test_kernel_check_overflowing_scale_exits_2(capsys):
+    # (2 pi 64)^125 is beyond float range.
+    assert cli.main(["kernel-check", "--d", "250", "--k", "0", "--T", "64,128"]) == 2
+    assert "d=250, T=64.0" in capsys.readouterr().err
+
+
 # ----------------------------------------------------- estimate-n / predict
 
 
@@ -341,6 +347,27 @@ def test_predict_empty_region_list_writes_only_the_header(tmp_path, capsys):
     assert lines == ["region_id,T,k,s_value,normalized_density,raw_count"]
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda o: o["entries"][1].update(alpha=["a"]), "entry 1 field alpha"),
+    (lambda o: o["entries"][1].update(alpha=["INF"]), "entry 1 field alpha"),
+    (lambda o: o["entries"][1].update(value="x"), "entry 1 field value"),
+    (lambda o: o.update(d="x"), "field d"),
+    (lambda o: o.update(k="z"), "field k"),
+    (lambda o: o.update(m=True), "field m"),
+    (lambda o: o["entries"].append({"alpha": [1], "value": 2.0}), "entry 3 field alpha"),
+], ids=["alpha-string", "alpha-1e400", "value-string", "d-string", "k-string",
+        "m-bool", "alpha-twice"])
+def test_predict_malformed_table_field_exits_2(edit, field, tmp_path, capsys):
+    obj = NTable(d=1, m=1.5, entries={(0,): 1.0, (1,): 0.2, (2,): 0.5}, k=1).to_dict()
+    edit(obj)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj).replace('"INF"', "1e400"))
+    rc = cli.main(["predict", "--table", str(path), "--region",
+                   '{"type": "box", "lower": [-2.0], "upper": [2.0]}', "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"N-table {field}" in capsys.readouterr().err
+
+
 def test_predict_mixed_dimensions_exit_2(tmp_path, capsys):
     path = tmp_path / "table.json"
     NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0).save(str(path))
@@ -365,23 +392,38 @@ def test_estimate_n_bad_header_pmf_exits_2(pmf, doubling_config, tmp_path, capsy
     out = str(tmp_path / "t.json")
     assert cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out]) == 2
     assert "error: pmf" in capsys.readouterr().err
-    # With --m the header pmf is not read.
-    assert cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out, "--m", "2"]) == 0
+    # The law comes from the header alone: there is no --m to fall back on.
+    with pytest.raises(SystemExit) as e:
+        cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out, "--m", "2"])
+    assert e.value.code == 2
 
 
-@pytest.mark.parametrize("m", ["1e200", "1e-200"])
-def test_estimate_n_overflowing_m_pow_t_exits_2(m, tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.0, 1.0], "seed": 3, "t_max": 4,
-                               "test_mode": True}))
-    snaps = tmp_path / "snaps.bin"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(snaps)]) == 0
+def write_snapshots(path, times, pmf=(0.0, 0.0, 1.0)):
+    with sim.SnapshotWriter(str(path), d=1, pmf=pmf, seed=0) as w:
+        for t in times:
+            w.write(sim.Snapshot(t=t, positions=np.zeros((2, 1))))
+    return str(path)
+
+
+@pytest.mark.parametrize("pmf", [(0.5, 0.0, 0.5), (0.5, 0.5)],
+                         ids=["critical", "subcritical"])
+def test_estimate_n_refuses_a_law_with_m_at_most_1(pmf, tmp_path, capsys):
+    snaps = write_snapshots(tmp_path / "snaps.bin", [3], pmf)
     out = tmp_path / "t.json"
-    rc = cli.main(["estimate-n", str(snaps), "--k", "1", "--m", m, "--out", str(out)])
-    assert rc == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert f"m={float(m)}" in err and "t=4" in err
+    assert cli.main(["estimate-n", snaps, "--k", "1", "--out", str(out)]) == 2
+    assert "supercritical" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["count", "estimate-n"])
+def test_out_of_order_snapshot_file_exits_2(command, tmp_path, capsys):
+    snaps = write_snapshots(tmp_path / "snaps.bin", [5, 3, 3])
+    argv = {
+        "count": [snaps, "--region", '{"type": "ball", "center": [0.0], "radius": 1.0}'],
+        "estimate-n": [snaps, "--k", "1", "--out", str(tmp_path / "t.json")],
+    }[command]
+    assert cli.main([command, *argv]) == 2
+    assert "record 2: t=3 does not follow" in capsys.readouterr().err
 
 
 def test_estimate_n_missing_file_exits_5(tmp_path):
@@ -512,6 +554,17 @@ def test_diagnose_outputs(doubling_config, tmp_path, capsys):
     assert len(rows) == 4  # alpha = 0, e1, 2e1
     sidecar = json.loads((tmp_path / "diag.manifest.json").read_text())
     assert len(sidecar["outputs"]) == 3
+
+
+def test_diagnose_honours_the_population_cap(tmp_path, capsys):
+    # 500 replicas of a m=1.5 law outgrow a cap of 50 at once.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.5, 0.5], "seed": 1, "t_max": 8,
+                               "population_cap": 50}))
+    rc = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "diag"),
+                   "--runs", "0", "--replicas", "500"])
+    assert rc == cli.EXIT_CAP
+    assert "cap 50" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- cold start

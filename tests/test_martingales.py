@@ -9,7 +9,7 @@ from branchwiener import hermite as hm
 from branchwiener import martingales as mg
 from branchwiener import regions as rg
 from branchwiener.martingales import NTable
-from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot
+from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot, run
 
 import oracles
 
@@ -44,20 +44,95 @@ def test_v_alpha_many_matches_individuals():
         mg.v_alpha_many(s, [(1,)])
 
 
-def test_estimate_n_trajectory_validation():
-    snaps = [snap(0, [[0.0]]), snap(1, [[0.5], [1.0]]), snap(2, [[0.2], [0.9]])]
-    table = mg.estimate_n(snaps, [(1,)], 2.0)
-    # V_1(t)/2^t along the trajectory: 0 (H_1(0,0) = 0), 1.5/2, 1.1/4.
-    xs = [0.0, 0.75, 0.275]
-    assert table[(1,)] == pytest.approx(xs[-1])
-    scale = max(abs(xs[t] - xs[t - 1]) * 2.0 ** (t / 2.5) for t in (1, 2))
-    assert table.errors[(1,)] == pytest.approx(scale * 2.0 ** (-2 / 2.5))
-    with pytest.raises(ValidationError):
-        mg.estimate_n([], [(1,)], 2.0)
-    with pytest.raises(ValidationError):
-        mg.estimate_n([snaps[1], snaps[0]], [(1,)], 2.0)
-    with pytest.raises(ValidationError):
-        mg.estimate_n([snaps[1], snaps[1]], [(1,)], 2.0)
+def test_estimate_n_validation(binary_law):
+    s = snap(2, [[0.2], [0.9], [-0.3], [0.4]])
+    table = mg.estimate_n(s, [(0,), (1,)], binary_law)
+    # V_alpha(2)/2^2: N_0 = 4/4 exactly, and V_1 = 1.2.
+    assert table[(0,)] == 1.0
+    assert table[(1,)] == pytest.approx(1.2 / 4)
+    # Doubling has no offspring variance: N_0 is exact, and the e1 remainder
+    # is sum_{s>2} 2^-s = 1/4.
+    assert table.errors == pytest.approx({(0,): 0.0, (1,): 0.5})
+    assert table.meta["err"].startswith("exact L2 remainder")
+    # m <= 1: the N_alpha are not L^2 limits.
+    for pmf in [(0.5, 0.0, 0.5), (0.5, 0.5)]:
+        with pytest.raises(ValidationError, match="supercritical"):
+            mg.estimate_n(s, [(1,)], OffspringLaw(pmf, test_mode=True))
+
+
+@pytest.mark.parametrize("pmf, t", [((0.0, 0.0, 1.0), 1100), ((0.25, 0.25, 0.5), 4000)],
+                         ids=["doubling", "mixed"])
+def test_estimate_n_refuses_an_overflowing_m_pow_t(pmf, t):
+    law = OffspringLaw(pmf, test_mode=True)
+    with pytest.raises(ValidationError, match=f"t={t}, m={law.mean}"):
+        mg.estimate_n(snap(t, [[0.0]]), [(0,), (1,)], law)
+
+
+# ------------------------------------------------------------ L^2 remainder
+
+
+@pytest.mark.parametrize("pmf", [(0.25, 0.25, 0.5), (0.0, 0.5, 0.5)],
+                         ids=["mixed", "one-or-two"])
+def test_remainder_equals_the_moment_difference_at_small_t(pmf):
+    # Up to t = 12, E[N^2] - E[X_t^2] has not yet cancelled away.
+    law = OffspringLaw(pmf)
+    m = law.mean
+    for alpha in [(0,), (1,), (2,), (3,), (1, 1)]:
+        if sum(alpha) == 0:
+            limit = mg.n0_second_moment(law)
+        else:
+            limit = mg.n_second_moment(alpha, law)
+        for t in range(13):
+            x_t = mg.second_moment_oracle(alpha, t, law) / m ** (2 * t)
+            assert mg.l2_remainder(alpha, t, law) == pytest.approx(
+                math.sqrt(limit - x_t), rel=1e-9
+            ), (alpha, t)
+
+
+def test_remainder_under_doubling(binary_law):
+    for t in (0, 5, 20, 100):
+        assert mg.l2_remainder((0,), t, binary_law) == 0.0
+        assert mg.l2_remainder((1,), t, binary_law) ** 2 == pytest.approx(2.0**-t, rel=1e-11)
+
+
+def test_remainder_at_large_t_where_the_difference_cancels():
+    law = OffspringLaw((0.0, 0.5, 0.5))
+    m, t = law.mean, 100
+    exact = law.variance * m ** (-t - 1) / (m - 1)
+    assert mg.l2_remainder((0,), t, law) ** 2 == pytest.approx(exact, rel=1e-11)
+    # The difference of second moments reads 0.0 here.
+    assert mg.n0_second_moment(law) - mg.second_moment_oracle((0,), t, law) / m ** (2 * t) == 0.0
+
+
+def test_remainder_steps_are_the_exact_increments(mixed_law):
+    alphas = [(0,), (1,), (2,)]
+    tables = mg.lp_increment_diagnostic(10, alphas, 2, 8, mixed_law, seed=1)
+    for a, table in zip(alphas, tables):
+        for row in table.rows:
+            step = (mg.l2_remainder(a, row.t - 1, mixed_law) ** 2
+                    - mg.l2_remainder(a, row.t, mixed_law) ** 2)
+            assert step == pytest.approx(row.exact_norm**2, rel=0, abs=1e-12), (a, row.t)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_remainder_against_replicas(t, vmat_mixed, mixed_law):
+    # E[(X_6 - X_t)^2] = err(t)^2 - err(6)^2 by orthogonal increments.
+    m = mixed_law.mean
+    for a, mat in vmat_mixed.items():
+        x = mat / m ** np.arange(mat.shape[1])
+        sq = (x[:, 6] - x[:, t]) ** 2
+        want = mg.l2_remainder(a, t, mixed_law) ** 2 - mg.l2_remainder(a, 6, mixed_law) ** 2
+        se = sq.std(ddof=1) / math.sqrt(sq.size)
+        assert abs(sq.mean() - want) < 4 * se, (a, sq.mean(), want, se)
+
+
+def test_readme_quick_start_error_bars():
+    cfg = SimConfig(d=1, pmf=(0.0, 0.5, 0.5), seed=42, t_max=12,
+                    snapshot_times=(0, 6, 12))
+    final = run(cfg)[-1]
+    alphas = [(0,), (1,), (2,)]
+    table = mg.estimate_n(final, alphas, cfg.law, k=1)
+    assert [table.errors[a] for a in alphas] == pytest.approx([0.0507, 0.2267, 1.390], rel=1e-3)
 
 
 # ------------------------------------------------------------ second moments
@@ -238,20 +313,17 @@ def test_ntable_covers_and_validation(tmp_path):
 def test_estimate_n_uses_last_snapshot():
     cfg = SimConfig(d=1, pmf=(0.25, 0.25, 0.5), seed=404, t_max=8,
                     snapshot_times=(2, 5, 8))
-    snaps = oracles.surviving_run(cfg)
+    last = oracles.surviving_run(cfg)[-1]
     m = cfg.law.mean
     alphas = [(0,), (1,), (2,)]
-    table = mg.estimate_n(snaps, alphas, m, k=1, seed=404)
-    last = snaps[-1]
+    table = mg.estimate_n(last, alphas, cfg.law, k=1, seed=404)
     for a in alphas:
         v = np.sum(hm.hermite_1d(a[0], last.positions[:, 0], last.t))
         assert table[a] == pytest.approx(v / m**last.t)
-        assert table.errors[a] > 0
+        assert table.errors[a] == mg.l2_remainder(a, 8, cfg.law)
     assert table.meta["source_t"] == 8
     assert table.meta["seed"] == 404
     assert table.k == 1
-    with pytest.raises(ValidationError):
-        mg.estimate_n([], alphas, m)
 
 
 # --------------------------------------------------------------- increments

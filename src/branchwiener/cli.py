@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -124,9 +125,7 @@ def _pick_snapshot(snaps, t):
 def cmd_simulate(args) -> int:
     cfg = sim.SimConfig.from_json(args.config)
     if args.seed is not None:
-        d = cfg.to_dict()
-        d["seed"] = args.seed
-        cfg = sim.SimConfig.from_dict(d)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     manifest = _manifest("simulate", args, [args.config], [args.out])
     kept = sim.run(cfg, out=args.out, workers=args.workers)
     _write_sidecar(args.out, manifest)
@@ -301,72 +300,66 @@ def cmd_infer(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = sim.SimConfig.from_json(args.config)
     base_seed = cfg.seed if args.seed is None else args.seed
-    manifest = _manifest("diagnose", args, [args.config], [])
+    eps = args.epsilon
+    if not (math.isfinite(eps) and eps >= -1.0):
+        raise ValidationError(f"--epsilon {eps} must be a finite real >= -1")
+    try:
+        bounds = [float(t) ** (1.0 + eps) for t in range(cfg.t_max + 1)]
+    except OverflowError:
+        raise ValidationError(f"--epsilon {eps}: the bound t^(1+epsilon) overflows "
+                              f"a float at t_max={cfg.t_max}") from None
     law = cfg.law
-    outputs = []
+    e1 = tuple([1] + [0] * (cfg.d - 1))
+    alphas = ((0,) * cfg.d, e1)
+    # Everything is computed before any file is opened, so a run stopped by
+    # the population cap leaves no output behind.
+    seeds = [(base_seed + r) % 2**64 for r in range(args.runs)]
+    profiles = [sim.radius_profile(dataclasses.replace(cfg, seed=s)) for s in seeds]
+    tables = mg.lp_increment_diagnostic(
+        args.replicas, alphas, 2, min(cfg.t_max, 8), law, seed=base_seed,
+        population_cap=cfg.population_cap,
+    )
 
     # Radius-versus-t^(1+eps) check over independent runs.
-    radius_path = f"{args.out}.radius.csv"
+    radius = ["run,seed,t,max_radius,bound,ok"]
     worst = 0.0
-    with open(radius_path, "w", encoding="utf-8") as fh:
-        for line in _comment_lines(manifest):
-            fh.write(f"# {line}\n")
-        fh.write("run,seed,t,max_radius,bound,ok\n")
-        for r in range(args.runs):
-            seed = (base_seed + r) % 2**64
-            d = cfg.to_dict()
-            d["seed"] = seed
-            profile = sim.radius_profile(sim.SimConfig.from_dict(d))
-            for t, radius in profile:
-                bound = float(t) ** (1.0 + args.epsilon)
-                ok = int(t == 0 or radius <= bound)
-                if t > 0:
-                    worst = max(worst, radius / bound)
-                fh.write(f"{r},{seed},{t},{radius!r},{bound!r},{ok}\n")
-    outputs.append(radius_path)
+    for r, (seed, profile) in enumerate(zip(seeds, profiles)):
+        for t, rad in profile:
+            ok = int(t == 0 or rad <= bounds[t])
+            if t > 0:
+                worst = max(worst, rad / bounds[t])
+            radius.append(f"{r},{seed},{t},{rad!r},{bounds[t]!r},{ok}")
 
     # L^2 increment decay of the normalized statistics.
-    inc_path = f"{args.out}.increments.csv"
-    e1 = tuple([1] + [0] * (cfg.d - 1))
-    with open(inc_path, "w", encoding="utf-8") as fh:
-        for line in _comment_lines(manifest):
-            fh.write(f"# {line}\n")
-        fh.write("alpha,p,t,empirical_norm,exact_norm\n")
-        alphas = ((0,) * cfg.d, e1)
-        tables = mg.lp_increment_diagnostic(
-            args.replicas, alphas, 2, min(cfg.t_max, 8), law, seed=base_seed,
-            population_cap=cfg.population_cap,
-        )
-        for alpha, table in zip(alphas, tables):
-            tag = "+".join(str(c) for c in alpha)
-            for row in table.rows:
-                exact = "" if row.exact_norm is None else repr(row.exact_norm)
-                fh.write(f"{tag},2,{row.t},{row.empirical_norm!r},{exact}\n")
-            ratio = table.mean_successive_ratio()
-            fh.write(f"# mean successive ratio alpha=({tag}) t in [2,8]: {ratio!r}\n")
-    outputs.append(inc_path)
+    increments = ["alpha,p,t,empirical_norm,exact_norm"]
+    for alpha, table in zip(alphas, tables):
+        tag = "+".join(str(c) for c in alpha)
+        for row in table.rows:
+            exact = "" if row.exact_norm is None else repr(row.exact_norm)
+            increments.append(f"{tag},2,{row.t},{row.empirical_norm!r},{exact}")
+        ratio = table.mean_successive_ratio()
+        increments.append(f"# mean successive ratio alpha=({tag}) t in [2,8]: {ratio!r}")
 
     # Limit second moments: recursion-consistent value vs. the variant
     # closed form (they disagree; both are reported on purpose).
-    mom_path = f"{args.out}.moments.csv"
-    with open(mom_path, "w", encoding="utf-8") as fh:
-        for line in _comment_lines(manifest):
-            fh.write(f"# {line}\n")
-        fh.write("alpha,limit_second_moment,variant_closed_form\n")
-        if law.mean > 1.0:
-            zero = "+".join("0" * cfg.d)
-            fh.write(f"{zero},{mg.n0_second_moment(law)!r},\n")
-            for alpha in (e1, tuple(2 * c for c in e1)):
-                tag = "+".join(str(c) for c in alpha)
-                fh.write(
-                    f"{tag},{mg.n_second_moment(alpha, law)!r},"
-                    f"{mg.n_second_moment_alt(alpha, law)!r}\n"
-                )
-        else:
-            fh.write("# law is not supercritical; limit moments undefined\n")
-    outputs.append(mom_path)
+    moments = ["alpha,limit_second_moment,variant_closed_form"]
+    if law.mean > 1.0:
+        moments.append(f"{'+'.join('0' * cfg.d)},{mg.n0_second_moment(law)!r},")
+        for alpha in (e1, tuple(2 * c for c in e1)):
+            tag = "+".join(str(c) for c in alpha)
+            moments.append(f"{tag},{mg.n_second_moment(alpha, law)!r},"
+                           f"{mg.n_second_moment_alt(alpha, law)!r}")
+    else:
+        moments.append("# law is not supercritical; limit moments undefined")
 
-    manifest["outputs"] = outputs
+    manifest = _manifest("diagnose", args, [args.config], [])
+    for part, lines in (("radius", radius), ("increments", increments),
+                        ("moments", moments)):
+        path = f"{args.out}.{part}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"# {line}\n" for line in _comment_lines(manifest))
+            fh.writelines(f"{line}\n" for line in lines)
+        manifest["outputs"].append(path)
     _write_sidecar(args.out, manifest)
     print(f"{args.out}.{{radius,increments,moments}}.csv written; "
           f"worst radius/bound ratio {worst:.4g}")
@@ -475,11 +468,9 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PopulationCapError as exc:
-        print(
-            f"aborted: {exc}; snapshots before generation {exc.t} "
-            "remain valid as a partial result",
-            file=sys.stderr,
-        )
+        partial = (f"; snapshots before generation {exc.t} remain valid as a "
+                   "partial result" if args.subcommand == "simulate" else "")
+        print(f"aborted: {exc}{partial}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

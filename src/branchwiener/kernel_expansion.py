@@ -211,7 +211,7 @@ def truncation_error_scan(
     T_arr = [float(T) for T in np.atleast_1d(np.asarray(T_list, dtype=np.float64))]
     if len(T_arr) == 0:
         raise ValidationError("empty T list")
-    scales = []
+    scales, exacts = [], []
     for T in T_arr:
         if not T > 2 * t:
             raise ValidationError(f"scan requires T > 2t, got T={T}, t={t}")
@@ -220,13 +220,16 @@ def truncation_error_scan(
         except OverflowError:
             msg = f"the scale (2 pi T)^(d/2) overflows a float at d={d}, T={T}"
             raise ValidationError(msg) from None
+        exacts.append(gauss_kernel(d, T - t, offset))
+        if exacts[-1] == 0.0:
+            raise ValidationError(f"the Gaussian kernel is 0.0 in floating point at "
+                                  f"d={d}, T={T}, so the scan would measure nothing")
     rows = []
     slopes: dict[int, float] = {}
     for k in range(k_max + 1):
         errs = []
-        for T, scale in zip(T_arr, scales):
+        for T, scale, exact in zip(T_arr, scales, exacts):
             params = KernelExpansionParams(d=d, T=T, t=t, k=k)
-            exact = gauss_kernel(d, T - t, offset)
             approx = truncated_kernel(params, offset)
             err = abs(exact - approx) * scale
             rows.append(ScanRow(k=k, T=T, error=err, flagged=params.flagged))

@@ -30,7 +30,8 @@ from .errors import ValidationError
 from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import Ball, Box, UnionRegion
-from .simulator import OffspringLaw, Snapshot, _check_int, ensemble_states
+from .simulator import (DEFAULT_POPULATION_CAP, OffspringLaw, Snapshot, _check_int,
+                        ensemble_states)
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
@@ -98,7 +99,11 @@ class NTable:
             for a, v in values.items():
                 if not math.isfinite(v):
                     raise ValidationError(
-                        f"{what} {v} for index {tuple(a)} is not finite"
+                        f"N-table {what} {v} for index {tuple(a)} is not finite"
+                    )
+                if what == "error" and v < 0:
+                    raise ValidationError(
+                        f"N-table error {v} for index {tuple(a)} is negative"
                     )
 
     def __getitem__(self, alpha) -> float:
@@ -135,6 +140,8 @@ class NTable:
         if not (isinstance(meta, dict) and isinstance(rows, list)):
             raise ValidationError("N-table fields entries and meta must be a list "
                                   "and an object")
+        if meta.get("T0") is not None:
+            _real(meta["T0"], "N-table field meta.T0")
         entries, errors = {}, {}
         for i, e in enumerate(rows):
             where = f"N-table entry {i} field"
@@ -360,7 +367,7 @@ def ensemble_v_matrix(
     n_replicas: int,
     seed: int,
     *,
-    population_cap: int | None = 10**8,
+    population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> dict[MultiIndex, np.ndarray]:
     """Raw V_alpha(t) for a batch of independent replicas.
 
@@ -417,7 +424,7 @@ def lp_increment_diagnostic(
     law: OffspringLaw,
     *,
     seed: int = 0,
-    population_cap: int | None = 10**8,
+    population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> list[IncrementTable]:
     """Empirical p-norms of X_t - X_{t-1} with X_t = V_alpha(t)/m^t, one
     table per index in ``alphas``, all from one ensemble of replicas whose

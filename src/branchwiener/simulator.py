@@ -23,6 +23,7 @@ headers is ``splitmix64-ndtri``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -166,23 +167,9 @@ class OffspringLaw:
         return self._variance
 
     @property
-    def max_children(self) -> int:
-        return len(self.pmf) - 1
-
-    @property
     def deterministic_value(self):
         """The fixed offspring count when the pmf is a point mass, else None."""
         return self._deterministic
-
-    def factorial_moment(self, k: int) -> float:
-        """E[Y (Y-1) ... (Y-k+1)] for k <= 8."""
-        if not 0 <= k <= 8:
-            raise ValidationError(f"factorial moment order {k} outside [0, 8]")
-        return math.fsum(
-            p * math.perm(ell, k)
-            for ell, p in enumerate(self.pmf)
-            if ell >= k
-        )
 
 
 @dataclass(eq=False)
@@ -286,18 +273,6 @@ class SimConfig:
     def law(self) -> OffspringLaw:
         return OffspringLaw(self.pmf, test_mode=self.test_mode)
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "pmf": list(self.pmf),
-            "seed": self.seed,
-            "t_max": self.t_max,
-            "population_cap": self.population_cap,
-            "snapshot_times": list(self.snapshot_times),
-            "initial_position": list(self.initial_position),
-            "test_mode": self.test_mode,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
         if not isinstance(obj, dict):
@@ -376,12 +351,24 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
     return pos, hi, lo
 
 
+def _advance(s: Snapshot, law: OffspringLaw, seed: int, population_cap: int,
+             workers: int) -> tuple[Snapshot, np.ndarray]:
+    """The next generation of s and each parent's offspring count: the one
+    place that draws offspring, applies the population cap and branches."""
+    counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
+    total = int(counts.sum())
+    if total > population_cap:
+        raise PopulationCapError(s.t + 1, total, population_cap)
+    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d, workers)
+    return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo), counts
+
+
 def step(
     s: Snapshot,
     law: OffspringLaw,
     seed: int,
     *,
-    population_cap: int | None = DEFAULT_POPULATION_CAP,
+    population_cap: int = DEFAULT_POPULATION_CAP,
     workers: int = 1,
 ) -> Snapshot:
     """Advance one generation: branch at the parent position, then diffuse.
@@ -394,12 +381,21 @@ def step(
         raise ValidationError("snapshot has no lineage ids and cannot be advanced")
     seed = _check_int(seed, "seed", 0, 2**64)
     _check_int(workers, "workers", 1)
-    counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
-    total = int(counts.sum())
-    if population_cap is not None and total > population_cap:
-        raise PopulationCapError(s.t + 1, total, population_cap)
-    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d, workers)
-    return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo)
+    return _advance(s, law, seed, population_cap, workers)[0]
+
+
+def _generations(cfg: SimConfig, workers: int) -> Iterator[Snapshot]:
+    """The run of cfg, one snapshot per generation t = 0..t_max.
+
+    Generations are made by the public `step` rather than `_advance`, so
+    that wrapping `step` (as a profiler or tracer does) sees every one.
+    """
+    law = cfg.law
+    s = initial_snapshot(cfg)
+    yield s
+    for _ in range(cfg.t_max):
+        s = step(s, law, cfg.seed, population_cap=cfg.population_cap, workers=workers)
+        yield s
 
 
 def _json_line(obj: dict) -> bytes:
@@ -557,33 +553,15 @@ def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list[Snapshot]:
     as a valid partial result.
     """
     _check_int(workers, "workers", 1)
-    law = cfg.law
     wanted = set(cfg.snapshot_times)
     kept: list[Snapshot] = []
-    writer = None
-    try:
-        if out is not None:
-            writer = SnapshotWriter(out, d=cfg.d, pmf=cfg.pmf, seed=cfg.seed)
-        s = initial_snapshot(cfg)
-        if 0 in wanted:
-            kept.append(s)
-            if writer:
-                writer.write(s)
-        for _ in range(cfg.t_max):
-            s = step(
-                s,
-                law,
-                cfg.seed,
-                population_cap=cfg.population_cap,
-                workers=workers,
-            )
+    with (contextlib.nullcontext() if out is None
+          else SnapshotWriter(out, d=cfg.d, pmf=cfg.pmf, seed=cfg.seed)) as writer:
+        for s in _generations(cfg, workers):
             if s.t in wanted:
                 kept.append(s)
                 if writer:
                     writer.write(s)
-    finally:
-        if writer:
-            writer.close()
     return kept
 
 
@@ -609,15 +587,8 @@ def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float
 
     Memory-light: nothing is retained beyond the current generation.
     """
-    law = cfg.law
-    s = initial_snapshot(cfg)
-    out = [(0, max_radius(s))]
-    for _ in range(cfg.t_max):
-        s = step(s, law, cfg.seed, population_cap=cfg.population_cap, workers=workers)
-        if s.n == 0:
-            break
-        out.append((s.t, max_radius(s)))
-    return out
+    alive = itertools.takewhile(lambda s: s.n > 0, _generations(cfg, workers))
+    return [(s.t, max_radius(s)) for s in alive]
 
 
 def ensemble_states(
@@ -627,7 +598,7 @@ def ensemble_states(
     t_max: int,
     seed: int,
     *,
-    population_cap: int | None = DEFAULT_POPULATION_CAP,
+    population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Advance ``n_replicas`` independent runs from the origin in lockstep.
 
@@ -635,8 +606,8 @@ def ensemble_states(
     ``replica_index[i]`` says which replica particle row i belongs to.  The
     population cap applies to the whole batch.  Replicas get distinct root
     lineages derived from (seed, replica), so the batch is statistically
-    identical to independent single runs; use `run` when one trajectory must
-    be reproduced exactly.
+    identical to independent single runs.  Replica 0 has the root of `run`
+    under the same seed, so one replica from the origin is that run.
     """
     if n_replicas < 1:
         raise ValidationError("need at least one replica")
@@ -644,14 +615,10 @@ def ensemble_states(
         raise ValidationError(f"dimension {d} must be >= 1")
     seed = _check_int(seed, "seed", 0, 2**64)
     hi, lo = _root_ids(seed, n_replicas)
-    pos = np.zeros((n_replicas, d))
+    s = Snapshot(t=0, positions=np.zeros((n_replicas, d)), id_hi=hi, id_lo=lo)
     rep = np.arange(n_replicas, dtype=np.int64)
-    yield 0, pos, rep
-    for t in range(1, t_max + 1):
-        counts = _offspring_counts(law, seed, hi, lo)
-        total = int(counts.sum())
-        if population_cap is not None and total > population_cap:
-            raise PopulationCapError(t, total, population_cap)
+    yield 0, s.positions, rep
+    for _ in range(t_max):
+        s, counts = _advance(s, law, seed, population_cap, 1)
         rep = np.repeat(rep, counts)
-        pos, hi, lo = _branch(pos, hi, lo, counts, seed, d, 1)
-        yield t, pos, rep
+        yield s.t, s.positions, rep

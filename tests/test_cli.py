@@ -207,9 +207,12 @@ def test_kernel_check_csv(tmp_path):
     assert cli.main(["kernel-check", "--t", "40.0", "--T", "64"]) == 2
 
 
-def test_kernel_check_overflowing_scale_exits_2(capsys):
-    # (2 pi 64)^125 is beyond float range.
-    assert cli.main(["kernel-check", "--d", "250", "--k", "0", "--T", "64,128"]) == 2
+@pytest.mark.parametrize("raw", [[], ["--raw"]], ids=["scaled", "raw"])
+def test_kernel_check_overflowing_scale_exits_2(raw, capsys):
+    # (2 pi 64)^125 is beyond float range, so the scale overflows and the
+    # raw kernel underflows to 0.
+    argv = ["kernel-check", "--d", "250", "--k", "0", "--T", "64,128", *raw]
+    assert cli.main(argv) == 2
     assert "d=250, T=64.0" in capsys.readouterr().err
 
 
@@ -355,8 +358,10 @@ def test_predict_empty_region_list_writes_only_the_header(tmp_path, capsys):
     (lambda o: o.update(k="z"), "field k"),
     (lambda o: o.update(m=True), "field m"),
     (lambda o: o["entries"].append({"alpha": [1], "value": 2.0}), "entry 3 field alpha"),
+    (lambda o: o["entries"][1].update(err=-0.5), "error -0.5 for index (1,) is negative"),
+    (lambda o: o["meta"].update(T0="x"), "field meta.T0"),
 ], ids=["alpha-string", "alpha-1e400", "value-string", "d-string", "k-string",
-        "m-bool", "alpha-twice"])
+        "m-bool", "alpha-twice", "err-negative", "T0-string"])
 def test_predict_malformed_table_field_exits_2(edit, field, tmp_path, capsys):
     obj = NTable(d=1, m=1.5, entries={(0,): 1.0, (1,): 0.2, (2,): 0.5}, k=1).to_dict()
     edit(obj)
@@ -564,7 +569,21 @@ def test_diagnose_honours_the_population_cap(tmp_path, capsys):
     rc = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "diag"),
                    "--runs", "0", "--replicas", "500"])
     assert rc == cli.EXIT_CAP
-    assert "cap 50" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cap 50" in err
+    assert "snapshots" not in err  # diagnose writes none
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-2", "1e308"])
+def test_diagnose_refuses_a_bad_epsilon(epsilon, doubling_config, tmp_path, capsys):
+    # nan and inf have no meaning, t^-1 is infinite at t=0 and t^(1+1e308)
+    # overflows a float.
+    rc = cli.main(["diagnose", "--config", doubling_config, "--out", str(tmp_path / "diag"),
+                   "--runs", "1", "--replicas", "10", f"--epsilon={epsilon}"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--epsilon" in capsys.readouterr().err
+    assert not list(tmp_path.glob("diag*"))
 
 
 # --------------------------------------------------------------- cold start

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -22,7 +23,6 @@ def test_law_validation():
     law = OffspringLaw((0.25, 0.25, 0.5))
     assert law.mean == pytest.approx(1.25)
     assert law.variance == pytest.approx(0.6875)
-    assert law.max_children == 2
     assert law.deterministic_value is None
     with pytest.raises(ValidationError):
         OffspringLaw((0.5, 0.4))  # does not sum to 1
@@ -37,19 +37,6 @@ def test_law_validation():
     assert OffspringLaw((0.0, 0.0, 1.0), test_mode=True).deterministic_value == 2
 
 
-def test_factorial_moments():
-    law = OffspringLaw((0.1, 0.2, 0.3, 0.4), test_mode=True)
-    ys = np.arange(4)
-    p = np.asarray(law.pmf)
-    for k in range(5):
-        direct = float(sum(pi * math.perm(int(y), k) for y, pi in zip(ys, p)))
-        assert law.factorial_moment(k) == pytest.approx(direct)
-    assert law.factorial_moment(0) == 1.0
-    assert law.factorial_moment(1) == pytest.approx(law.mean)
-    with pytest.raises(ValidationError):
-        law.factorial_moment(9)
-
-
 # ------------------------------------------------------------------- config
 
 
@@ -57,11 +44,11 @@ def test_config_round_trip_and_validation():
     cfg = SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=11, t_max=4)
     assert cfg.snapshot_times == (4,)
     assert cfg.initial_position == (0.0, 0.0)
-    back = SimConfig.from_dict(cfg.to_dict())
+    back = SimConfig.from_dict(dataclasses.asdict(cfg))
     assert back == cfg
-    assert SimConfig.from_json(json.dumps(cfg.to_dict())) == cfg
+    assert SimConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
     with pytest.raises(ValidationError):
-        SimConfig.from_dict({**cfg.to_dict(), "mystery": 1})
+        SimConfig.from_dict({**dataclasses.asdict(cfg), "mystery": 1})
     with pytest.raises(ValidationError):
         SimConfig.from_dict({"d": 1, "pmf": [0.25, 0.25, 0.5]})  # missing keys
     with pytest.raises(ValidationError):
@@ -501,3 +488,36 @@ def test_ensemble_population_cap():
     with pytest.raises(PopulationCapError):
         for _ in gen:
             pass
+
+
+# ---------------------------------------------------- one generation path
+
+# Seed 17 survives to t=10 under the branching law; seed 4 dies out at t=3.
+RUNS = {
+    "branching": SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=17, t_max=10,
+                           snapshot_times=tuple(range(11))),
+    "branching-extinct": SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=4, t_max=10,
+                                   snapshot_times=tuple(range(11))),
+    "doubling": SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=17, t_max=8,
+                          snapshot_times=tuple(range(9)), test_mode=True),
+}
+
+
+@pytest.mark.parametrize("name", ["branching", "doubling"])
+def test_one_replica_ensemble_is_the_run(name):
+    cfg = RUNS[name]
+    snaps = sim.run(cfg)
+    assert snaps[-1].n > 8
+    states = list(sim.ensemble_states(cfg.law, cfg.d, 1, cfg.t_max, cfg.seed))
+    assert [t for t, _, _ in states] == [s.t for s in snaps]
+    for (_, pos, rep), s in zip(states, snaps):
+        assert pos.tobytes() == s.positions.tobytes()
+        assert rep.tolist() == [0] * s.n
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_radius_profile_is_max_radius_until_extinction(name):
+    cfg = RUNS[name]
+    alive = [s for s in sim.run(cfg) if s.n > 0]
+    assert [s.t for s in alive] == list(range(len(alive)))
+    assert sim.radius_profile(cfg) == [(s.t, sim.max_radius(s)) for s in alive]

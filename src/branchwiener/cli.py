@@ -300,6 +300,8 @@ def cmd_infer(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = sim.SimConfig.from_json(args.config)
     base_seed = cfg.seed if args.seed is None else args.seed
+    if args.runs < 0:
+        raise ValidationError(f"--runs {args.runs} must be >= 0")
     eps = args.epsilon
     if not (math.isfinite(eps) and eps >= -1.0):
         raise ValidationError(f"--epsilon {eps} must be a finite real >= -1")

@@ -207,6 +207,8 @@ def truncation_error_scan(
     T^-(k+1) truncation decay; the raw difference carries an extra
     T^(-d/2) roll-off from the prefactor.
     """
+    if not (0 <= k_max <= MAX_ORDER):
+        raise ValidationError(f"largest order k={k_max} outside [0, {MAX_ORDER}]")
     offset = _as_point(offset, d)
     T_arr = [float(T) for T in np.atleast_1d(np.asarray(T_list, dtype=np.float64))]
     if len(T_arr) == 0:

@@ -16,9 +16,12 @@ lineage id is itself a hash of (parent id, birth rank).  Two consequences:
 * a stored snapshot can be continued under a fresh seed with randomness
   independent of the original run.
 
-The hash is the splitmix64 finalizer; uniforms feed the exact inverse
-Gaussian CDF (scipy's ndtri).  The sampler name recorded in snapshot file
-headers is ``splitmix64-ndtri``.
+The hash is the splitmix64 finalizer, one mix per draw: each word of a
+child's id is one mix of both parent words and the rank, and each draw is
+one mix of the id folded to one word (hi ^ lo) XOR a scalar key of (seed,
+purpose).  Uniforms feed the exact inverse Gaussian CDF (scipy's ndtri).
+The sampler name recorded in snapshot file headers is
+``splitmix64-ndtri-v2``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import PopulationCapError, ValidationError
 from . import regions as _regions
 
-SAMPLER_NAME = "splitmix64-ndtri"
+SAMPLER_NAME = "splitmix64-ndtri-v2"
 DEFAULT_POPULATION_CAP = 10**8
 SNAPSHOT_FORMAT_VERSION = 2
 # Longest header or record line the reader accepts (records are ~100 bytes).
@@ -54,7 +57,8 @@ _TAG_OFFSPRING = 0x01D306AA5F35F1D1
 _TAG_POSITION = 0x7C15E4D5B9A30001
 _TAG_STRIDE = 0x636F6F7264313375
 
-_INV_2_53 = 2.0**-53
+# Bits of the float 1.0: OR-ed onto 52 random mantissa bits, a float in [1, 2).
+_ONE_BITS = _U64(0x3FF0000000000000)
 
 #: Parents per block of the branching kernel, and the one threshold for
 #: threads: a step of fewer than two blocks runs on the calling thread.
@@ -62,14 +66,18 @@ BLOCK = 1 << 16
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 arrays.
+    """splitmix64 finalizer, elementwise and in place on a uint64 array
+    (callers pass a temporary of their own); returns x.
 
     Scalar keys go through :func:`_mix_int` instead — numpy warns on scalar
     uint64 wraparound but is silent (and correct) for arrays.
     """
-    x = (x ^ (x >> _U64(30))) * _M1
-    x = (x ^ (x >> _U64(27))) * _M2
-    return x ^ (x >> _U64(31))
+    x ^= x >> _U64(30)
+    x *= _M1
+    x ^= x >> _U64(27)
+    x *= _M2
+    x ^= x >> _U64(31)
+    return x
 
 
 def _mix_int(x: int) -> int:
@@ -80,22 +88,33 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _draw_u01(seed: int, id_hi, id_lo, tag: int):
-    """Uniform(0,1) keyed by (seed, lineage id, tag); never returns 0 or 1."""
-    key = _U64((seed * _GOLDEN + tag) & _MASK)
-    h = _mix(id_lo ^ key)
-    h = _mix(h + id_hi)
-    h = _mix(h ^ _U64(tag & _MASK))
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV_2_53
+def _key(seed: int, tag: int) -> np.uint64:
+    """Scalar key of one purpose (the offspring draw, or one axis) under seed."""
+    return _U64(_mix_int(seed * _GOLDEN + tag))
+
+
+def _u01(h: np.ndarray) -> np.ndarray:
+    """Uniform(0,1) in place of uint64 hashes: the midpoint (k + 1/2)/2^52
+    of the cell that the top 52 bits k pick.  Exact, never 0 or 1: the bits
+    become the float 1 + k/2^52, and the subtraction is exact (Sterbenz)."""
+    h >>= _U64(12)
+    h |= _ONE_BITS
+    u = h.view(np.float64)
+    u -= 1.0 - 2.0**-53
+    return u
 
 
 def _child_ids(parent_hi, parent_lo, rank):
-    """128-bit id of the rank-th child (rank counts from 0 among siblings);
-    rank is a uint64 array."""
-    r = rank + _U64(1)
-    a = _mix(parent_lo ^ (_U64(_GOLDEN) * r))
-    b = _mix(parent_hi ^ (_U64(_SALT) * r))
-    return _mix(b + parent_lo), _mix(a + parent_hi)
+    """128-bit ids of children, one mix per word; rank is a uint64 array
+    counting from 1 among siblings, and each word depends on both parent
+    words and the rank."""
+    hi = rank * _U64(_SALT)
+    hi ^= parent_hi
+    hi += parent_lo
+    lo = rank * _U64(_GOLDEN)
+    lo ^= parent_lo
+    lo += parent_hi
+    return _mix(hi), _mix(lo)
 
 
 def _root_ids(seed: int, count: int):
@@ -305,33 +324,34 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
         # Point-mass law: the draw would be constant; skipping it changes
         # nothing because counter-based draws consume no shared state.
         return np.full(hi.shape[0], det, dtype=np.int64)
+    key = _key(seed, _TAG_OFFSPRING)
     counts = np.empty(hi.shape[0], dtype=np.int64)
     for a in range(0, hi.shape[0], BLOCK):
-        u = _draw_u01(seed, hi[a:a + BLOCK], lo[a:a + BLOCK], _TAG_OFFSPRING)
-        counts[a:a + BLOCK] = np.searchsorted(law._cumulative, u, side="right")
+        h = hi[a:a + BLOCK] ^ lo[a:a + BLOCK]
+        h ^= key
+        counts[a:a + BLOCK] = np.searchsorted(law._cumulative, _u01(_mix(h)), side="right")
     return counts
 
 
-def _make_children(positions, hi, lo, counts, seed: int, d: int, pos, chi, clo):
+def _make_children(positions, hi, lo, counts, axis_keys, pos, chi, clo):
     """Write the children of one block of parents into pos, chi and clo,
-    whose length is counts.sum()."""
+    whose length is counts.sum().  Coordinate j of a child's displacement
+    is drawn from its id folded to one word, XOR axis_keys[j]."""
     # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
     from scipy.special import ndtri
-    parents = np.repeat(np.arange(counts.shape[0]), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    ranks = (np.arange(pos.shape[0], dtype=np.int64) - offsets).astype(np.uint64)
-    chi[:], clo[:] = _child_ids(hi[parents], lo[parents], ranks)
-    pos[:] = positions[parents]
-    tag = _TAG_POSITION
-    for j in range(d):
-        pos[:, j] += ndtri(_draw_u01(seed, chi, clo, tag))
-        tag = (tag + _TAG_STRIDE) & _MASK
+    starts = (np.cumsum(counts) - counts).astype(np.uint64)
+    rank = np.arange(1, pos.shape[0] + 1, dtype=np.uint64)
+    rank -= np.repeat(starts, counts)
+    chi[:], clo[:] = _child_ids(np.repeat(hi, counts), np.repeat(lo, counts), rank)
+    pos[:] = np.repeat(positions, counts, axis=0)
+    pos += ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
 
 
 def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
     """(positions, id_hi, id_lo) of all children, in parent order, filled
     BLOCK parents at a time, on up to ``workers`` threads when there are at
     least two blocks; draws are counter-based, so threads change nothing."""
+    axis_keys = np.array([_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(d)])
     firsts = range(0, counts.shape[0], BLOCK)
     ends = [0, *itertools.accumulate(int(counts[a:a + BLOCK].sum()) for a in firsts)]
     pos = np.empty((ends[-1], d), dtype=np.float64)
@@ -340,7 +360,7 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
 
     def build(b: int) -> None:
         p, c = slice(firsts[b], firsts[b] + BLOCK), slice(ends[b], ends[b + 1])
-        _make_children(positions[p], id_hi[p], id_lo[p], counts[p], seed, d,
+        _make_children(positions[p], id_hi[p], id_lo[p], counts[p], axis_keys,
                        pos[c], hi[c], lo[c])
 
     if workers > 1 and len(firsts) >= 2:

@@ -216,6 +216,14 @@ def test_kernel_check_overflowing_scale_exits_2(raw, capsys):
     assert "d=250, T=64.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["-1", "65"])
+def test_kernel_check_refuses_an_order_out_of_range(k, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert cli.main(["kernel-check", "--k", k, "--T", "64,128", "--out", str(out)]) == 2
+    assert f"k={k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------- estimate-n / predict
 
 
@@ -583,6 +591,14 @@ def test_diagnose_refuses_a_bad_epsilon(epsilon, doubling_config, tmp_path, caps
                    "--runs", "1", "--replicas", "10", f"--epsilon={epsilon}"])
     assert rc == cli.EXIT_VALIDATION
     assert "--epsilon" in capsys.readouterr().err
+    assert not list(tmp_path.glob("diag*"))
+
+
+def test_diagnose_refuses_negative_runs(doubling_config, tmp_path, capsys):
+    rc = cli.main(["diagnose", "--config", doubling_config, "--out", str(tmp_path / "diag"),
+                   "--runs", "-2", "--replicas", "10"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--runs -2" in capsys.readouterr().err
     assert not list(tmp_path.glob("diag*"))
 
 

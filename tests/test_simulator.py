@@ -106,19 +106,26 @@ def test_worker_count_does_not_change_output():
 
 def _whole_population_step(s, law, seed):
     """The children of every parent built in one pass, as one array per
-    field: the reference the block kernel must match bit for bit."""
+    field, with the v2 draws written out: the reference the block kernel
+    must match bit for bit."""
     from scipy.special import ndtri
-    u = sim._draw_u01(seed, s.id_hi, s.id_lo, sim._TAG_OFFSPRING)
-    counts = np.searchsorted(law._cumulative, u, side="right")
+
+    def draw(fold, tag):
+        key = np.uint64(sim._mix_int(seed * sim._GOLDEN + tag))
+        h = sim._mix(fold ^ key)
+        return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+    counts = np.searchsorted(law._cumulative, draw(s.id_hi ^ s.id_lo, sim._TAG_OFFSPRING),
+                             side="right")
     parents = np.repeat(np.arange(s.n), counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    ranks = (np.arange(parents.shape[0]) - offsets).astype(np.uint64)
-    hi, lo = sim._child_ids(s.id_hi[parents], s.id_lo[parents], ranks)
+    rank = (np.arange(1, parents.shape[0] + 1) - offsets).astype(np.uint64)
+    phi, plo = s.id_hi[parents], s.id_lo[parents]
+    hi = sim._mix((phi ^ (rank * np.uint64(sim._SALT))) + plo)
+    lo = sim._mix((plo ^ (rank * np.uint64(sim._GOLDEN))) + phi)
     pos = s.positions[parents].copy()
-    tag = sim._TAG_POSITION
     for j in range(s.d):
-        pos[:, j] += ndtri(sim._draw_u01(seed, hi, lo, tag))
-        tag = (tag + sim._TAG_STRIDE) & sim._MASK
+        pos[:, j] += ndtri(draw(hi ^ lo, sim._TAG_POSITION + j * sim._TAG_STRIDE))
     return pos, hi, lo
 
 
@@ -279,6 +286,70 @@ def test_single_particle_positions_are_brownian():
     assert abs(v.mean() - t_max) <= 4 * se_var
 
 
+# ------------------------------------------------------------ hash quality
+
+# Each check is a 4-SE band at a fixed seed.  Doubling runs put child i of
+# generation t under parent i // 2, so displacements line up by index.
+
+
+def _doubling_generations(t_max, d, seed):
+    cfg = SimConfig(d=d, pmf=(0.0, 0.0, 1.0), seed=seed, t_max=t_max, test_mode=True,
+                    snapshot_times=(t_max - 2, t_max - 1, t_max))
+    return sim.run(cfg)
+
+
+def _assert_uncorrelated(x, y):
+    r = np.corrcoef(x, y)[0, 1]
+    assert abs(r) <= 4 / math.sqrt(x.size), r
+
+
+def _assert_uniform(u, what):
+    n = u.size
+    assert abs(u.mean() - 0.5) <= 4 * math.sqrt(1 / 12 / n), what
+    # Var (u - 1/2)^2 = 1/80 - 1/144 = 1/180
+    assert abs(((u - 0.5) ** 2).mean() - 1 / 12) <= 4 * math.sqrt(1 / 180 / n), what
+
+
+def test_draws_are_uniform_and_uncorrelated_across_purposes():
+    from scipy.special import ndtr
+    seed = 101
+    _, parent, child = _doubling_generations(17, 3, seed)
+    z = child.positions - np.repeat(parent.positions, 2, axis=0)
+    # The offspring uniforms of the children, and the counts they give
+    # under a law of eight equally likely outcomes.
+    key = sim._key(seed, sim._TAG_OFFSPRING)
+    _assert_uniform(sim._u01(sim._mix(child.id_hi ^ child.id_lo ^ key)), "offspring")
+    law = OffspringLaw((0.125,) * 8, test_mode=True)
+    draws = [sim._offspring_counts(law, seed, child.id_hi, child.id_lo)]
+    for j in range(3):
+        _assert_uniform(ndtr(z[:, j]), f"axis {j}")
+        draws.append(z[:, j])
+    for i, a in enumerate(draws):
+        for b in draws[i + 1:]:
+            _assert_uncorrelated(a, b)
+
+
+@pytest.mark.parametrize("power", [1, 2], ids=["z", "z^2"])
+def test_displacements_of_siblings_and_of_parent_and_child_are_uncorrelated(power):
+    grand, parent, child = _doubling_generations(16, 2, 202)
+    z_child = child.positions - np.repeat(parent.positions, 2, axis=0)
+    z_parent = parent.positions - np.repeat(grand.positions, 2, axis=0)
+    for j in range(2):
+        first, second = z_child[0::2, j], z_child[1::2, j]
+        _assert_uncorrelated(first ** power, second ** power)
+        # one child per parent, so the pairs are independent
+        _assert_uncorrelated(z_parent[:, j] ** power, first ** power)
+
+
+def test_ids_and_draw_keys_of_a_million_children_are_distinct():
+    s = _doubling_generations(20, 1, 404)[-1]
+    assert s.n == 1 << 20
+    order = np.lexsort((s.id_lo, s.id_hi))
+    hi, lo = s.id_hi[order], s.id_lo[order]
+    assert not np.any((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1]))
+    assert np.unique(s.id_hi ^ s.id_lo).size == s.n
+
+
 # ------------------------------------------------------------------ file IO
 
 
@@ -291,7 +362,7 @@ def test_snapshot_file_round_trip(tmp_path):
     assert header["d"] == 3
     assert header["pmf"] == [0.25, 0.25, 0.5]
     assert header["seed"] == 5150
-    assert header["sampler"] == sim.SAMPLER_NAME
+    assert header["sampler"] == sim.SAMPLER_NAME == "splitmix64-ndtri-v2"
     assert [s.t for s in snaps] == [0, 2, 4]
     for mem, disk in zip(kept, snaps):
         # raw little-endian bytes are exactly round-trippable

@@ -17,15 +17,14 @@ from .errors import (
     ValidationError,
 )
 from .multiindex import MultiIndex
-from .hermite import hermite_1d, hermite_multi, hermite_table
+from .hermite import hermite_1d, hermite_table
 from .kernel_expansion import (
     KernelExpansionParams,
     gauss_kernel,
     truncated_kernel,
-    truncated_kernel_shifted,
     truncation_error_scan,
 )
-from .regions import Ball, Box, UnionRegion, moment, volume, region_from_json
+from .regions import Ball, Box, UnionRegion, moment
 from .simulator import (
     OffspringLaw,
     SimConfig,
@@ -38,9 +37,8 @@ from .simulator import (
 )
 from .martingales import (
     NTable,
-    conditional_expectation_field,
     estimate_n,
-    lp_increment_diagnostic,
+    l2_increment_diagnostic,
     n0_second_moment,
     n_second_moment,
     second_moment_oracle,
@@ -48,10 +46,7 @@ from .martingales import (
 from .expansion import (
     expansion_value,
     expansion_values,
-    plugin_expansion,
-    plugin_time,
     required_indices,
-    theorem_a_form,
 )
 from .inference import (
     DesignSystem,
@@ -71,18 +66,14 @@ __all__ = [
     "MultiIndex",
     "hermite_1d",
     "hermite_table",
-    "hermite_multi",
     "KernelExpansionParams",
     "gauss_kernel",
     "truncated_kernel",
-    "truncated_kernel_shifted",
     "truncation_error_scan",
     "Box",
     "Ball",
     "UnionRegion",
     "moment",
-    "volume",
-    "region_from_json",
     "OffspringLaw",
     "SimConfig",
     "Snapshot",
@@ -93,17 +84,13 @@ __all__ = [
     "read_snapshot_file",
     "NTable",
     "estimate_n",
-    "conditional_expectation_field",
     "second_moment_oracle",
     "n0_second_moment",
     "n_second_moment",
-    "lp_increment_diagnostic",
+    "l2_increment_diagnostic",
     "required_indices",
     "expansion_value",
     "expansion_values",
-    "theorem_a_form",
-    "plugin_expansion",
-    "plugin_time",
     "DesignSystem",
     "design_matrix",
     "solve_n",

@@ -245,10 +245,13 @@ def cmd_predict(args) -> int:
 def _read_counts_csv(path: str, n_sets: int) -> np.ndarray:
     counts = np.full(n_sets, np.nan)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [
-            row for row in csv.reader(fh)
-            if row and not row[0].lstrip().startswith("#")
-        ]
+        try:
+            rows = [
+                row for row in csv.reader(fh)
+                if row and not row[0].lstrip().startswith("#")
+            ]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"bad counts file {path}: {exc}") from None
     if rows and rows[0][:2] == ["region_id", "count"]:
         rows = rows[1:]
     seen = set()
@@ -317,8 +320,8 @@ def cmd_diagnose(args) -> int:
     # the population cap leaves no output behind.
     seeds = [(base_seed + r) % 2**64 for r in range(args.runs)]
     profiles = [sim.radius_profile(dataclasses.replace(cfg, seed=s)) for s in seeds]
-    tables = mg.lp_increment_diagnostic(
-        args.replicas, alphas, 2, min(cfg.t_max, 8), law, seed=base_seed,
+    tables = mg.l2_increment_diagnostic(
+        args.replicas, alphas, min(cfg.t_max, 8), law, seed=base_seed,
         population_cap=cfg.population_cap,
     )
 
@@ -337,20 +340,18 @@ def cmd_diagnose(args) -> int:
     for alpha, table in zip(alphas, tables):
         tag = "+".join(str(c) for c in alpha)
         for row in table.rows:
-            exact = "" if row.exact_norm is None else repr(row.exact_norm)
-            increments.append(f"{tag},2,{row.t},{row.empirical_norm!r},{exact}")
+            increments.append(
+                f"{tag},2,{row.t},{row.empirical_norm!r},{row.exact_norm!r}")
         ratio = table.mean_successive_ratio()
         increments.append(f"# mean successive ratio alpha=({tag}) t in [2,8]: {ratio!r}")
 
-    # Limit second moments: recursion-consistent value vs. the variant
-    # closed form (they disagree; both are reported on purpose).
-    moments = ["alpha,limit_second_moment,variant_closed_form"]
+    # Closed-form limit second moments E[N_alpha^2].
+    moments = ["alpha,limit_second_moment"]
     if law.mean > 1.0:
-        moments.append(f"{'+'.join('0' * cfg.d)},{mg.n0_second_moment(law)!r},")
+        moments.append(f"{'+'.join('0' * cfg.d)},{mg.n0_second_moment(law)!r}")
         for alpha in (e1, tuple(2 * c for c in e1)):
             tag = "+".join(str(c) for c in alpha)
-            moments.append(f"{tag},{mg.n_second_moment(alpha, law)!r},"
-                           f"{mg.n_second_moment_alt(alpha, law)!r}")
+            moments.append(f"{tag},{mg.n_second_moment(alpha, law)!r}")
     else:
         moments.append("# law is not supercritical; limit moments undefined")
 

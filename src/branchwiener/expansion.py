@@ -19,7 +19,6 @@ small T — see inference.predict).
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -27,16 +26,10 @@ import numpy as np
 from . import multiindex as mi
 from . import regions as rg
 from .errors import ValidationError
-from .martingales import v_alpha_many
 from .multiindex import MultiIndex
-from .simulator import Snapshot
 
 #: Largest expansion order; moments beyond |beta| = 2k hit the region cap.
 MAX_ORDER = rg.MOMENT_CAP // 2
-
-
-class PluginTimeWarning(UserWarning):
-    """Emitted when a plug-in evaluation uses a snapshot with t >= T/2."""
 
 
 def required_indices(k: int, d: int) -> list[MultiIndex]:
@@ -95,62 +88,3 @@ def expansion_values(regions, T: float, k: int, table) -> list[float]:
 def expansion_value(region, T: float, k: int, table) -> float:
     """S_k(A, T) for one region; see expansion_values."""
     return expansion_values([region], T, k, table)[0]
-
-
-def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:
-    """Two-term form of the order-1 expansion:
-
-        N0 * vol(A) - (1/2T) * integral_A (N0 |x|^2 - 2 N1.x + N2) dx
-
-    with N1 a d-vector.  Algebraically identical to expansion_value at k=1
-    when N1 = (N_{e_i})_i and N2 = sum_i N_{2 e_i}.
-    """
-    d = region.dim
-    n1 = [float(c) for c in n1]
-    if len(n1) != d:
-        raise ValidationError(f"N1 has dim {len(n1)}, region has {d}")
-    eye = np.eye(d, dtype=int).tolist()
-    betas = [[0] * d] + eye + [[2 * c for c in e] for e in eye]
-    m = rg.moment_matrix([region], betas)[0].tolist()
-    vol, quad, lin = m[0], 0.0, 0.0
-    for i in range(d):
-        lin += n1[i] * m[1 + i]
-        quad += m[1 + d + i]
-    return n0 * vol - (n0 * quad - 2.0 * lin + n2 * vol) / (2.0 * T)
-
-
-def plugin_expansion(s: Snapshot, region, T: float, k: int, m: float) -> float:
-    """S_k with each N_gamma replaced by the snapshot value
-    V_gamma(t)/m^t.
-
-    Deterministic given the snapshot.  The substitution is only an
-    approximation of the limits when t is well below T; t >= T/2 is flagged
-    with a warning rather than rejected.
-    """
-    if s.d != region.dim:
-        raise ValidationError(f"snapshot dim {s.d} != region dim {region.dim}")
-    if s.t >= T / 2.0:
-        warnings.warn(
-            f"plug-in time t={s.t} is not below T/2 = {T / 2}; the "
-            "approximation quality degrades",
-            PluginTimeWarning,
-            stacklevel=2,
-        )
-    gammas = required_indices(k, s.d)
-    scale = m ** (-s.t)
-    vs = v_alpha_many(s, gammas)
-    table = {g: v * scale for g, v in vs.items()}
-    return expansion_value(region, T, k, table)
-
-
-def plugin_time(T: float, k: int) -> int:
-    """A safe snapshot time for plug-in use at horizon T and order k.
-
-    Picks floor(T^gamma) with gamma = 0.9/(2(k+1)), strictly inside the
-    t < T^(1/(2(k+1))) window where the substitution error stays below the
-    truncation error; never below 1.
-    """
-    if T <= 1:
-        raise ValidationError("T must exceed 1")
-    gamma = 0.9 / (2.0 * (k + 1))
-    return max(1, int(math.floor(T**gamma)))

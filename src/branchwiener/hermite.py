@@ -88,21 +88,6 @@ def hermite_table(n_max: int, x, t: float) -> np.ndarray:
     return np.array([np.ones_like(x), x, *_rows(x, t, n_max)][:n_max + 1])
 
 
-def hermite_multi(alpha, x, t: float):
-    """Product polynomial H_alpha(x, t) = prod_i H_{alpha_i}(x_i, t).
-
-    ``x`` is a point of shape (d,) or a batch of shape (N, d); returns a
-    float or an (N,) array accordingly.
-    """
-    a = as_multiindex(alpha)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        return next(hermite_products(x, t, [a]))
-    if x.shape[0] != a.dim:
-        raise ValidationError(f"point has dim {x.shape[0]}, index {a.dim}")
-    return float(next(hermite_products(x[None, :], t, [a]))[0])
-
-
 def hermite_products(x, t: float, alphas):
     """Yield H_alpha(x_j, t) over the rows x_j of the (N, d) array x, one
     (N,) array per alpha, in the order given.

@@ -5,10 +5,9 @@ For 0 <= t < T the d-dimensional Gaussian kernel admits the expansion
     p_{T-t}(x) = (2 pi T)^(-d/2) * sum_{n>=0} (-T)^(-n) / 2^n
                  * sum_{|alpha|=n} H_{2 alpha}(x, t) / alpha!
 
-together with a shifted two-argument form obtained by binomially expanding
-each H_{2 alpha}.  Truncating the outer sum at n = k gives an order-k
-approximation whose error decays like T^(-(k+1)) (after scaling out the
-(2 pi T)^(-d/2) prefactor); `truncation_error_scan` measures that decay.
+Truncating the outer sum at n = k gives an order-k approximation whose
+error decays like T^(-(k+1)) (after scaling out the (2 pi T)^(-d/2)
+prefactor); `truncation_error_scan` measures that decay.
 
 The series converges for t < T but is only numerically useful well inside
 that range; results with t/T > 1/2 are flagged with a warning.
@@ -114,32 +113,6 @@ def truncated_kernel(params: KernelExpansionParams, x) -> float:
     return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
 
 
-def truncated_kernel_shifted(params: KernelExpansionParams, x, y) -> float:
-    """Two-point order-k truncation: each H_{2 alpha} is expanded binomially
-    around the source point x, i.e. the summand becomes
-
-        sum_{beta <= 2 alpha} C(2 alpha, beta) (-x)^beta H_{2 alpha - beta}(y, t).
-
-    Equals ``truncated_kernel(params, y - x)`` term by term.
-    """
-    x = _as_point(x, params.d)
-    y = _as_point(y, params.d)
-    _warn_if_flagged(params)
-    tables = [hermite_table(2 * params.k, y[i], params.t) for i in range(params.d)]
-    factors = [(-params.T) ** (-n) / 2.0**n for n in range(params.k + 1)]
-    terms = []
-    # The S_k term list, with (-x)^beta H_gamma(y, t) in place of
-    # (-1)^|beta| M_beta N_gamma.
-    for n, fact, c, _, beta, gamma in mi.expansion_terms(params.k, params.d):
-        xb = 1.0
-        h = 1.0
-        for i in range(params.d):
-            xb *= (-x[i]) ** beta[i]
-            h *= float(tables[i][gamma[i]])
-        terms.append(factors[n] / fact * c * xb * h)
-    return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
-
-
 def fit_loglog_slope(T_values, errors) -> float:
     """Least-squares slope of log(error) against log(T).
 
@@ -170,10 +143,6 @@ class ScanRow:
 class ScanTable:
     """Truncation errors on a (k, T) grid plus per-k log-log slopes."""
 
-    d: int
-    t: float
-    offset: tuple[float, ...]
-    scaled: bool
     rows: tuple[ScanRow, ...]
     slopes: dict[int, float] = field(compare=False)
 
@@ -237,7 +206,5 @@ def truncation_error_scan(
             rows.append(ScanRow(k=k, T=T, error=err, flagged=params.flagged))
             errs.append(err)
         slopes[k] = fit_loglog_slope(T_arr, errs)
-    return ScanTable(
-        d=d, t=t, offset=tuple(offset), scaled=scaled, rows=tuple(rows), slopes=slopes
-    )
+    return ScanTable(rows=tuple(rows), slopes=slopes)
 

@@ -8,8 +8,7 @@ With offspring mean m, the normalized process V_alpha(t)/m^t is a martingale
 whose almost-sure limit N_alpha exists for every multi-index; V_0(t) is just
 the population count Z_t, and N_0 = lim Z_t/m^t is the classical branching
 normalization.  This module computes V_alpha from snapshots, estimates the
-N_alpha, evaluates the exact conditional expectation of future region counts
-given a snapshot, and carries the exact second-moment recursion
+N_alpha, and carries the exact second-moment recursion
 
     E[V_a(t)^2] = m^(t-1) a! ( m (t^|a| - (t-1)^|a|) + sigma^2 (t-1)^|a| )
                   + m^2 E[V_a(t-1)^2],      E[V_a(0)^2] = [a == 0],
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
-from .regions import Ball, Box, UnionRegion
+from .regions import _read_json, _real
 from .simulator import (DEFAULT_POPULATION_CAP, OffspringLaw, Snapshot, _check_int,
                         ensemble_states)
 
@@ -49,16 +48,6 @@ def _times_power(x: float, m: float, t: float) -> float | None:
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
-
-
-def _real(value, what: str) -> float:
-    """value as a float; bools, strings and numbers beyond float are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{what} does not fit a float") from None
 
 
 def _growth(m: float, t: float, name: str = "t") -> float:
@@ -170,12 +159,7 @@ class NTable:
 
     @classmethod
     def load(cls, path) -> "NTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:  # also a number too long to parse
-                raise ValidationError(f"bad N-table JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(_read_json(path, "N-table"))
 
 
 def estimate_n(s: Snapshot, alphas: Sequence, law: OffspringLaw, *,
@@ -196,56 +180,6 @@ def estimate_n(s: Snapshot, alphas: Sequence, law: OffspringLaw, *,
     if seed is not None:
         meta["seed"] = seed
     return NTable(d=s.d, m=m, entries=entries, errors=errors, k=k, meta=meta)
-
-
-def _box_gauss_mass(box: Box, positions: np.ndarray, s: float) -> np.ndarray:
-    """P(position + sqrt(s) G in box) per particle, G standard Gaussian."""
-    # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
-    from scipy.special import ndtr
-    sd = math.sqrt(s)
-    lo = (np.asarray(box.lower) - positions) / sd
-    hi = (np.asarray(box.upper) - positions) / sd
-    return np.prod(ndtr(hi) - ndtr(lo), axis=1)
-
-
-def _ball_gauss_mass(ball: Ball, positions: np.ndarray, s: float) -> np.ndarray:
-    """P(position + sqrt(s) G in ball): |x + sqrt(s) G - c|^2 / s is
-    noncentral chi-square with d degrees of freedom and noncentrality
-    |x - c|^2 / s, so the mass is its CDF at radius^2/s."""
-    # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
-    from scipy.special import chndtr
-    d = positions.shape[1]
-    delta = positions - np.asarray(ball.center)
-    nc = np.einsum("ij,ij->i", delta, delta) / s
-    return chndtr(ball.radius**2 / s, d, nc)
-
-
-def _region_gauss_mass(region, positions: np.ndarray, s: float) -> np.ndarray:
-    if isinstance(region, Box):
-        return _box_gauss_mass(region, positions, s)
-    if isinstance(region, Ball):
-        return _ball_gauss_mass(region, positions, s)
-    if isinstance(region, UnionRegion):
-        return sum(_region_gauss_mass(m, positions, s) for m in region.members)
-    raise ValidationError(f"not a region: {region!r}")
-
-
-def conditional_expectation_field(s: Snapshot, region, T: float, m: float) -> float:
-    """E[psi(A, T) | snapshot at t] / m^T, computed exactly.
-
-    Each particle's descendants at time T are centered Gaussians around the
-    particle (variance T - t per coordinate), so the value is
-
-        m^(-t) * sum_particles P(y + sqrt(T-t) G in A).
-    """
-    if region.dim != s.d:
-        raise ValidationError(f"region dim {region.dim} != snapshot dim {s.d}")
-    if not T > s.t:
-        raise ValidationError(f"need T > t, got T={T}, t={s.t}")
-    if s.n == 0:
-        return 0.0
-    mass = _region_gauss_mass(region, s.positions, float(T) - s.t)
-    return float(np.sum(mass)) * m ** (-s.t)
 
 
 def second_moment_oracle(alpha, t: int, law: OffspringLaw) -> float:
@@ -319,11 +253,8 @@ def n_second_moment(alpha, law: OffspringLaw) -> float:
                    + sigma^2 m^-2 sum_{j>=1} m^-j j^q ),   q = |alpha|.
 
     This is the t -> infinity limit of second_moment_oracle(alpha,t)/m^(2t),
-    which matches direct small-t computations.  An alternative closed form
-    whose sigma^2 term carries one extra factor of m disagrees with the
-    recursion and with direct computation; it is kept as
-    :func:`n_second_moment_alt` for diagnostic comparison only.  For
-    alpha = 0 use :func:`n0_second_moment`.
+    which matches direct small-t computations.  For alpha = 0 use
+    :func:`n0_second_moment`.
     """
     a = as_multiindex(alpha)
     if a.order == 0:
@@ -338,25 +269,6 @@ def n_second_moment(alpha, law: OffspringLaw) -> float:
     s_jump = _power_series(m, q, lambda j: float(j) ** q - float(j - 1) ** q)
     s_poly = _power_series(m, q, lambda j: float(j) ** q)
     return factorial(a) * (s_jump + var * s_poly / (m * m))
-
-
-def n_second_moment_alt(alpha, law: OffspringLaw) -> float:
-    """Variant closed form m^-1 alpha! (sigma^2 S_poly + m S_jump).
-
-    Differs from :func:`n_second_moment` by a factor m on the sigma^2 term;
-    kept (and surfaced by the diagnose command) so the discrepancy stays
-    visible rather than silently patched.  Do not use as an oracle.
-    """
-    a = as_multiindex(alpha)
-    if a.order == 0:
-        raise ValidationError("defined for alpha != 0")
-    m, var = law.mean, law.variance
-    if not m > 1.0:
-        raise ValidationError("requires a supercritical law")
-    q = a.order
-    s_jump = _power_series(m, q, lambda j: float(j) ** q - float(j - 1) ** q)
-    s_poly = _power_series(m, q, lambda j: float(j) ** q)
-    return factorial(a) * (var * s_poly + m * s_jump) / m
 
 
 def ensemble_v_matrix(
@@ -394,12 +306,12 @@ def ensemble_v_matrix(
 class IncrementRow:
     t: int
     empirical_norm: float
-    exact_norm: float | None
+    exact_norm: float
 
 
 @dataclass(frozen=True)
 class IncrementTable:
-    """Empirical L^p norms of the martingale increments per generation."""
+    """Empirical L^2 norms of the martingale increments per generation."""
 
     rows: tuple[IncrementRow, ...]
 
@@ -416,26 +328,23 @@ class IncrementTable:
         return float(np.mean(ratios))
 
 
-def lp_increment_diagnostic(
+def l2_increment_diagnostic(
     replicas: int,
     alphas: Sequence,
-    p: int,
     t_max: int,
     law: OffspringLaw,
     *,
     seed: int = 0,
     population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> list[IncrementTable]:
-    """Empirical p-norms of X_t - X_{t-1} with X_t = V_alpha(t)/m^t, one
+    """Empirical L^2 norms of X_t - X_{t-1} with X_t = V_alpha(t)/m^t, one
     table per index in ``alphas``, all from one ensemble of replicas whose
     total population is capped at ``population_cap``.
 
-    For p = 2 an exact column accompanies the estimate: martingale
-    increments are orthogonal, so E[(X_t - X_{t-1})^2] =
-    E[X_t^2] - E[X_{t-1}^2], both available from the recursion oracle.
+    An exact column accompanies the estimate: martingale increments are
+    orthogonal, so E[(X_t - X_{t-1})^2] = E[X_t^2] - E[X_{t-1}^2], both
+    available from the recursion oracle.
     """
-    if p not in (2, 4):
-        raise ValidationError(f"p must be 2 or 4, got {p}")
     alphas = [as_multiindex(a) for a in alphas]
     if not alphas:
         raise ValidationError("need at least one index")
@@ -449,12 +358,10 @@ def lp_increment_diagnostic(
         rows = []
         for t in range(1, t_max + 1):
             diff = x[:, t] - x[:, t - 1]
-            emp = float(np.mean(np.abs(diff) ** p) ** (1.0 / p))
-            exact = None
-            if p == 2:
-                e_t = second_moment_oracle(a, t, law) / m ** (2 * t)
-                e_prev = second_moment_oracle(a, t - 1, law) / m ** (2 * (t - 1))
-                exact = math.sqrt(max(e_t - e_prev, 0.0))
-            rows.append(IncrementRow(t=t, empirical_norm=emp, exact_norm=exact))
+            e_t = second_moment_oracle(a, t, law) / m ** (2 * t)
+            e_prev = second_moment_oracle(a, t - 1, law) / m ** (2 * (t - 1))
+            rows.append(IncrementRow(
+                t=t, empirical_norm=float(np.mean(diff * diff) ** 0.5),
+                exact_norm=math.sqrt(max(e_t - e_prev, 0.0))))
         tables.append(IncrementTable(rows=tuple(rows)))
     return tables

@@ -21,20 +21,32 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MultiIndex, as_multiindex
+from .multiindex import as_multiindex
 
 #: Largest |beta| served by moment(); expansion orders k <= 8 need at most
 #: |beta| = 2k.
 MOMENT_CAP = 16
 
 
+def _real(value, what: str) -> float:
+    """value as a float; bools, strings and numbers beyond float are refused,
+    numpy integer and floating scalars accepted."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} does not fit a float") from None
+
+
 def _as_float_tuple(v, what: str) -> tuple[float, ...]:
     if isinstance(v, (str, bytes)):
         raise ValidationError(f"{what} must be a sequence of reals, got {v!r}")
     try:
-        out = tuple(float(c) for c in v)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be a sequence of reals") from exc
+        out = tuple(_real(c, f"entry {i}") for i, c in enumerate(v))
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"{what} must be a sequence of reals: {exc}") from None
     if len(out) == 0:
         raise ValidationError(f"{what} must be non-empty")
     if not all(math.isfinite(c) for c in out):
@@ -72,10 +84,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_float_tuple(self.center, "center"))
-        try:
-            object.__setattr__(self, "radius", float(self.radius))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"radius must be a real, got {self.radius!r}") from exc
+        object.__setattr__(self, "radius", _real(self.radius, "radius"))
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValidationError(f"radius must be positive, got {self.radius}")
 
@@ -250,11 +259,6 @@ def moment(region, beta) -> float:
     return float(moment_matrix([region], [as_multiindex(beta)])[0, 0])
 
 
-def volume(region) -> float:
-    """Lebesgue volume, i.e. the zero moment."""
-    return moment(region, MultiIndex([0] * region.dim))
-
-
 def region_from_dict(obj) -> Box | Ball | UnionRegion:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("region object needs a 'type' field")
@@ -273,6 +277,22 @@ def region_from_dict(obj) -> Box | Ball | UnionRegion:
     raise ValidationError(f"unknown region type {kind!r}")
 
 
+def _parse_json(data, what: str):
+    """The JSON value of str or UTF-8 bytes; undecodable bytes, malformed
+    JSON, numbers too long to parse and nesting too deep to parse raise
+    ValidationError naming ``what``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"bad {what} JSON: {exc}") from None
+
+
+def _read_json(path, what: str):
+    """The JSON value of the file at ``path``; see _parse_json."""
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), what)
+
+
 def load_json(text_or_path, what: str):
     """Parse JSON given inline or as a file path.
 
@@ -281,15 +301,6 @@ def load_json(text_or_path, what: str):
     error raised on malformed JSON.
     """
     text = str(text_or_path)
-    if not text.lstrip().startswith(("{", "[")):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad {what} JSON: {exc}") from exc
-
-
-def region_from_json(text_or_path) -> Box | Ball | UnionRegion:
-    """Parse a region from a JSON string or a path to a JSON file."""
-    return region_from_dict(load_json(text_or_path, "region"))
+    if text.lstrip().startswith(("{", "[")):
+        return _parse_json(text, what)
+    return _read_json(text, what)

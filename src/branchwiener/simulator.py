@@ -337,7 +337,7 @@ def _make_children(positions, hi, lo, counts, axis_keys, pos, chi, clo):
     """Write the children of one block of parents into pos, chi and clo,
     whose length is counts.sum().  Coordinate j of a child's displacement
     is drawn from its id folded to one word, XOR axis_keys[j]."""
-    # Lazy: ~0.3 s to import; only sampling and the Gaussian-mass oracles use it.
+    # Lazy: ~0.3 s to import, and only sampling needs it.
     from scipy.special import ndtri
     starts = (np.cumsum(counts) - counts).astype(np.uint64)
     rank = np.arange(1, pos.shape[0] + 1, dtype=np.uint64)
@@ -508,7 +508,7 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
             raise fail(index, "record line is truncated or too long")
         try:
             rec = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # also covers UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
             raise fail(index, f"not a JSON record: {exc}") from exc
         if not isinstance(rec, dict):
             raise fail(index, "record is not a JSON object")

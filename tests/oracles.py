@@ -1,19 +1,24 @@
 """Independent references that the tests compare the package against.
 
 Each is a closed form or identity of the heat-calculus Hermite family, of
-the Galton-Watson process or of the region JSON, written directly rather
-than through the package's recurrences, so that agreement is evidence.  No
-workflow runs them, so they live here and not in ``src/``.
+the Gaussian kernel and the density expansion, of the Galton-Watson process
+or of the region JSON, written directly rather than through the package's
+recurrences, so that agreement is evidence.  No workflow runs them, so they
+live here and not in ``src/``.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+from scipy.special import chndtr, ndtr
 
 from branchwiener import hermite as hm
+from branchwiener import kernel_expansion as kx
+from branchwiener import multiindex as mi
 from branchwiener import regions as rg
 from branchwiener import simulator as sim
+from branchwiener.errors import ValidationError
 
 
 def hermite_sum_formula(n: int, x: float, t: float) -> float:
@@ -90,3 +95,97 @@ def surviving_run(cfg: sim.SimConfig) -> list[sim.Snapshot]:
         if snaps[-1].n > 0:
             return snaps
     raise AssertionError(f"no surviving run in 100 seeds from {cfg.seed}")
+
+
+def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:
+    """Two-term form of the order-1 expansion:
+
+        N0 * vol(A) - (1/2T) * integral_A (N0 |x|^2 - 2 N1.x + N2) dx
+
+    with N1 a d-vector.  Algebraically identical to expansion_value at k=1
+    when N1 = (N_{e_i})_i and N2 = sum_i N_{2 e_i}.
+    """
+    d = region.dim
+    n1 = [float(c) for c in n1]
+    if len(n1) != d:
+        raise ValidationError(f"N1 has dim {len(n1)}, region has {d}")
+    eye = np.eye(d, dtype=int).tolist()
+    betas = [[0] * d] + eye + [[2 * c for c in e] for e in eye]
+    m = rg.moment_matrix([region], betas)[0].tolist()
+    vol, quad, lin = m[0], 0.0, 0.0
+    for i in range(d):
+        lin += n1[i] * m[1 + i]
+        quad += m[1 + d + i]
+    return n0 * vol - (n0 * quad - 2.0 * lin + n2 * vol) / (2.0 * T)
+
+
+def truncated_kernel_shifted(params: kx.KernelExpansionParams, x, y) -> float:
+    """Two-point order-k truncation: each H_{2 alpha} is expanded binomially
+    around the source point x, i.e. the summand becomes
+
+        sum_{beta <= 2 alpha} C(2 alpha, beta) (-x)^beta H_{2 alpha - beta}(y, t).
+
+    Equals ``truncated_kernel(params, y - x)`` term by term.
+    """
+    x = kx._as_point(x, params.d)
+    y = kx._as_point(y, params.d)
+    kx._warn_if_flagged(params)
+    tables = [hm.hermite_table(2 * params.k, y[i], params.t) for i in range(params.d)]
+    factors = [(-params.T) ** (-n) / 2.0**n for n in range(params.k + 1)]
+    terms = []
+    # The S_k term list, with (-x)^beta H_gamma(y, t) in place of
+    # (-1)^|beta| M_beta N_gamma.
+    for n, fact, c, _, beta, gamma in mi.expansion_terms(params.k, params.d):
+        xb = 1.0
+        h = 1.0
+        for i in range(params.d):
+            xb *= (-x[i]) ** beta[i]
+            h *= float(tables[i][gamma[i]])
+        terms.append(factors[n] / fact * c * xb * h)
+    return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
+
+
+def _box_gauss_mass(box: rg.Box, positions: np.ndarray, s: float) -> np.ndarray:
+    """P(position + sqrt(s) G in box) per particle, G standard Gaussian."""
+    sd = math.sqrt(s)
+    lo = (np.asarray(box.lower) - positions) / sd
+    hi = (np.asarray(box.upper) - positions) / sd
+    return np.prod(ndtr(hi) - ndtr(lo), axis=1)
+
+
+def _ball_gauss_mass(ball: rg.Ball, positions: np.ndarray, s: float) -> np.ndarray:
+    """P(position + sqrt(s) G in ball): |x + sqrt(s) G - c|^2 / s is
+    noncentral chi-square with d degrees of freedom and noncentrality
+    |x - c|^2 / s, so the mass is its CDF at radius^2/s."""
+    d = positions.shape[1]
+    delta = positions - np.asarray(ball.center)
+    nc = np.einsum("ij,ij->i", delta, delta) / s
+    return chndtr(ball.radius**2 / s, d, nc)
+
+
+def _region_gauss_mass(region, positions: np.ndarray, s: float) -> np.ndarray:
+    if isinstance(region, rg.Box):
+        return _box_gauss_mass(region, positions, s)
+    if isinstance(region, rg.Ball):
+        return _ball_gauss_mass(region, positions, s)
+    if isinstance(region, rg.UnionRegion):
+        return sum(_region_gauss_mass(m, positions, s) for m in region.members)
+    raise ValidationError(f"not a region: {region!r}")
+
+
+def conditional_expectation_field(s: sim.Snapshot, region, T: float, m: float) -> float:
+    """E[psi(A, T) | snapshot at t] / m^T, computed exactly.
+
+    Each particle's descendants at time T are centered Gaussians around the
+    particle (variance T - t per coordinate), so the value is
+
+        m^(-t) * sum_particles P(y + sqrt(T-t) G in A).
+    """
+    if region.dim != s.d:
+        raise ValidationError(f"region dim {region.dim} != snapshot dim {s.d}")
+    if not T > s.t:
+        raise ValidationError(f"need T > t, got T={T}, t={s.t}")
+    if s.n == 0:
+        return 0.0
+    mass = _region_gauss_mass(region, s.positions, float(T) - s.t)
+    return float(np.sum(mass)) * m ** (-s.t)

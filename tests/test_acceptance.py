@@ -158,31 +158,34 @@ def test_a04_shifted_equals_displaced():
         y = rng.normal(0.0, 0.8, size=d)
         params = kx.KernelExpansionParams(d=d, T=T, t=t, k=k)
         direct = kx.truncated_kernel(params, y - x)
-        shifted = kx.truncated_kernel_shifted(params, x, y)
+        shifted = oracles.truncated_kernel_shifted(params, x, y)
         assert abs(direct - shifted) <= 1e-10, (case, direct, shifted)
 
 
 # -------------------------------------------------------------------------
 # 5. Against a fixed 1024-particle population at t=3, the plug-in order-k
-#    expansion approaches the exact conditional-expectation field with the
-#    T^-(k+1) rate: fitted slope within +-0.5 over T in {1e2,1e3,1e4},
-#    for d in {1,2} and k <= 2.  Under 30 s.
+#    expansion (estimate_n's table V_gamma(t)/m^t through expansion_value,
+#    the estimate-n -> predict path) approaches the exact
+#    conditional-expectation field with the T^-(k+1) rate: fitted slope
+#    within +-0.5 over T in {1e2,1e3,1e4}, for d in {1,2} and k <= 2.
+#    Under 30 s.
 # -------------------------------------------------------------------------
 
 
-def test_a05_plugin_tracks_exact_field(merged_1024):
+def test_a05_plugin_tracks_exact_field(merged_1024, binary_law):
     t0 = time.monotonic()
     T_grid = [1e2, 1e3, 1e4]
     for d in (1, 2):
         snap = merged_1024[d]
         box = rg.Box((0.0,) * d, (1.0,) * d)
         for k in (0, 1, 2):
+            table = mg.estimate_n(snap, xp.required_indices(k, d), binary_law)
             errs = []
             for T in T_grid:
                 scaled_field = (2.0 * math.pi * T) ** (d / 2.0) * (
-                    mg.conditional_expectation_field(snap, box, T, 2.0)
+                    oracles.conditional_expectation_field(snap, box, T, 2.0)
                 )
-                plugin = xp.plugin_expansion(snap, box, T, k, 2.0)
+                plugin = xp.expansion_value(box, T, k, table)
                 errs.append(abs(scaled_field - plugin))
             _band(kx.fit_loglog_slope(T_grid, errs), -(k + 1))
     assert time.monotonic() - t0 < 30.0
@@ -303,7 +306,7 @@ def test_a09_order1_two_term_form():
             n2 += table[mi.MultiIndex(e_i)]
         _close(
             xp.expansion_value(region, T, 1, table),
-            xp.theorem_a_form(region, T, table[zero], n1, n2),
+            oracles.theorem_a_form(region, T, table[zero], n1, n2),
             1e-12,
         )
 
@@ -362,7 +365,7 @@ def test_a10_inference_round_trip_and_forecast():
             bounds = np.searchsorted(rep, np.arange(n_rep + 1))
             for r in range(n_rep):
                 snap = sim.Snapshot(t=27, positions=pos[bounds[r]:bounds[r + 1]])
-                fields[r] = mg.conditional_expectation_field(
+                fields[r] = oracles.conditional_expectation_field(
                     snap, region, 30.0, m
                 )
     preds = np.zeros(n_rep)
@@ -447,11 +450,11 @@ def test_a12_radius_bound_and_increment_decay(binary_law, mixed_law):
             if t >= 3:
                 assert radius <= float(t) ** 2, (i, t, radius)
 
-    [tab1] = mg.lp_increment_diagnostic(2000, [(1,)], 2, 8, binary_law, seed=5151)
+    [tab1] = mg.l2_increment_diagnostic(2000, [(1,)], 8, binary_law, seed=5151)
     ratio1 = tab1.mean_successive_ratio()
     assert ratio1 < 1.0
     assert abs(ratio1 - 2.0**-0.5) <= 0.1
-    [tab2] = mg.lp_increment_diagnostic(2000, [(2,)], 2, 8, binary_law, seed=5252)
+    [tab2] = mg.l2_increment_diagnostic(2000, [(2,)], 8, binary_law, seed=5252)
     assert tab2.mean_successive_ratio() < 1.0
-    [tab0] = mg.lp_increment_diagnostic(4000, [(0,)], 2, 8, mixed_law, seed=6161)
+    [tab0] = mg.l2_increment_diagnostic(4000, [(0,)], 8, mixed_law, seed=6161)
     assert tab0.mean_successive_ratio() < 1.0

@@ -97,8 +97,12 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     ({"initial_position": ["a"]}, "initial_position must be a sequence of reals"),
     ({"population_cap": 100.5}, "population_cap must be an integer"),
     ({"test_mode": "false"}, "test_mode must be a boolean"),
+    ({"pmf": [0, "0.5", 0.5]}, "pmf must be a sequence of reals"),
+    ({"pmf": [0, True, 0], "test_mode": True}, "pmf must be a sequence of reals"),
+    ({"initial_position": [10**400]}, "entry 0 does not fit a float"),
 ], ids=["t_max-float", "pmf-string-entry", "pmf-string", "time-string", "time-float",
-        "position-string", "cap-float", "test_mode-string"])
+        "position-string", "cap-float", "test_mode-string", "pmf-numeric-string",
+        "pmf-bool", "position-huge-int"])
 def test_simulate_bad_config_field_types_exit_2(field, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.5, 0.5], "seed": 1, "t_max": 3,
@@ -181,11 +185,55 @@ def test_count_damaged_file_exits_2(doubling_config, tmp_path, capsys):
     flipped = bytearray(good)
     flipped[-3] ^= 0x40
     region = '{"type": "box", "lower": [-1.0], "upper": [1.0]}'
-    for content in (good[:-7], bytes(flipped)):
+    nested = good.split(b"\n", 1)[0] + b"\n" + b"[" * 100_000 + b"\n"
+    for content in (good[:-7], bytes(flipped), nested):
         out.write_bytes(content)
         capsys.readouterr()
         assert cli.main(["count", str(out), "--region", region]) == cli.EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------- unreadable input
+
+NOT_UTF8 = b"\xff\xfe{"
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("bad, content", [
+    ("config", NOT_UTF8),
+    ("config", NESTED),
+    ("region", NOT_UTF8),
+    ("region", NESTED),
+    ("table", NOT_UTF8),
+    ("table", NESTED),
+    ("counts", b"region_id,count\n0,\xff\n"),
+    ("counts", b"region_id,count\n0," + b"1" * 140_000 + b"\n"),
+], ids=["config-not-utf8", "config-nested", "region-not-utf8", "region-nested",
+        "table-not-utf8", "table-nested", "counts-not-utf8", "counts-field-too-long"])
+def test_unreadable_input_exits_2(bad, content, doubling_config, tmp_path, capsys):
+    # Each file is readable but for the one replaced by ``content``: bytes
+    # that are not UTF-8, JSON nested beyond the parser's recursion limit,
+    # or a CSV field beyond csv's 131072-character limit.
+    files = {"config": doubling_config,
+             "region": write_regions(tmp_path / "region.json", [rg.Box((0.0,), (1.0,))]),
+             "sets": write_regions(tmp_path / "sets.json", inf.default_sets(0, 1, 2.0)),
+             "table": str(tmp_path / "table.json"),
+             "counts": str(tmp_path / "counts.csv")}
+    NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0).save(files["table"])
+    Path(files["counts"]).write_text("region_id,count\n0,5.0\n")
+    Path(files[bad]).write_bytes(content)
+    out = str(tmp_path / "out")
+    argv = {
+        "config": ["simulate", "--config", files["config"], "--out", out],
+        "region": ["predict", "--table", files["table"], "--region", files["region"],
+                   "--T", "30"],
+        "counts": ["infer", "--counts", files["counts"], "--sets", files["sets"],
+                   "--T0", "25", "--k", "0", "--m", "1.5", "--out", out],
+    }
+    argv["table"] = argv["region"]
+    assert cli.main(argv[bad]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("out*"))
 
 
 # ------------------------------------------------------------- kernel-check
@@ -330,7 +378,10 @@ def test_predict_non_numeric_region_field_exits_2(region, tmp_path, capsys):
      '"upper": [1, 1, 1]}, {"type": "ball", "center": [0.5, 2e154, 0], "radius": 1}]}',
      "a moment overflows"),
     ('{"type": "box", "lower": "000", "upper": "111"}', "sequence of reals"),
-], ids=["box-1e100", "ball-radius-1e200", "gap-2e154", "string-lower"])
+    ('{"type": "ball", "center": [0], "radius": "1"}', "radius must be a number"),
+    ('{"type": "box", "lower": [true], "upper": [2]}', "lower must be a sequence of reals"),
+], ids=["box-1e100", "ball-radius-1e200", "gap-2e154", "string-lower", "string-radius",
+        "bool-lower"])
 def test_predict_huge_or_string_coordinates_exit_2(region, message, tmp_path, capsys):
     path = tmp_path / "table.json"
     entries = {a: 1.0 for a in xp.required_indices(2, 3)}
@@ -563,7 +614,7 @@ def test_diagnose_outputs(doubling_config, tmp_path, capsys):
     assert "mean successive ratio" in increments
     moments = (tmp_path / "diag.moments.csv").read_text().splitlines()
     rows = [ln for ln in moments if not ln.startswith("#")]
-    assert rows[0] == "alpha,limit_second_moment,variant_closed_form"
+    assert rows[0] == "alpha,limit_second_moment"
     assert len(rows) == 4  # alpha = 0, e1, 2e1
     sidecar = json.loads((tmp_path / "diag.manifest.json").read_text())
     assert len(sidecar["outputs"]) == 3

@@ -94,25 +94,28 @@ def test_theorem_a_form_identity_random():
             e[i] = 2
             n2 += entries[tuple(e)]
         a = xp.expansion_value(region, T, 1, table)
-        b = xp.theorem_a_form(region, T, n0, n1, n2)
+        b = oracles.theorem_a_form(region, T, n0, n1, n2)
         assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
 
 
 def test_theorem_a_form_dim_check():
     with pytest.raises(ValidationError):
-        xp.theorem_a_form(rg.Box((0.0,), (1.0,)), 10.0, 1.0, [1.0, 2.0], 3.0)
+        oracles.theorem_a_form(rg.Box((0.0,), (1.0,)), 10.0, 1.0, [1.0, 2.0], 3.0)
 
 
 def test_plugin_single_particle_at_origin():
     # V_gamma(0) of a single particle at the origin is 1{gamma = 0}, so the
-    # plug-in value must equal the expansion with table {0: 1, others: 0}.
+    # expansion of its estimated table must equal the expansion with table
+    # {0: 1, others: 0}.
+    law = sim.OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
     for d in (1, 2):
         s = Snapshot(t=0, positions=np.zeros((1, d)))
         region = rg.Box((-0.5,) * d, (1.0,) * d)
         table = {g: (1.0 if g.order == 0 else 0.0)
                  for g in xp.required_indices(2, d)}
         for k in (0, 1, 2):
-            a = xp.plugin_expansion(s, region, 40.0, k, 2.0)
+            estimated = mg.estimate_n(s, xp.required_indices(k, d), law)
+            a = xp.expansion_value(region, 40.0, k, estimated)
             b = xp.expansion_value(region, 40.0, k, table)
             assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
 
@@ -123,32 +126,11 @@ def test_plugin_matches_manual_table():
     m = cfg.law.mean
     gammas = xp.required_indices(2, 2)
     table = {g: v / m**s.t for g, v in mg.v_alpha_many(s, gammas).items()}
-    a = xp.plugin_expansion(s, rg.Box((-1.0, -1.0), (1.0, 1.0)), 200.0, 2, m)
-    b = xp.expansion_value(rg.Box((-1.0, -1.0), (1.0, 1.0)), 200.0, 2, table)
+    estimated = mg.estimate_n(s, gammas, cfg.law)
+    box = rg.Box((-1.0, -1.0), (1.0, 1.0))
+    a = xp.expansion_value(box, 200.0, 2, estimated)
+    b = xp.expansion_value(box, 200.0, 2, table)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_plugin_warns_when_t_large():
-    s = Snapshot(t=3, positions=np.zeros((1, 1)))
-    region = rg.Box((0.0,), (1.0,))
-    with pytest.warns(xp.PluginTimeWarning):
-        xp.plugin_expansion(s, region, 5.0, 0, 2.0)
-    with pytest.raises(ValidationError):
-        xp.plugin_expansion(s, rg.Box((0.0, 0.0), (1.0, 1.0)), 50.0, 0, 2.0)
-
-
-def test_plugin_time_window():
-    assert xp.plugin_time(100.0, 1) == 2
-    assert xp.plugin_time(2.0, 0) >= 1
-    for k in (0, 1, 2):
-        prev = 1
-        for T in (10.0, 100.0, 1000.0, 10000.0):
-            t = xp.plugin_time(T, k)
-            assert t >= prev  # non-decreasing in T
-            assert t < T
-            prev = t
-    with pytest.raises(ValidationError):
-        xp.plugin_time(1.0, 0)
 
 
 # ------------------------------------------------------------- properties

@@ -73,14 +73,15 @@ def test_hermite_multi_factorizes():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(40, 3))
     alpha = (2, 0, 3)
-    got = hm.hermite_multi(alpha, pts, 1.3)
+    [got] = hm.hermite_products(pts, 1.3, [alpha])
     ref = (
         hm.hermite_1d(2, pts[:, 0], 1.3)
         * hm.hermite_1d(3, pts[:, 2], 1.3)
     )
     np.testing.assert_allclose(got, ref, rtol=1e-13)
-    # single-point form
-    assert hm.hermite_multi(alpha, pts[0], 1.3) == pytest.approx(got[0], rel=1e-13)
+    # a single point is a batch of one
+    [one] = hm.hermite_products(pts[:1], 1.3, [alpha])
+    assert one[0] == pytest.approx(got[0], rel=1e-13)
 
 
 def test_hermite_products_one_array_per_index():

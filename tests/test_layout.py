@@ -1,19 +1,25 @@
-"""The package holds only what a workflow or the public API runs, and
-makes a generation in one place.
+"""The package holds only what a workflow runs or the README documents,
+and makes a generation in one place.
 
 Every public top-level function or class of ``src/branchwiener`` must be
-referenced in the package outside its own definition, or be listed in
-``__all__``.  References that only tests use live in ``tests/oracles.py``.
-Only ``simulator._advance`` draws offspring and branches, and only
-``simulator._generations`` loops `initial_snapshot` + `step`.
+referenced in the package outside its own definition, or be exported:
+shown called in README.md, which is the package's API.  References that
+only tests use live in ``tests/oracles.py``.  Every name in ``__all__``
+must exist.  Only ``simulator._advance`` draws offspring and branches,
+and only ``simulator._generations`` loops `initial_snapshot` + `step`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "branchwiener"
+import branchwiener
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "branchwiener"
+README = ROOT / "README.md"
 
 
 def _names_used(node) -> set[str]:
@@ -44,23 +50,18 @@ def users_of(name: str, package: Path = PACKAGE) -> list[str]:
     ]
 
 
-def unreferenced_public_names(package: Path = PACKAGE) -> list[str]:
+def undocumented_public_names(package: Path = PACKAGE, readme: Path = README) -> list[str]:
     """module.name of each public top-level function or class that nothing
-    else in the package names and that no ``__all__`` lists."""
+    else in the package names and that README.md never shows called, as
+    ``name(``."""
+    text = readme.read_text(encoding="utf-8")
     tops = _top_level(package)
-    exported = {
-        name
-        for _, node in tops
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for name in ast.literal_eval(node.value)
-    }
     used = [_names_used(node) for _, node in tops]
     out = []
     for i, (module, node) in enumerate(tops):
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if node.name.startswith("_") or node.name in exported:
+        if node.name.startswith("_") or re.search(rf"\b{node.name}\(", text):
             continue
         if not any(node.name in names for j, names in enumerate(used) if j != i):
             out.append(f"{module}.{node.name}")
@@ -68,7 +69,11 @@ def unreferenced_public_names(package: Path = PACKAGE) -> list[str]:
 
 
 def test_every_public_name_has_a_caller_or_is_exported():
-    assert unreferenced_public_names() == []
+    assert undocumented_public_names() == []
+
+
+def test_every_name_in_all_exists():
+    assert [n for n in branchwiener.__all__ if not hasattr(branchwiener, n)] == []
 
 
 @pytest.mark.parametrize("name, user", [

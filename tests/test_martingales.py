@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,32 @@ def test_remainder_equals_the_moment_difference_at_small_t(pmf):
             ), (alpha, t)
 
 
+@pytest.mark.parametrize("pmf", [(0.25, 0.25, 0.5), (0.0, 0.5, 0.5), (0.1, 0.2, 0.3, 0.4)],
+                         ids=["mixed", "one-or-two", "up-to-three"])
+def test_remainder_by_the_addition_formula(pmf):
+    # N_alpha - X_alpha(t) = m^-t sum_i sum_{beta<=alpha} C(alpha,beta)
+    # H_{alpha-beta}(x_i, t) (N^i_beta - [beta = 0]) over the particles i at
+    # t, whose subtrees are independent copies.  Its mean square is
+    # m^-t sum_beta C(alpha,beta)^2 Var(N_beta) (alpha-beta)! t^|alpha-beta|,
+    # as E[sum_i H_gamma(x_i, t)^2] = m^t gamma! t^|gamma|.
+    law = OffspringLaw(pmf)
+    m = law.mean
+    for alpha in [(0,), (1,), (2,), (3,), (1, 1), (2, 1)]:
+        for t in (1, 4, 9):
+            total = 0.0
+            for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                if sum(beta) == 0:
+                    var = mg.n0_second_moment(law) - 1.0
+                else:
+                    var = mg.n_second_moment(beta, law)
+                gamma = [a - b for a, b in zip(alpha, beta)]
+                total += (math.prod(map(math.comb, alpha, beta)) ** 2 * var
+                          * math.prod(map(math.factorial, gamma)) * t ** sum(gamma))
+            assert m ** -t * total == pytest.approx(
+                mg.l2_remainder(alpha, t, law) ** 2, rel=1e-10
+            ), (alpha, t)
+
+
 def test_remainder_under_doubling(binary_law):
     for t in (0, 5, 20, 100):
         assert mg.l2_remainder((0,), t, binary_law) == 0.0
@@ -106,7 +133,7 @@ def test_remainder_at_large_t_where_the_difference_cancels():
 
 def test_remainder_steps_are_the_exact_increments(mixed_law):
     alphas = [(0,), (1,), (2,)]
-    tables = mg.lp_increment_diagnostic(10, alphas, 2, 8, mixed_law, seed=1)
+    tables = mg.l2_increment_diagnostic(10, alphas, 8, mixed_law, seed=1)
     for a, table in zip(alphas, tables):
         for row in table.rows:
             step = (mg.l2_remainder(a, row.t - 1, mixed_law) ** 2
@@ -172,17 +199,7 @@ def test_limit_moments_match_recursion_tail():
     for alpha, limit in [((0,), 1.25), ((1,), 1.25), ((2,), 7.5)]:
         at_40 = mg.second_moment_oracle(alpha, 40, law) / 2.0 ** (2 * 40)
         assert at_40 == pytest.approx(limit, abs=1e-8)
-
-
-def test_variant_closed_form_disagrees_by_design():
-    law = OffspringLaw((0.0, 0.25, 0.5, 0.25))
-    assert mg.n_second_moment_alt((1,), law) == pytest.approx(1.5, abs=1e-10)
-    assert mg.n_second_moment_alt((1,), law) > mg.n_second_moment((1,), law)
-    # with sigma^2 = 0 the two coincide
     binary = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
-    assert mg.n_second_moment((1,), binary) == pytest.approx(
-        mg.n_second_moment_alt((1,), binary), abs=1e-12
-    )
     assert mg.n_second_moment((1,), binary) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValidationError):
         mg.n_second_moment((0,), law)
@@ -198,7 +215,7 @@ def test_field_over_huge_box_is_normalized_population():
     s = oracles.surviving_run(cfg)[-1]
     m = cfg.law.mean
     box = rg.Box((-1e9, -1e9), (1e9, 1e9))
-    field = mg.conditional_expectation_field(s, box, 12.0, m)
+    field = oracles.conditional_expectation_field(s, box, 12.0, m)
     assert field == pytest.approx(s.n / m**5, rel=1e-9)
 
 
@@ -217,7 +234,7 @@ def test_field_box_matches_quadrature():
         return out
 
     ref = sum(mass(y) for y in s.positions) / m**2
-    assert mg.conditional_expectation_field(s, box, T, m) == pytest.approx(
+    assert oracles.conditional_expectation_field(s, box, T, m) == pytest.approx(
         ref, rel=1e-12
     )
 
@@ -238,7 +255,7 @@ def test_field_ball_matches_radial_quadrature():
         )
 
     ref, err = integrate.quad(integrand, 0.0, ball.radius, limit=300)
-    got = mg.conditional_expectation_field(s, ball, T, m)
+    got = oracles.conditional_expectation_field(s, ball, T, m)
     assert got == pytest.approx(ref / m, rel=1e-8)
 
 
@@ -247,13 +264,13 @@ def test_field_union_is_additive():
     a = rg.Box((-2.0,), (0.0,))
     b = rg.Ball((3.0,), 0.75)
     u = rg.UnionRegion((a, b))
-    fa = mg.conditional_expectation_field(s, a, 9.0, 1.25)
-    fb = mg.conditional_expectation_field(s, b, 9.0, 1.25)
-    fu = mg.conditional_expectation_field(s, u, 9.0, 1.25)
+    fa = oracles.conditional_expectation_field(s, a, 9.0, 1.25)
+    fb = oracles.conditional_expectation_field(s, b, 9.0, 1.25)
+    fu = oracles.conditional_expectation_field(s, u, 9.0, 1.25)
     assert fu == pytest.approx(fa + fb, rel=1e-12)
     with pytest.raises(ValidationError):
-        mg.conditional_expectation_field(s, a, 2.0, 1.25)  # T <= t
-    assert mg.conditional_expectation_field(
+        oracles.conditional_expectation_field(s, a, 2.0, 1.25)  # T <= t
+    assert oracles.conditional_expectation_field(
         snap(2, np.zeros((0, 1))), a, 9.0, 1.25
     ) == 0.0
 
@@ -330,33 +347,28 @@ def test_estimate_n_uses_last_snapshot():
 
 
 def test_increment_table_p2_exact_column(binary_law):
-    [table] = mg.lp_increment_diagnostic(400, [(1,)], 2, 5, binary_law, seed=3)
+    [table] = mg.l2_increment_diagnostic(400, [(1,)], 5, binary_law, seed=3)
     assert [r.t for r in table.rows] == [1, 2, 3, 4, 5]
     for row in table.rows:
-        assert row.exact_norm is not None
         # crude sanity: the empirical norm sits within a factor 2 of exact
         assert row.empirical_norm == pytest.approx(row.exact_norm, rel=1.0)
     ratio = table.mean_successive_ratio(2, 5)
     assert 0.0 < ratio < 1.0
 
 
-def test_increment_table_p4_and_validation(binary_law):
-    [table] = mg.lp_increment_diagnostic(100, [(1,)], 4, 3, binary_law, seed=4)
-    assert all(r.exact_norm is None for r in table.rows)
-    with pytest.raises(ValidationError):
-        mg.lp_increment_diagnostic(10, [(1,)], 3, 3, binary_law)
+def test_increment_table_validation(binary_law):
     with pytest.raises(ValidationError, match="at least one index"):
-        mg.lp_increment_diagnostic(10, [], 2, 3, binary_law)
+        mg.l2_increment_diagnostic(10, [], 3, binary_law)
 
 
 def test_increment_tables_share_one_ensemble(mixed_law):
     # One call over several indices runs one ensemble; each table equals
     # the one a single-index call with the same seed gives.
     alphas = [(0, 0), (1, 0), (0, 2)]
-    tables = mg.lp_increment_diagnostic(300, alphas, 2, 5, mixed_law, seed=12)
+    tables = mg.l2_increment_diagnostic(300, alphas, 5, mixed_law, seed=12)
     assert len(tables) == 3
     for a, table in zip(alphas, tables):
-        assert [table] == mg.lp_increment_diagnostic(300, [a], 2, 5, mixed_law, seed=12)
+        assert [table] == mg.l2_increment_diagnostic(300, [a], 5, mixed_law, seed=12)
 
 
 def test_ensemble_v_matrix_shape_and_integrality(mixed_law):

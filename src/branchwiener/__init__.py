@@ -41,7 +41,6 @@ from .martingales import (
     l2_increment_diagnostic,
     n0_second_moment,
     n_second_moment,
-    second_moment_oracle,
 )
 from .expansion import (
     expansion_value,
@@ -84,7 +83,6 @@ __all__ = [
     "read_snapshot_file",
     "NTable",
     "estimate_n",
-    "second_moment_oracle",
     "n0_second_moment",
     "n_second_moment",
     "l2_increment_diagnostic",

@@ -39,15 +39,12 @@ EXIT_CAP = 4
 EXIT_IO = 5
 
 
-def _manifest(subcommand: str, args: argparse.Namespace, inputs, outputs) -> dict:
-    skip = {"func"}
-    arg_view = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip
-    }
+def _manifest(args: argparse.Namespace, inputs, outputs) -> dict:
+    arg_view = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {
         "tool": "branchwiener",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "arguments": arg_view,
         "inputs": list(inputs),
         "outputs": list(outputs),
@@ -61,35 +58,32 @@ def _write_sidecar(out_path: str, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _comment_lines(manifest: dict) -> list[str]:
-    """Deterministic manifest fields embedded as CSV comments (the
-    timestamp stays in the sidecar only)."""
-    lines = [f"{manifest['tool']} {manifest['version']} {manifest['subcommand']}"]
+def _csv_text(manifest: dict, header: str, rows) -> str:
+    """A CSV table headed by the deterministic manifest fields as ``# ``
+    comments (the timestamp stays in the sidecar).  Line breaks inside an
+    argument are escaped, so every comment stays one line."""
+    comments = [f"{manifest['tool']} {manifest['version']} {manifest['subcommand']}"]
     for key, value in manifest["arguments"].items():
-        lines.append(f"arg {key}: {value}")
-    return lines
+        value = str(value).replace("\r", "\\r").replace("\n", "\\n")
+        comments.append(f"arg {key}: {value}")
+    return "".join(f"# {line}\n" for line in comments) + "".join(
+        f"{line}\n" for line in [header, *rows])
 
 
-class _OutSink:
-    """Either a real file (plus manifest sidecar) or stdout."""
+def _emit(path: str | None, manifest: dict, text: str) -> None:
+    """Write ``text`` to stdout, or to ``path`` and its manifest sidecar."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    _write_sidecar(path, {**manifest, "outputs": [*manifest["outputs"], path]})
 
-    def __init__(self, path: str | None, manifest: dict):
-        self.path = path
-        self.manifest = manifest
 
-    def __enter__(self):
-        if self.path is None:
-            return sys.stdout
-        self._fh = open(self.path, "w", encoding="utf-8")
-        return self._fh
-
-    def __exit__(self, exc_type, *rest):
-        if self.path is not None:
-            self._fh.close()
-            if exc_type is None:
-                manifest = dict(self.manifest)
-                manifest["outputs"] = list(manifest["outputs"]) + [self.path]
-                _write_sidecar(self.path, manifest)
+def _config(args) -> sim.SimConfig:
+    """The config of ``--config``, with ``--seed`` applied through its checks."""
+    cfg = sim.SimConfig.from_json(args.config)
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -123,11 +117,13 @@ def _pick_snapshot(snaps, t):
 
 
 def cmd_simulate(args) -> int:
-    cfg = sim.SimConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    manifest = _manifest("simulate", args, [args.config], [args.out])
-    kept = sim.run(cfg, out=args.out, workers=args.workers)
+    cfg = _config(args)
+    manifest = _manifest(args, [args.config], [args.out])
+    try:
+        kept = sim.run(cfg, out=args.out, workers=args.workers)
+    except PopulationCapError:
+        _write_sidecar(args.out, manifest)  # the partial result keeps its manifest
+        raise
     _write_sidecar(args.out, manifest)
     final = kept[-1] if kept else None
     print(
@@ -149,17 +145,14 @@ def cmd_count(args) -> int:
         raise ValidationError("count expects exactly one region")
     snap = _pick_snapshot(snaps, args.t)
     value = sim.count(snap, region[0])
-    manifest = _manifest("count", args, [args.snapshots], [])
-    with _OutSink(args.out, manifest) as fh:
-        if args.format == "json":
-            fh.write(json.dumps({"t": snap.t, "count": value}) + "\n")
-        elif args.format == "csv":
-            for line in _comment_lines(manifest):
-                fh.write(f"# {line}\n")
-            fh.write("t,count\n")
-            fh.write(f"{snap.t},{value}\n")
-        else:
-            fh.write(f"{value}\n")
+    manifest = _manifest(args, [args.snapshots], [])
+    if args.format == "json":
+        text = json.dumps({"t": snap.t, "count": value}) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(manifest, "t,count", [f"{snap.t},{value}"])
+    else:
+        text = f"{value}\n"
+    _emit(args.out, manifest, text)
     return EXIT_OK
 
 
@@ -175,9 +168,12 @@ def cmd_kernel_check(args) -> int:
     scan = kx.truncation_error_scan(
         args.d, args.t, offset, args.k, T_list, scaled=not args.raw
     )
-    manifest = _manifest("kernel-check", args, [], [])
-    with _OutSink(args.out, manifest) as fh:
-        scan.write_csv(fh, comments=_comment_lines(manifest))
+    # One row per grid point; the slope column repeats the per-k fit.
+    rows = [f"{r.k},{r.T:g},{r.error!r},{scan.slopes[r.k]!r},{int(r.flagged)}"
+            for r in scan.rows]
+    manifest = _manifest(args, [], [])
+    _emit(args.out, manifest,
+          _csv_text(manifest, "k,T,error,fitted_slope,flagged", rows))
     return EXIT_OK
 
 
@@ -192,7 +188,7 @@ def cmd_estimate_n(args) -> int:
     last = snaps[-1]
     alphas = xp.required_indices(args.k, last.d)
     table = mg.estimate_n(last, alphas, law, k=args.k, seed=header.get("seed"))
-    manifest = _manifest("estimate-n", args, [args.snapshots], [args.out])
+    manifest = _manifest(args, [args.snapshots], [args.out])
     table.save(args.out)
     _write_sidecar(args.out, manifest)
     print(f"{args.out}: {len(table.entries)} coefficients from t={last.t}")
@@ -202,40 +198,25 @@ def cmd_estimate_n(args) -> int:
 # ---------------------------------------------------------- expand/predict
 
 
-def _emit_predictions(args, preds, manifest) -> None:
-    with _OutSink(args.out, manifest) as fh:
-        if args.format == "json":
-            payload = [
-                {
-                    "region_id": i,
-                    "T": p.T,
-                    "k": p.k,
-                    "s_value": p.s_value,
-                    "normalized_density": p.normalized_density,
-                    "raw_count": p.raw_count,
-                }
-                for i, p in enumerate(preds)
-            ]
-            fh.write(json.dumps(payload, indent=1) + "\n")
-        else:
-            for line in _comment_lines(manifest):
-                fh.write(f"# {line}\n")
-            fh.write("region_id,T,k,s_value,normalized_density,raw_count\n")
-            for i, p in enumerate(preds):
-                raw = "" if p.raw_count is None else repr(p.raw_count)
-                fh.write(
-                    f"{i},{p.T:g},{p.k},{p.s_value!r},"
-                    f"{p.normalized_density!r},{raw}\n"
-                )
-
-
 def cmd_predict(args) -> int:
     """predict and expand: the same evaluation and checks."""
     table = mg.NTable.load(args.table)
     regions = _load_regions(args.region)
     preds = inf.predict_all(regions, args.T, table, k=args.k)
-    manifest = _manifest(args.subcommand, args, [args.table], [])
-    _emit_predictions(args, preds, manifest)
+    manifest = _manifest(args, [args.table], [])
+    if args.format == "json":
+        text = json.dumps([
+            {"region_id": i, "T": p.T, "k": p.k, "s_value": p.s_value,
+             "normalized_density": p.normalized_density, "raw_count": p.raw_count}
+            for i, p in enumerate(preds)
+        ], indent=1) + "\n"
+    else:
+        text = _csv_text(manifest, "region_id,T,k,s_value,normalized_density,raw_count", [
+            f"{i},{p.T:g},{p.k},{p.s_value!r},{p.normalized_density!r},"
+            + ("" if p.raw_count is None else repr(p.raw_count))
+            for i, p in enumerate(preds)
+        ])
+    _emit(args.out, manifest, text)
     return EXIT_OK
 
 
@@ -288,7 +269,7 @@ def cmd_infer(args) -> int:
     counts = _read_counts_csv(args.counts, len(sets))
     table = inf.solve_n(counts, system, args.m)
     table.save(args.out)
-    manifest = _manifest("infer", args, [args.sets, args.counts], [args.out])
+    manifest = _manifest(args, [args.sets, args.counts], [args.out])
     _write_sidecar(args.out, manifest)
     print(
         f"{args.out}: {len(table.entries)} coefficients, "
@@ -301,8 +282,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = sim.SimConfig.from_json(args.config)
-    base_seed = cfg.seed if args.seed is None else args.seed
+    cfg = _config(args)
     if args.runs < 0:
         raise ValidationError(f"--runs {args.runs} must be >= 0")
     eps = args.epsilon
@@ -318,15 +298,15 @@ def cmd_diagnose(args) -> int:
     alphas = ((0,) * cfg.d, e1)
     # Everything is computed before any file is opened, so a run stopped by
     # the population cap leaves no output behind.
-    seeds = [(base_seed + r) % 2**64 for r in range(args.runs)]
+    seeds = [(cfg.seed + r) % 2**64 for r in range(args.runs)]
     profiles = [sim.radius_profile(dataclasses.replace(cfg, seed=s)) for s in seeds]
     tables = mg.l2_increment_diagnostic(
-        args.replicas, alphas, min(cfg.t_max, 8), law, seed=base_seed,
+        args.replicas, alphas, min(cfg.t_max, 8), law, seed=cfg.seed,
         population_cap=cfg.population_cap,
     )
 
     # Radius-versus-t^(1+eps) check over independent runs.
-    radius = ["run,seed,t,max_radius,bound,ok"]
+    radius = []
     worst = 0.0
     for r, (seed, profile) in enumerate(zip(seeds, profiles)):
         for t, rad in profile:
@@ -336,7 +316,7 @@ def cmd_diagnose(args) -> int:
             radius.append(f"{r},{seed},{t},{rad!r},{bounds[t]!r},{ok}")
 
     # L^2 increment decay of the normalized statistics.
-    increments = ["alpha,p,t,empirical_norm,exact_norm"]
+    increments = []
     for alpha, table in zip(alphas, tables):
         tag = "+".join(str(c) for c in alpha)
         for row in table.rows:
@@ -346,7 +326,7 @@ def cmd_diagnose(args) -> int:
         increments.append(f"# mean successive ratio alpha=({tag}) t in [2,8]: {ratio!r}")
 
     # Closed-form limit second moments E[N_alpha^2].
-    moments = ["alpha,limit_second_moment"]
+    moments = []
     if law.mean > 1.0:
         moments.append(f"{'+'.join('0' * cfg.d)},{mg.n0_second_moment(law)!r}")
         for alpha in (e1, tuple(2 * c for c in e1)):
@@ -355,13 +335,15 @@ def cmd_diagnose(args) -> int:
     else:
         moments.append("# law is not supercritical; limit moments undefined")
 
-    manifest = _manifest("diagnose", args, [args.config], [])
-    for part, lines in (("radius", radius), ("increments", increments),
-                        ("moments", moments)):
+    manifest = _manifest(args, [args.config], [])
+    for part, header, rows in (
+        ("radius", "run,seed,t,max_radius,bound,ok", radius),
+        ("increments", "alpha,p,t,empirical_norm,exact_norm", increments),
+        ("moments", "alpha,limit_second_moment", moments),
+    ):
         path = f"{args.out}.{part}.csv"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"# {line}\n" for line in _comment_lines(manifest))
-            fh.writelines(f"{line}\n" for line in lines)
+            fh.write(_csv_text(manifest, header, rows))
         manifest["outputs"].append(path)
     _write_sidecar(args.out, manifest)
     print(f"{args.out}.{{radius,increments,moments}}.csv written; "

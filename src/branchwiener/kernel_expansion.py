@@ -146,19 +146,6 @@ class ScanTable:
     rows: tuple[ScanRow, ...]
     slopes: dict[int, float] = field(compare=False)
 
-    def write_csv(self, fh, comments: list[str] | None = None) -> None:
-        """Write columns k, T, error, fitted_slope, flagged to an open text
-        file (one row per grid point; the slope column repeats the per-k
-        fit)."""
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("k,T,error,fitted_slope,flagged\n")
-        for row in self.rows:
-            fh.write(
-                f"{row.k},{row.T:g},{row.error!r},"
-                f"{self.slopes[row.k]!r},{int(row.flagged)}\n"
-            )
-
 
 def truncation_error_scan(
     d: int,

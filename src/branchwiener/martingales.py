@@ -8,12 +8,13 @@ With offspring mean m, the normalized process V_alpha(t)/m^t is a martingale
 whose almost-sure limit N_alpha exists for every multi-index; V_0(t) is just
 the population count Z_t, and N_0 = lim Z_t/m^t is the classical branching
 normalization.  This module computes V_alpha from snapshots, estimates the
-N_alpha, and carries the exact second-moment recursion
+N_alpha, and carries the exact size of one increment of X_a(s) = V_a(s)/m^s,
 
-    E[V_a(t)^2] = m^(t-1) a! ( m (t^|a| - (t-1)^|a|) + sigma^2 (t-1)^|a| )
-                  + m^2 E[V_a(t-1)^2],      E[V_a(0)^2] = [a == 0],
+    E[(X_a(s) - X_a(s-1))^2] = a! m^(-s-1) ( m (s^q - (s-1)^q) + sigma^2 (s-1)^q ),
 
-(with 0^0 = 1) that anchors all Monte Carlo second-moment checks.
+with q = |a| and 0^0 = 1, for a process started at the origin, where
+X_a(0) = [a == 0].  The increments are orthogonal, so every second moment
+reported here is a sum of these steps.
 """
 
 from __future__ import annotations
@@ -182,25 +183,6 @@ def estimate_n(s: Snapshot, alphas: Sequence, law: OffspringLaw, *,
     return NTable(d=s.d, m=m, entries=entries, errors=errors, k=k, meta=meta)
 
 
-def second_moment_oracle(alpha, t: int, law: OffspringLaw) -> float:
-    """Exact E[V_alpha(t)^2] by the one-step recursion (see module docs).
-
-    The 0^0 = 1 convention applies inside the bracket, which makes the t=1,
-    alpha=0 value equal E[Y^2] = sigma^2 + m^2 as a direct computation gives.
-    """
-    a = as_multiindex(alpha)
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    m, var = law.mean, law.variance
-    q = a.order
-    fact = factorial(a)
-    acc = 1.0 if q == 0 else 0.0  # E[V_alpha(0)^2]
-    for s in range(1, t + 1):
-        bracket = m * (float(s) ** q - float(s - 1) ** q) + var * float(s - 1) ** q
-        acc = m ** (s - 1) * fact * bracket + m**2 * acc
-    return acc
-
-
 def n0_second_moment(law: OffspringLaw) -> float:
     """E[N_0^2] = 1 + sigma^2/(m^2 - m); the limit of E[Z_t^2]/m^(2t)."""
     m, var = law.mean, law.variance
@@ -228,47 +210,37 @@ def _power_series(m: float, q: int, weight) -> float:
             raise ValidationError("second-moment series failed to converge")
 
 
+def _increment_bracket(q: int, s: int, m: float, var: float) -> float:
+    """The bracket of the increment law (module docs):
+    E[(X_s - X_{s-1})^2] = alpha! m^(-s-1) times this, for q = |alpha|."""
+    return m * (s**q - (s - 1) ** q) + var * (s - 1) ** q
+
+
 def l2_remainder(alpha, t: int, law: OffspringLaw) -> float:
     """sqrt(E[(N_alpha - V_alpha(t)/m^t)^2]).  Martingale increments are
-    orthogonal, so its square sums the later increments of the recursion:
+    orthogonal, so its square sums the increments after t,
 
         alpha! * sum_{s>t} m^(-s-1) ( m (s^q - (s-1)^q) + sigma^2 (s-1)^q ),
 
-    summed over j = s - t (as E[N^2] - E[X_t^2] it cancels at large t).
+    over j = s - t (as E[N^2] - E[X_t^2] it would cancel at large t).
     """
     a = as_multiindex(alpha)
     m, var, q = law.mean, law.variance, a.order
     if not m > 1.0:
         raise ValidationError(f"requires a supercritical law; got m={m}")
-    tail = _power_series(
-        m, q, lambda j: m * ((t + j) ** q - (t + j - 1) ** q) + var * (t + j - 1) ** q
-    )
+    tail = _power_series(m, q, lambda j: _increment_bracket(q, t + j, m, var))
     return math.sqrt(factorial(a) * m ** (-t - 1) * tail)
 
 
 def n_second_moment(alpha, law: OffspringLaw) -> float:
-    """E[N_alpha^2] for alpha != 0, as the limit of the recursion:
-
-        alpha! * ( sum_{j>=1} m^-j (j^q - (j-1)^q)
-                   + sigma^2 m^-2 sum_{j>=1} m^-j j^q ),   q = |alpha|.
-
-    This is the t -> infinity limit of second_moment_oracle(alpha,t)/m^(2t),
-    which matches direct small-t computations.  For alpha = 0 use
-    :func:`n0_second_moment`.
-    """
-    a = as_multiindex(alpha)
-    if a.order == 0:
+    """E[N_alpha^2] for alpha != 0: X_alpha(0) = 0, so it is the squared
+    remainder at t = 0.  For alpha = 0 use :func:`n0_second_moment`."""
+    if as_multiindex(alpha).order == 0:
         raise ValidationError(
             "alpha = 0 has the closed form n0_second_moment(law); this "
             "routine handles alpha != 0"
         )
-    m, var = law.mean, law.variance
-    if not m > 1.0:
-        raise ValidationError("requires a supercritical law")
-    q = a.order
-    s_jump = _power_series(m, q, lambda j: float(j) ** q - float(j - 1) ** q)
-    s_poly = _power_series(m, q, lambda j: float(j) ** q)
-    return factorial(a) * (s_jump + var * s_poly / (m * m))
+    return l2_remainder(alpha, 0, law) ** 2
 
 
 def ensemble_v_matrix(
@@ -341,27 +313,26 @@ def l2_increment_diagnostic(
     table per index in ``alphas``, all from one ensemble of replicas whose
     total population is capped at ``population_cap``.
 
-    An exact column accompanies the estimate: martingale increments are
-    orthogonal, so E[(X_t - X_{t-1})^2] = E[X_t^2] - E[X_{t-1}^2], both
-    available from the recursion oracle.
+    An exact column accompanies the estimate: the norm of the increment
+    law (module docs) at each t.
     """
     alphas = [as_multiindex(a) for a in alphas]
     if not alphas:
         raise ValidationError("need at least one index")
-    m = law.mean
+    m, var = law.mean, law.variance
     mats = ensemble_v_matrix(law, alphas[0].dim, alphas, t_max, replicas, seed,
                              population_cap=population_cap)
     scale = m ** (-np.arange(t_max + 1, dtype=np.float64))
     tables = []
     for a in alphas:
         x = mats[a] * scale
+        fact, q = factorial(a), a.order
         rows = []
         for t in range(1, t_max + 1):
             diff = x[:, t] - x[:, t - 1]
-            e_t = second_moment_oracle(a, t, law) / m ** (2 * t)
-            e_prev = second_moment_oracle(a, t - 1, law) / m ** (2 * (t - 1))
+            exact_sq = fact * m ** (-t - 1) * _increment_bracket(q, t, m, var)
             rows.append(IncrementRow(
                 t=t, empirical_norm=float(np.mean(diff * diff) ** 0.5),
-                exact_norm=math.sqrt(max(e_t - e_prev, 0.0))))
+                exact_norm=math.sqrt(exact_sq)))
         tables.append(IncrementTable(rows=tuple(rows)))
     return tables

@@ -1,10 +1,10 @@
 """Independent references that the tests compare the package against.
 
-Each is a closed form or identity of the heat-calculus Hermite family, of
-the Gaussian kernel and the density expansion, of the Galton-Watson process
-or of the region JSON, written directly rather than through the package's
-recurrences, so that agreement is evidence.  No workflow runs them, so they
-live here and not in ``src/``.
+Each is a closed form, identity or recursion of the heat-calculus Hermite
+family, of the Gaussian kernel and the density expansion, of the
+Galton-Watson process and its Hermite martingales, or of the region JSON,
+written directly rather than through the package's code, so that agreement
+is evidence.  No workflow runs them, so they live here and not in ``src/``.
 """
 
 import dataclasses
@@ -76,6 +76,28 @@ def gw_second_moment(t: int, law: sim.OffspringLaw) -> float:
     if m == 1.0:
         return var * t + 1.0
     return var * m ** (t - 1) * (m**t - 1.0) / (m - 1.0) + m ** (2 * t)
+
+
+def second_moment_oracle(alpha, t: int, law: sim.OffspringLaw) -> float:
+    """Exact E[V_alpha(t)^2] by the one-step recursion
+
+        E[V_a(t)^2] = m^(t-1) a! ( m (t^|a| - (t-1)^|a|) + sigma^2 (t-1)^|a| )
+                      + m^2 E[V_a(t-1)^2],      E[V_a(0)^2] = [a == 0].
+
+    The 0^0 = 1 convention applies inside the bracket, which makes the t=1,
+    alpha=0 value equal E[Y^2] = sigma^2 + m^2 as a direct computation gives.
+    """
+    a = mi.as_multiindex(alpha)
+    if t < 0:
+        raise ValidationError("t must be >= 0")
+    m, var = law.mean, law.variance
+    q = a.order
+    fact = mi.factorial(a)
+    acc = 1.0 if q == 0 else 0.0  # E[V_alpha(0)^2]
+    for s in range(1, t + 1):
+        bracket = m * (float(s) ** q - float(s - 1) ** q) + var * float(s - 1) ** q
+        acc = m ** (s - 1) * fact * bracket + m**2 * acc
+    return acc
 
 
 def region_to_dict(region) -> dict:

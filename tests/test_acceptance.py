@@ -229,13 +229,13 @@ def test_a07_second_moment_recursion(
             mat = vmat[alpha]
             for t in range(6):
                 _within_4se(
-                    mat[:, t] ** 2, mg.second_moment_oracle(alpha, t, law)
+                    mat[:, t] ** 2, oracles.second_moment_oracle(alpha, t, law)
                 )
     heavy_law = sim.OffspringLaw((0.5, 0.0, 0.0, 0.5))
     for law in (binary_law, mixed_law, heavy_law):
         for t in range(11):
             _close(
-                mg.second_moment_oracle((0,), t, law),
+                oracles.second_moment_oracle((0,), t, law),
                 oracles.gw_second_moment(t, law),
                 1e-10,
             )

@@ -12,6 +12,7 @@ import branchwiener
 from branchwiener import cli
 from branchwiener import expansion as xp
 from branchwiener import inference as inf
+from branchwiener import kernel_expansion as kx
 from branchwiener import regions as rg
 from branchwiener import simulator as sim
 from branchwiener.martingales import NTable
@@ -122,9 +123,12 @@ def test_simulate_population_cap_exits_4(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(p), "--out", str(out)])
     assert rc == cli.EXIT_CAP
     assert "partial result" in capsys.readouterr().err
-    # the already-streamed snapshots stay readable
+    # the already-streamed snapshots stay readable, with their sidecar
     _, snaps = sim.read_snapshot_file(str(out))
     assert [s.t for s in snaps] == [0, 1]
+    manifest = json.loads((tmp_path / "cap.jsonl.manifest.json").read_text())
+    assert manifest["subcommand"] == "simulate"
+    assert manifest["outputs"] == [str(out)]
 
 
 def test_simulate_zero_workers_exits_2(doubling_config, tmp_path, capsys):
@@ -245,10 +249,18 @@ def test_kernel_check_csv(tmp_path):
                    "--T", "64,128,256", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
+    assert lines[0] == f"# branchwiener {branchwiener.__version__} kernel-check"
     data = [ln for ln in lines if not ln.startswith("#")]
-    assert data[0] == "k,T,error,fitted_slope,flagged"
-    assert len(data) == 1 + 6
-    assert all(ln.endswith(",0") for ln in data[1:])  # t/T far below 1/2
+    assert lines[len(lines) - len(data)] == data[0] == "k,T,error,fitted_slope,flagged"
+    # one row per (k, T); repr floats parse back to the scan's values exactly
+    scan = kx.truncation_error_scan(1, 1.0, [0.7], 1, [64.0, 128.0, 256.0])
+    assert [tuple(ln.split(",")) for ln in data[1:]] == [
+        (str(r.k), f"{r.T:g}", repr(r.error), repr(scan.slopes[r.k]), "0")
+        for r in scan.rows  # flagged is 0: t/T far below 1/2
+    ]
+    assert [float(ln.split(",")[2]) for ln in data[1:]] == [r.error for r in scan.rows]
+    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out)]
     assert cli.main(["kernel-check", "--T", "  "]) == 2
     assert cli.main(["kernel-check", "--T", "64,banana"]) == 2
     # horizons that are not comfortably beyond t are refused outright
@@ -590,6 +602,45 @@ def test_infer_empty_sets_exits_2(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+# ------------------------------------------------------------- csv comments
+
+
+@pytest.mark.parametrize("command",
+                         ["count", "predict", "expand", "kernel-check", "diagnose"])
+def test_csv_comments_escape_line_breaks(command, doubling_config, tmp_path):
+    # A line break inside an argument would end its "# arg" comment, and a
+    # reader that skips comments would read the rest as a row.
+    region = '{"type": "box",\n "lower": [-1.0],\r\n "upper": [1.0]}'
+    out = str(tmp_path / "out.csv")
+    table = tmp_path / "table.json"
+    NTable(d=1, m=1.5, entries={(0,): 1.0, (1,): 0.2, (2,): 0.5}, k=1).save(str(table))
+    snaps = tmp_path / "snaps.bin"
+    assert cli.main(["simulate", "--config", doubling_config, "--out", str(snaps)]) == 0
+    inline_config = json.dumps(json.loads(Path(doubling_config).read_text()), indent=1)
+    argv, headers = {
+        "count": (["count", str(snaps), "--region", region, "--format", "csv",
+                   "--out", out], {out: "t,count"}),
+        "predict": (["predict", "--table", str(table), "--region", region, "--T", "30",
+                     "--out", out],
+                    {out: "region_id,T,k,s_value,normalized_density,raw_count"}),
+        "kernel-check": (["kernel-check", "--T", "64\n128", "--out", out],
+                         {out: "k,T,error,fitted_slope,flagged"}),
+        "diagnose": (["diagnose", "--config", inline_config, "--out", out,
+                      "--runs", "1", "--replicas", "10"],
+                     {f"{out}.radius.csv": "run,seed,t,max_radius,bound,ok",
+                      f"{out}.increments.csv": "alpha,p,t,empirical_norm,exact_norm",
+                      f"{out}.moments.csv": "alpha,limit_second_moment"}),
+    }[command.replace("expand", "predict")]
+    argv[0] = command
+    assert cli.main(argv) == 0
+    for path, header in headers.items():
+        lines = Path(path).read_text().splitlines()
+        comments = lines[:lines.index(header)]
+        assert len(comments) == len(vars(cli.build_parser().parse_args(argv))), path
+        assert all(ln.startswith("# ") for ln in comments), comments
+        assert "\\n" in "".join(comments), path  # the break, escaped
+
+
 # ----------------------------------------------------------------- diagnose
 
 
@@ -642,6 +693,21 @@ def test_diagnose_refuses_a_bad_epsilon(epsilon, doubling_config, tmp_path, caps
                    "--runs", "1", "--replicas", "10", f"--epsilon={epsilon}"])
     assert rc == cli.EXIT_VALIDATION
     assert "--epsilon" in capsys.readouterr().err
+    assert not list(tmp_path.glob("diag*"))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_diagnose_checks_the_seed_before_it_runs(seed, doubling_config, tmp_path,
+                                                 capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("radius_profile ran before --seed was checked")
+
+    monkeypatch.setattr(sim, "radius_profile", no_run)
+    rc = cli.main(["diagnose", "--config", doubling_config, "--out",
+                   str(tmp_path / "diag"), "--runs", "2", "--replicas", "10",
+                   "--seed", seed])
+    assert rc == cli.EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("diag*"))
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -101,21 +100,12 @@ def test_scan_rejects_small_horizons():
         kx.truncation_error_scan(1, 1.0, [0.0], 1, [])
 
 
-def test_scan_table_and_csv():
+def test_scan_table():
     scan = kx.truncation_error_scan(1, 1.0, [0.7], 1, [64.0, 128.0, 256.0])
     assert len(scan.rows) == 2 * 3
     assert [r.T for r in scan.rows if r.k == 0] == [64.0, 128.0, 256.0]
     assert all(r.error >= 0 for r in scan.rows)
     assert set(scan.slopes) == {0, 1}
-    buf = io.StringIO()
-    scan.write_csv(buf, comments=["demo"])
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "k,T,error,fitted_slope,flagged"
-    assert len(lines) == 2 + 6
-    # round-trippable floats: shortest repr parses back exactly
-    first = lines[2].split(",")
-    assert float(first[2]) == scan.rows[0].error
 
 
 def test_raw_scan_rolls_off_faster():

@@ -84,7 +84,7 @@ def test_remainder_equals_the_moment_difference_at_small_t(pmf):
         else:
             limit = mg.n_second_moment(alpha, law)
         for t in range(13):
-            x_t = mg.second_moment_oracle(alpha, t, law) / m ** (2 * t)
+            x_t = oracles.second_moment_oracle(alpha, t, law) / m ** (2 * t)
             assert mg.l2_remainder(alpha, t, law) == pytest.approx(
                 math.sqrt(limit - x_t), rel=1e-9
             ), (alpha, t)
@@ -128,7 +128,8 @@ def test_remainder_at_large_t_where_the_difference_cancels():
     exact = law.variance * m ** (-t - 1) / (m - 1)
     assert mg.l2_remainder((0,), t, law) ** 2 == pytest.approx(exact, rel=1e-11)
     # The difference of second moments reads 0.0 here.
-    assert mg.n0_second_moment(law) - mg.second_moment_oracle((0,), t, law) / m ** (2 * t) == 0.0
+    x_t = oracles.second_moment_oracle((0,), t, law) / m ** (2 * t)
+    assert mg.n0_second_moment(law) - x_t == 0.0
 
 
 def test_remainder_steps_are_the_exact_increments(mixed_law):
@@ -168,12 +169,12 @@ def test_readme_quick_start_error_bars():
 def test_recursion_oracle_base_cases():
     law = OffspringLaw((0.25, 0.25, 0.5))
     m, var = law.mean, law.variance
-    assert mg.second_moment_oracle((0,), 0, law) == 1.0
-    assert mg.second_moment_oracle((1,), 0, law) == 0.0
-    assert mg.second_moment_oracle((0,), 1, law) == pytest.approx(var + m * m)
-    assert mg.second_moment_oracle((2,), 1, law) == pytest.approx(2 * m)
+    assert oracles.second_moment_oracle((0,), 0, law) == 1.0
+    assert oracles.second_moment_oracle((1,), 0, law) == 0.0
+    assert oracles.second_moment_oracle((0,), 1, law) == pytest.approx(var + m * m)
+    assert oracles.second_moment_oracle((2,), 1, law) == pytest.approx(2 * m)
     # direct conditioning: E[V_(1)(2)^2] = m sigma^2 + m^2 + m^3
-    assert mg.second_moment_oracle((1,), 2, law) == pytest.approx(
+    assert oracles.second_moment_oracle((1,), 2, law) == pytest.approx(
         m * var + m**2 + m**3
     )
 
@@ -182,7 +183,7 @@ def test_recursion_matches_classical_population_formula():
     for pmf in [(0.25, 0.25, 0.5), (0.1, 0.2, 0.3, 0.4), (0.5, 0.0, 0.0, 0.5)]:
         law = OffspringLaw(pmf, test_mode=True)
         for t in range(11):
-            a = mg.second_moment_oracle((0,), t, law)
+            a = oracles.second_moment_oracle((0,), t, law)
             b = oracles.gw_second_moment(t, law)
             assert a == pytest.approx(b, rel=1e-10)
 
@@ -197,7 +198,7 @@ def test_limit_moments_match_recursion_tail():
     assert mg.n_second_moment((2,), law) == pytest.approx(7.5, abs=1e-9)
     # the recursion at large t converges to the same limits
     for alpha, limit in [((0,), 1.25), ((1,), 1.25), ((2,), 7.5)]:
-        at_40 = mg.second_moment_oracle(alpha, 40, law) / 2.0 ** (2 * 40)
+        at_40 = oracles.second_moment_oracle(alpha, 40, law) / 2.0 ** (2 * 40)
         assert at_40 == pytest.approx(limit, abs=1e-8)
     binary = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
     assert mg.n_second_moment((1,), binary) == pytest.approx(1.0, abs=1e-10)
@@ -354,6 +355,17 @@ def test_increment_table_p2_exact_column(binary_law):
         assert row.empirical_norm == pytest.approx(row.exact_norm, rel=1.0)
     ratio = table.mean_successive_ratio(2, 5)
     assert 0.0 < ratio < 1.0
+
+
+def test_increment_exact_column_is_the_closed_form_step():
+    # For alpha = 0 the step of the increment law is sigma^2 m^(-t-1); the
+    # difference of two second moments loses digits as m^t grows.
+    law = OffspringLaw((0.0, 0.5, 0.5))
+    m, var = law.mean, law.variance
+    [table] = mg.l2_increment_diagnostic(10, [(0,)], 8, law, seed=2)
+    for row in table.rows:
+        want = math.sqrt(var * m ** (-row.t - 1))
+        assert row.exact_norm == pytest.approx(want, rel=1e-15, abs=0), row.t
 
 
 def test_increment_table_validation(binary_law):

@@ -121,8 +121,10 @@ def cmd_simulate(args) -> int:
     manifest = _manifest(args, [args.config], [args.out])
     try:
         kept = sim.run(cfg, out=args.out, workers=args.workers)
-    except PopulationCapError:
-        _write_sidecar(args.out, manifest)  # the partial result keeps its manifest
+    except PopulationCapError as exc:
+        # The partial result keeps its manifest, which records the abort.
+        manifest["aborted"] = {"t": exc.t, "population": exc.population, "cap": exc.cap}
+        _write_sidecar(args.out, manifest)
         raise
     _write_sidecar(args.out, manifest)
     final = kept[-1] if kept else None

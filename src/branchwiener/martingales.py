@@ -30,16 +30,27 @@ from .errors import ValidationError
 from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import _read_json, _real
-from .simulator import (DEFAULT_POPULATION_CAP, OffspringLaw, Snapshot, _check_int,
+from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, Snapshot, _check_int,
                         ensemble_states)
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
     """V_alpha of a snapshot for each given index: the sum over particles of
-    H_alpha(position, t)."""
+    H_alpha(position, t), with the bits of `np.sum` over the whole product."""
     alphas = [as_multiindex(a) for a in alphas]
-    products = hermite_products(s.positions, float(s.t), alphas)
-    return {a: float(np.sum(w)) for a, w in zip(alphas, products)}
+    return dict(zip(alphas, _pairwise_v(s.positions, float(s.t), alphas).tolist()))
+
+
+def _pairwise_v(x, t: float, alphas) -> np.ndarray:
+    """`np.sum` of each H_alpha product over the rows of x, one leaf of at
+    most BLOCK rows at a time.  numpy's pairwise sum splits n rows at
+    n//2 - (n//2) % 8 until a part has at most 128; splitting the same way,
+    with leaves of at least 128 rows, adds in its order and gives its bits."""
+    n = x.shape[0]
+    if n <= BLOCK:
+        return np.array([np.sum(w) for w in hermite_products(x, t, alphas)])
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_v(x[:half], t, alphas) + _pairwise_v(x[half:], t, alphas)
 
 
 def _times_power(x: float, m: float, t: float) -> float | None:

@@ -62,7 +62,9 @@ _ONE_BITS = _U64(0x3FF0000000000000)
 
 #: Parents per block of the branching kernel, and the one threshold for
 #: threads: a step of fewer than two blocks runs on the calling thread.
-BLOCK = 1 << 16
+#: Also the largest leaf of `martingales.v_alpha_many`, whose sums keep the
+#: bits of `np.sum` only while it is at least 128.
+BLOCK = 1 << 13
 
 
 def _mix(x: np.ndarray) -> np.ndarray:

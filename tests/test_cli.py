@@ -57,6 +57,7 @@ def test_simulate_writes_file_and_sidecar(doubling_config, tmp_path, capsys):
     assert manifest["subcommand"] == "simulate"
     assert manifest["outputs"] == [str(out)]
     assert manifest["tool"] == "branchwiener"
+    assert "aborted" not in manifest
 
 
 def test_simulate_reruns_are_byte_identical(doubling_config, tmp_path):
@@ -129,6 +130,8 @@ def test_simulate_population_cap_exits_4(tmp_path, capsys):
     manifest = json.loads((tmp_path / "cap.jsonl.manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["outputs"] == [str(out)]
+    # the sidecar says where the cap hit: 2**2 > 3 at generation 2
+    assert manifest["aborted"] == {"t": 2, "population": 4, "cap": 3}
 
 
 def test_simulate_zero_workers_exits_2(doubling_config, tmp_path, capsys):

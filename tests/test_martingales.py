@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from branchwiener import hermite as hm
 from branchwiener import martingales as mg
 from branchwiener import regions as rg
 from branchwiener.martingales import NTable
-from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot, run
+from branchwiener.simulator import BLOCK as B, OffspringLaw, SimConfig, Snapshot, run
 
 import oracles
 
@@ -31,18 +32,56 @@ def test_v_alpha_single_particle():
 
 
 def test_v_alpha_many_matches_individuals():
+    # Bit for bit, also when the population spans several leaves of BLOCK rows.
     rng = np.random.default_rng(5)
-    s = snap(4, rng.normal(scale=2.0, size=(50, 2)))
     alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
-    table = mg.v_alpha_many(s, alphas)
-    for a in alphas:
-        naive = np.sum(
-            hm.hermite_1d(a[0], s.positions[:, 0], 4.0)
-            * hm.hermite_1d(a[1], s.positions[:, 1], 4.0)
-        )
-        assert table[a] == pytest.approx(naive, rel=1e-12)
-    with pytest.raises(ValidationError):
-        mg.v_alpha_many(s, [(1,)])
+    for n in (50, 3 * B + 5):
+        s = snap(4, rng.normal(scale=2.0, size=(n, 2)))
+        table = mg.v_alpha_many(s, alphas)
+        for a in alphas:
+            naive = np.sum(
+                hm.hermite_1d(a[0], s.positions[:, 0], 4.0)
+                * hm.hermite_1d(a[1], s.positions[:, 1], 4.0)
+            )
+            assert table[a] == naive
+        with pytest.raises(ValidationError):
+            mg.v_alpha_many(s, [(1,)])
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 7, 8, 127, 128, 129, B - 1, B + 1, 2 * B + 1, 2**20 + 3, 3_000_017],
+    ids=["0", "1", "7", "8", "127", "128", "129", "B-1", "B+1", "2B+1", "2^20+3", "3000017"])
+def test_leaf_sums_have_the_bits_of_np_sum(n):
+    # V_(1) at t=0 is the sum of the coordinates, taken leaf by leaf in
+    # numpy's pairwise order; a numpy whose np.sum adds in another order
+    # fails here first.
+    for seed in (0, 1):
+        rng = np.random.default_rng([n, seed])
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        got = mg.v_alpha_many(snap(0, x[:, None]), [(1,)])[(1,)]
+        assert np.float64(got).tobytes() == np.sum(x).tobytes()
+
+
+def test_v_alpha_many_scratch_is_bounded_by_leaves():
+    # One leaf of BLOCK rows at a time: the scratch is a few rows per index
+    # of one leaf, whatever n is; the whole-population products hold n-row
+    # arrays.
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    s = snap(5, np.random.default_rng(1).normal(size=(16 * B, 2)))
+    bound = 8 * B * len(alphas)
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    whole = lambda: [np.sum(w) for w in hm.hermite_products(s.positions, 5.0, alphas)]
+    assert peak(whole) > bound
+    assert peak(lambda: mg.v_alpha_many(s, alphas)) <= bound
 
 
 def test_estimate_n_validation(binary_law):

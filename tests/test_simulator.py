@@ -138,7 +138,7 @@ def _parents(n, d, seed=5):
 B = sim.BLOCK
 
 
-@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1], ids=["B-1", "B", "B+1", "2B+1"])
 def test_block_kernel_matches_whole_population_build(n):
     law = OffspringLaw((0.3, 0.2, 0.3, 0.2), test_mode=True)
     s = _parents(n, 2)

@@ -167,9 +167,11 @@ def contains(region, x):
             f"points of shape {x.shape} do not match region dim {region.dim}"
         )
     if isinstance(region, Box):
-        lo = np.asarray(region.lower)
-        hi = np.asarray(region.upper)
-        mask = np.all((pts >= lo) & (pts < hi), axis=1)
+        # One axis at a time into one mask: no (N, d) temporaries.
+        mask = np.ones(pts.shape[0], dtype=bool)
+        for j, (lo, hi) in enumerate(zip(region.lower, region.upper)):
+            mask &= pts[:, j] >= lo
+            mask &= pts[:, j] < hi
     elif isinstance(region, Ball):
         c = np.asarray(region.center)
         # radius**2 overflows above 1.3e154, where any finite distance**2 is inside.

@@ -19,9 +19,11 @@ lineage id is itself a hash of (parent id, birth rank).  Two consequences:
 The hash is the splitmix64 finalizer, one mix per draw: each word of a
 child's id is one mix of both parent words and the rank, and each draw is
 one mix of the id folded to one word (hi ^ lo) XOR a scalar key of (seed,
-purpose).  Uniforms feed the exact inverse Gaussian CDF (scipy's ndtri).
-The sampler name recorded in snapshot file headers is
-``splitmix64-ndtri-v2``.
+purpose).  Uniforms feed the inverse Gaussian CDF `_ndtri`, Wichura's
+AS241 in numpy: within 2e-15 relative of the exact quantile, and built from
++, -, *, / and sqrt alone, so its bits depend on neither libm nor numpy's
+SIMD paths.  The sampler name recorded in snapshot file headers is
+``splitmix64-as241-v3``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import PopulationCapError, ValidationError
 from . import regions as _regions
 
-SAMPLER_NAME = "splitmix64-ndtri-v2"
+SAMPLER_NAME = "splitmix64-as241-v3"
 DEFAULT_POPULATION_CAP = 10**8
 SNAPSHOT_FORMAT_VERSION = 2
 # Longest header or record line the reader accepts (records are ~100 bytes).
@@ -104,6 +106,125 @@ def _u01(h: np.ndarray) -> np.ndarray:
     u = h.view(np.float64)
     u -= 1.0 - 2.0**-53
     return u
+
+
+# Wichura, "Algorithm AS 241" (Applied Statistics 37, 1988), PPND16:
+# numerator and denominator of each rational branch, lowest power first.
+_AS241_CENTRE = (
+    (3.3871328727963666080e0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
+     1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+     3.3430575583588128105e+4, 2.5090809287301226727e+3),
+    (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2, 5.3941960214247511077e+3,
+     2.1213794301586595867e+4, 3.9307895800092710610e+4, 2.8729085735721942674e+4,
+     5.2264952788528545610e+3),
+)
+_AS241_TAIL = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+# fdlibm e_log.c: Lg1..Lg7, and ln 2 split so that k * _LN2_HI is exact.
+_LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+       2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+       1.479819860511658591e-01)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_MANTISSA = _U64((1 << 52) - 1)
+
+
+def _ratio(coefs, x):
+    """num(x) / den(x) for coefs = (num, den), by Horner's rule in two new
+    arrays."""
+    num, den = coefs
+    p = x * num[-1]
+    q = x * den[-1]
+    for a, b in zip(num[-2:0:-1], den[-2:0:-1]):
+        p += a
+        p *= x
+        q += b
+        q *= x
+    p += num[0]
+    q += den[0]
+    p /= q
+    return p
+
+
+def _neg_log(x: np.ndarray) -> np.ndarray:
+    """-log x of positive normal floats, overwriting x; fdlibm's log.
+
+    The bits give x = 2^k (1 + f) with sqrt(1/2) <= 1 + f < sqrt(2), and
+    log(1 + f) = f - f^2/2 + s (f^2/2 + R(s^2)) with s = f / (2 + f) and R
+    fdlibm's polynomial, here by Horner's rule in s^2."""
+    b = x.view(_U64)
+    big = b & _MANTISSA
+    big += _U64(0x00095F6400000000)
+    big &= _U64(1 << 52)  # 2^52 where the mantissa is at least about sqrt(2)
+    k = b + big
+    k >>= _U64(52)
+    b &= _MANTISSA
+    b |= _ONE_BITS
+    b -= big  # halves 1 + f where big is set, as k + 1 doubles 2^k
+    k = k.view(np.int64).astype(np.float64)
+    k -= 1023.0
+    f = x
+    f -= 1.0
+    s = f + 2.0
+    np.divide(f, s, out=s)
+    z = s * s
+    r = z * _LG[-1]
+    for c in _LG[-2::-1]:
+        r += c
+        r *= z
+    h = f * f
+    h *= 0.5
+    r += h
+    r *= s
+    r += np.multiply(k, _LN2_LO, out=z)
+    h -= r
+    h -= f
+    k *= _LN2_HI
+    h -= k
+    return h
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each u in (0, 1), a normal float.
+
+    Wichura's AS241 (PPND16): on the centre, a rational function of
+    r = 0.180625 - q^2 with q = u - 1/2, computed over the whole array and
+    kept where r >= 0 (|q| <= 0.425, 85% of draws).  On the tails, with
+    s = sqrt(-log min(u, 1 - u)), one of s - 1.6 where s <= 5, and of s - 5
+    beyond (u within e^-25 of 0 or 1).  Within 2e-15 relative of the exact
+    quantile on the sampler's uniforms, and ``_ndtri(1 - u) == -_ndtri(u)``
+    wherever 1 - u is exact."""
+    q = u - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    z = _ratio(_AS241_CENTRE, r)
+    z *= q
+    tail = np.flatnonzero(r < 0.0)
+    if tail.size:
+        p = np.take(u, tail)
+        np.minimum(p, 1.0 - p, out=p)
+        s = _neg_log(p)
+        np.sqrt(s, out=s)
+        x = _ratio(_AS241_TAIL, s - 1.6)
+        far = np.flatnonzero(s > 5.0)
+        if far.size:
+            x[far] = _ratio(_AS241_FAR, s[far] - 5.0)
+        np.put(z, tail, np.copysign(x, np.take(q, tail)))
+    return z
 
 
 def _child_ids(parent_hi, parent_lo, rank):
@@ -320,6 +441,11 @@ def initial_snapshot(cfg: SimConfig) -> Snapshot:
     return Snapshot(t=0, positions=pos, id_hi=hi, id_lo=lo)
 
 
+#: Offspring laws of at most this many outcomes are drawn by one comparison
+#: per cut point, which beats a binary search that far.
+_COMPARE_OUTCOMES = 8
+
+
 def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
     det = law.deterministic_value
     if det is not None:
@@ -327,11 +453,19 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
         # nothing because counter-based draws consume no shared state.
         return np.full(hi.shape[0], det, dtype=np.int64)
     key = _key(seed, _TAG_OFFSPRING)
-    counts = np.empty(hi.shape[0], dtype=np.int64)
+    cum = law._cumulative
+    counts = np.zeros(hi.shape[0], dtype=np.int64)
     for a in range(0, hi.shape[0], BLOCK):
         h = hi[a:a + BLOCK] ^ lo[a:a + BLOCK]
         h ^= key
-        counts[a:a + BLOCK] = np.searchsorted(law._cumulative, _u01(_mix(h)), side="right")
+        u = _u01(_mix(h))
+        c = counts[a:a + BLOCK]
+        if cum.size <= _COMPARE_OUTCOMES:
+            # searchsorted(cum, u, "right") counts the cuts <= u; u < 1 = cum[-1].
+            for cut in cum[:-1]:
+                c += u >= cut
+        else:
+            c[:] = np.searchsorted(cum, u, side="right")
     return counts
 
 
@@ -339,14 +473,12 @@ def _make_children(positions, hi, lo, counts, axis_keys, pos, chi, clo):
     """Write the children of one block of parents into pos, chi and clo,
     whose length is counts.sum().  Coordinate j of a child's displacement
     is drawn from its id folded to one word, XOR axis_keys[j]."""
-    # Lazy: ~0.3 s to import, and only sampling needs it.
-    from scipy.special import ndtri
     starts = (np.cumsum(counts) - counts).astype(np.uint64)
     rank = np.arange(1, pos.shape[0] + 1, dtype=np.uint64)
     rank -= np.repeat(starts, counts)
     chi[:], clo[:] = _child_ids(np.repeat(hi, counts), np.repeat(lo, counts), rank)
     pos[:] = np.repeat(positions, counts, axis=0)
-    pos += ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
+    pos += _ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
 
 
 def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):

@@ -748,10 +748,21 @@ def test_import_loads_no_scipy():
     assert _scipy_loaded_by("import branchwiener") == []
 
 
-def test_package_source_never_names_scipy_stats():
+def test_package_source_never_names_scipy():
     package = Path(branchwiener.__file__).resolve().parent
     for path in sorted(package.rglob("*.py")):
-        assert "scipy.stats" not in path.read_text(encoding="utf-8"), path
+        assert "scipy" not in path.read_text(encoding="utf-8"), path
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_sampling_commands_load_no_scipy(command, doubling_config, tmp_path):
+    argv = {
+        "simulate": ["--config", doubling_config, "--out", str(tmp_path / "snaps.bin")],
+        "diagnose": ["--config", doubling_config, "--out", str(tmp_path / "diag"),
+                     "--runs", "1", "--replicas", "20"],
+    }[command]
+    body = f"from branchwiener.cli import main\nassert main({[command, *argv]!r}) == 0"
+    assert _scipy_loaded_by(body) == []
 
 
 @pytest.mark.parametrize("command", ["count", "estimate-n", "predict"])

@@ -67,6 +67,12 @@ def test_contains_box_half_open():
     assert not rg.contains(box, (0.5, 1.0))
     pts = np.array([[0.5, 0.5], [1.0, 1.0], [-0.1, 0.2]])
     np.testing.assert_array_equal(rg.contains(box, pts), [True, False, False])
+    # Each axis is tested against its own bounds: a point on each face.
+    cell = Box((0.0, -1.0, 2.0), (1.0, 0.0, 3.0))
+    pts = np.array([[0.0, -1.0, 2.0], [1.0, -0.5, 2.5], [0.5, 0.0, 2.5],
+                    [0.5, -0.5, 3.0], [0.5, -1.5, 2.5], [0.5, -0.5, 2.5]])
+    np.testing.assert_array_equal(rg.contains(cell, pts),
+                                  [True, False, False, False, False, True])
 
 
 def test_contains_ball_closed():

@@ -106,9 +106,8 @@ def test_worker_count_does_not_change_output():
 
 def _whole_population_step(s, law, seed):
     """The children of every parent built in one pass, as one array per
-    field, with the v2 draws written out: the reference the block kernel
-    must match bit for bit."""
-    from scipy.special import ndtri
+    field, with the draws written out: the reference the block kernel must
+    match bit for bit."""
 
     def draw(fold, tag):
         key = np.uint64(sim._mix_int(seed * sim._GOLDEN + tag))
@@ -125,7 +124,7 @@ def _whole_population_step(s, law, seed):
     lo = sim._mix((plo ^ (rank * np.uint64(sim._GOLDEN))) + phi)
     pos = s.positions[parents].copy()
     for j in range(s.d):
-        pos[:, j] += ndtri(draw(hi ^ lo, sim._TAG_POSITION + j * sim._TAG_STRIDE))
+        pos[:, j] += sim._ndtri(draw(hi ^ lo, sim._TAG_POSITION + j * sim._TAG_STRIDE))
     return pos, hi, lo
 
 
@@ -341,6 +340,22 @@ def test_displacements_of_siblings_and_of_parent_and_child_are_uncorrelated(powe
         _assert_uncorrelated(z_parent[:, j] ** power, first ** power)
 
 
+@pytest.mark.parametrize("outcomes", [sim._COMPARE_OUTCOMES, sim._COMPARE_OUTCOMES + 1],
+                         ids=["compare", "search"])
+def test_offspring_counts_are_a_binary_search_also_at_the_cut_points(outcomes):
+    seed = 31
+    hi, lo = sim._root_ids(7, 2 * B + 5)
+    u = sim._u01(sim._mix(hi ^ lo ^ sim._key(seed, sim._TAG_OFFSPRING)))
+    # Cut points at the first uniforms: multiples of 2^-53, so the pmf
+    # entries and their running sums are exact.
+    cuts = np.sort(u[:outcomes - 1])
+    law = OffspringLaw(tuple(np.diff(cuts, prepend=0.0, append=1.0)), test_mode=True)
+    np.testing.assert_array_equal(law._cumulative[:-1], cuts)
+    counts = sim._offspring_counts(law, seed, hi, lo)
+    np.testing.assert_array_equal(counts, np.searchsorted(law._cumulative, u, side="right"))
+    assert sorted(counts[:outcomes - 1]) == list(range(1, outcomes))
+
+
 def test_ids_and_draw_keys_of_a_million_children_are_distinct():
     s = _doubling_generations(20, 1, 404)[-1]
     assert s.n == 1 << 20
@@ -348,6 +363,59 @@ def test_ids_and_draw_keys_of_a_million_children_are_distinct():
     hi, lo = s.id_hi[order], s.id_lo[order]
     assert not np.any((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1]))
     assert np.unique(s.id_hi ^ s.id_lo).size == s.n
+
+
+# ------------------------------------------------------- inverse normal CDF
+
+
+def _midpoints(k):
+    """The sampler's uniforms (k + 1/2) / 2^52 for top-52-bit values k."""
+    return (np.asarray(k, dtype=np.float64) + 0.5) * 2.0**-52
+
+
+# The 10^5 smallest and largest, which hold the edge of the far tails
+# (u = e^-25 from 0 or 1, k = 62546), and 2000 each side of the edges of
+# the centre (u = 0.075 and 0.925).
+_EDGES = np.concatenate([np.arange(10**5), 337769972052787 + np.arange(-1000, 1000)])
+_ENDS = _midpoints(np.concatenate([_EDGES, (1 << 52) - 1 - _EDGES]))
+
+
+def test_ndtri_is_within_2e_15_of_scipy():
+    from scipy.special import ndtri
+    k = np.random.default_rng(14).integers(0, 1 << 52, size=1 << 20, dtype=np.uint64)
+    u = np.concatenate([_midpoints(k), _ENDS])
+    with np.errstate(all="raise"):
+        got = sim._ndtri(u)
+    want = ndtri(u)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+
+
+def test_ndtri_is_antisymmetric_bit_for_bit():
+    k = np.random.default_rng(15).integers(0, 1 << 52, size=1 << 16, dtype=np.uint64)
+    u = np.concatenate([_midpoints(k), _ENDS]).reshape(2, -1)
+    np.testing.assert_array_equal(sim._ndtri(1.0 - u).view(np.uint64),
+                                  (-sim._ndtri(u)).view(np.uint64))
+
+
+# Pins the stream: k of the midpoint, and the float's bits.  Both tail
+# branches, both sides of each edge, and the centre.
+_NDTRI_PINS = [
+    (0, "-0x1.06b48528cea51p+3"),
+    (62545, "-0x1.aa1b1e6eab81fp+2"),  # s = 5.000000, far tail
+    (62546, "-0x1.aa1b1492d018dp+2"),  # s = 4.999999
+    (1000000000, "-0x1.43231838a6e8ep+2"),
+    (337769972052786, "-0x1.7085226d3e528p+0"),  # tail
+    (337769972052787, "-0x1.7085226d3e521p+0"),  # centre
+    (2251799813685247, "-0x1.40d931ff62707p-52"),
+    (2351799813685248, "0x1.c8304e4f62900p-5"),
+    (4165829655317709, "0x1.7085226d3e528p+0"),
+    (4503599627370495, "0x1.06b48528cea51p+3"),
+]
+
+
+def test_ndtri_pinned_bits():
+    k, bits = zip(*_NDTRI_PINS)
+    assert [float(z).hex() for z in sim._ndtri(_midpoints(k))] == list(bits)
 
 
 # ------------------------------------------------------------------ file IO
@@ -362,7 +430,7 @@ def test_snapshot_file_round_trip(tmp_path):
     assert header["d"] == 3
     assert header["pmf"] == [0.25, 0.25, 0.5]
     assert header["seed"] == 5150
-    assert header["sampler"] == sim.SAMPLER_NAME == "splitmix64-ndtri-v2"
+    assert header["sampler"] == sim.SAMPLER_NAME == "splitmix64-as241-v3"
     assert [s.t for s in snaps] == [0, 2, 4]
     for mem, disk in zip(kept, snaps):
         # raw little-endian bytes are exactly round-trippable

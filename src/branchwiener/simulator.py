@@ -199,24 +199,27 @@ def _neg_log(x: np.ndarray) -> np.ndarray:
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of each u in (0, 1), a normal float.
+    """The standard normal quantile of each u, overwriting u: the sampler's
+    uniforms, multiples of 2^-53 in (0, 1), so that u - 1/2 is exact.
 
     Wichura's AS241 (PPND16): on the centre, a rational function of
     r = 0.180625 - q^2 with q = u - 1/2, computed over the whole array and
     kept where r >= 0 (|q| <= 0.425, 85% of draws).  On the tails, with
-    s = sqrt(-log min(u, 1 - u)), one of s - 1.6 where s <= 5, and of s - 5
-    beyond (u within e^-25 of 0 or 1).  Within 2e-15 relative of the exact
-    quantile on the sampler's uniforms, and ``_ndtri(1 - u) == -_ndtri(u)``
-    wherever 1 - u is exact."""
-    q = u - 0.5
+    s = sqrt(-log(1/2 - |q|)) and 1/2 - |q| = min(u, 1 - u), one of s - 1.6
+    where s <= 5, and of s - 5 beyond (u within e^-25 of 0 or 1).  Within
+    2e-15 relative of the exact quantile, and ``_ndtri(1 - u) == -_ndtri(u)``.
+    At its peak it holds four arrays of u's shape: q, r and the two Horner
+    accumulators."""
+    q = np.subtract(u, 0.5, out=u)
     r = q * q
     np.subtract(0.180625, r, out=r)
     z = _ratio(_AS241_CENTRE, r)
     z *= q
     tail = np.flatnonzero(r < 0.0)
     if tail.size:
-        p = np.take(u, tail)
-        np.minimum(p, 1.0 - p, out=p)
+        p = np.take(q, tail)
+        np.abs(p, out=p)
+        np.subtract(0.5, p, out=p)
         s = _neg_log(p)
         np.sqrt(s, out=s)
         x = _ratio(_AS241_TAIL, s - 1.6)
@@ -441,12 +444,10 @@ def initial_snapshot(cfg: SimConfig) -> Snapshot:
     return Snapshot(t=0, positions=pos, id_hi=hi, id_lo=lo)
 
 
-#: Offspring laws of at most this many outcomes are drawn by one comparison
-#: per cut point, which beats a binary search that far.
-_COMPARE_OUTCOMES = 8
-
-
 def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
+    """Each parent's offspring count: the number of cut points of the law's
+    cumulative pmf at or below its uniform, one comparison per cut point
+    (as ``searchsorted(cum, u, "right")``, since u < 1 = cum[-1])."""
     det = law.deterministic_value
     if det is not None:
         # Point-mass law: the draw would be constant; skipping it changes
@@ -460,12 +461,8 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
         h ^= key
         u = _u01(_mix(h))
         c = counts[a:a + BLOCK]
-        if cum.size <= _COMPARE_OUTCOMES:
-            # searchsorted(cum, u, "right") counts the cuts <= u; u < 1 = cum[-1].
-            for cut in cum[:-1]:
-                c += u >= cut
-        else:
-            c[:] = np.searchsorted(cum, u, side="right")
+        for cut in cum[:-1]:
+            c += u >= cut
     return counts
 
 

@@ -171,11 +171,10 @@ def test_threads_start_only_on_steps_of_two_blocks(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_step_scratch_memory_is_bounded_by_blocks(workers):
     # Besides its outputs and the counts, a step holds a constant times
-    # BLOCK per running block (under 200 bytes per parent of a doubling
-    # law); building all children at once held about 1000.
+    # BLOCK per running block (about 105, 160 and 227 bytes per parent of a
+    # doubling law at d = 1, 2 and 3); building all children at once held
+    # about 1000 at d = 1.
     law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
-    s = _parents(8 * B, 1)
-    bound = 256 * workers * B + 8 * s.n  # scratch, and the counts
 
     def peak(build):
         tracemalloc.start()
@@ -186,12 +185,16 @@ def test_step_scratch_memory_is_bounded_by_blocks(workers):
         finally:
             tracemalloc.stop()
 
-    def step():
-        c = sim.step(s, law, 9, workers=workers)
-        return c.positions, c.id_hi, c.id_lo
+    for d in (1, 2, 3):
+        s = _parents(8 * B, d)
+        bound = 256 * workers * B + 8 * s.n  # scratch, and the counts
 
-    assert peak(lambda: _whole_population_step(s, law, 9)) > bound
-    assert peak(step) <= bound
+        def step():
+            c = sim.step(s, law, 9, workers=workers)
+            return c.positions, c.id_hi, c.id_lo
+
+        assert peak(lambda: _whole_population_step(s, law, 9)) > bound
+        assert peak(step) <= bound, d
 
 
 def test_same_seed_reproduces_different_seed_differs():
@@ -340,8 +343,7 @@ def test_displacements_of_siblings_and_of_parent_and_child_are_uncorrelated(powe
         _assert_uncorrelated(z_parent[:, j] ** power, first ** power)
 
 
-@pytest.mark.parametrize("outcomes", [sim._COMPARE_OUTCOMES, sim._COMPARE_OUTCOMES + 1],
-                         ids=["compare", "search"])
+@pytest.mark.parametrize("outcomes", [2, 3, 9, 33])
 def test_offspring_counts_are_a_binary_search_also_at_the_cut_points(outcomes):
     seed = 31
     hi, lo = sim._root_ids(7, 2 * B + 5)
@@ -385,7 +387,7 @@ def test_ndtri_is_within_2e_15_of_scipy():
     k = np.random.default_rng(14).integers(0, 1 << 52, size=1 << 20, dtype=np.uint64)
     u = np.concatenate([_midpoints(k), _ENDS])
     with np.errstate(all="raise"):
-        got = sim._ndtri(u)
+        got = sim._ndtri(u.copy())
     want = ndtri(u)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
 

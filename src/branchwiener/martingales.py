@@ -31,7 +31,7 @@ from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import _read_json, _real
 from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, Snapshot, _check_int,
-                        ensemble_states)
+                        _REPLICA_CHUNK, _replica_chunks)
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
@@ -267,21 +267,22 @@ def ensemble_v_matrix(
     """Raw V_alpha(t) for a batch of independent replicas.
 
     Returns alpha -> array of shape (n_replicas, t_max+1); column t holds
-    V_alpha(t) per replica (0 for extinct replicas).  All replicas advance
-    in lockstep so the Hermite tables and offspring draws vectorize.
+    V_alpha(t) per replica (0 for extinct replicas).  Chunks of replicas
+    advance in lockstep, each with the particles, in order, that the whole
+    batch gives its replicas, so each `np.bincount` sum is the batch's.
     """
     alphas = [as_multiindex(a) for a in alphas]
     for a in alphas:
         if a.dim != d:
             raise ValidationError(f"index dim {a.dim} != d={d}")
+    if n_replicas < 1:
+        raise ValidationError("need at least one replica")
     out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
-    for t, pos, rep in ensemble_states(
-        law, d, n_replicas, t_max, seed, population_cap=population_cap
-    ):
-        if pos.shape[0] == 0:
-            continue
+    for first, t, pos, rep in _replica_chunks(law, d, n_replicas, t_max, seed,
+                                              population_cap, _REPLICA_CHUNK):
         for a, w in zip(alphas, hermite_products(pos, float(t), alphas)):
-            out[a][:, t] = np.bincount(rep, weights=w, minlength=n_replicas)
+            sums = np.bincount(rep, weights=w)
+            out[a][first:first + sums.size, t] = sums
     return out
 
 

@@ -67,6 +67,9 @@ _ONE_BITS = _U64(0x3FF0000000000000)
 #: Also the largest leaf of `martingales.v_alpha_many`, whose sums keep the
 #: bits of `np.sum` only while it is at least 128.
 BLOCK = 1 << 13
+#: Parents per part of a run that `radius_profile` walks depth first, and
+#: replicas per lockstep chunk of `martingales.ensemble_v_matrix`.
+_RUN_CHUNK, _REPLICA_CHUNK = 4 * BLOCK, BLOCK // 4
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -243,8 +246,8 @@ def _child_ids(parent_hi, parent_lo, rank):
     return _mix(hi), _mix(lo)
 
 
-def _root_ids(seed: int, count: int):
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+def _root_ids(seed: int, stop: int, first: int = 0):
+    idx = np.arange(first + 1, stop + 1, dtype=np.uint64)
     s0 = _U64(_mix_int(seed * _GOLDEN + 1))
     s1 = _U64(_mix_int(seed * _SALT + 2))
     return _mix(s0 ^ (idx * _M1)), _mix(s1 ^ (idx * _M2))
@@ -503,11 +506,12 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
 
 
 def _advance(s: Snapshot, law: OffspringLaw, seed: int, population_cap: int,
-             workers: int) -> tuple[Snapshot, np.ndarray]:
+             workers: int, made: int = 0) -> tuple[Snapshot, np.ndarray]:
     """The next generation of s and each parent's offspring count: the one
-    place that draws offspring, applies the population cap and branches."""
+    place that draws offspring, applies the population cap (to these
+    children plus ``made`` others of their generation) and branches."""
     counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
-    total = int(counts.sum())
+    total = made + int(counts.sum())
     if total > population_cap:
         raise PopulationCapError(s.t + 1, total, population_cap)
     pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d, workers)
@@ -535,18 +539,36 @@ def step(
     return _advance(s, law, seed, population_cap, workers)[0]
 
 
-def _generations(cfg: SimConfig, workers: int) -> Iterator[Snapshot]:
-    """The run of cfg, one snapshot per generation t = 0..t_max.
+def _generations(cfg: SimConfig, workers: int, chunk: int | None = None) -> Iterator[Snapshot]:
+    """The run of cfg, one snapshot per generation t = 0..t_max; with
+    ``chunk`` set, depth first: the children of at most ``chunk`` parents at
+    a time, holding one step's children per generation and advancing no
+    empty part.  The cap applies to each generation's total; an abort names
+    a generation over it and the count made by then, which can be below
+    that total (and the generation later than the first over the cap).
 
     Generations are made by the public `step` rather than `_advance`, so
     that wrapping `step` (as a profiler or tracer does) sees every one.
     """
-    law = cfg.law
+    law, cap = cfg.law, cfg.population_cap
+    made = [0] * (cfg.t_max + 1)
     s = initial_snapshot(cfg)
     yield s
-    for _ in range(cfg.t_max):
-        s = step(s, law, cfg.seed, population_cap=cfg.population_cap, workers=workers)
+    todo = [(s, 0)] if cfg.t_max else []
+    while todo:
+        s, a = todo.pop()
+        b = s.n if chunk is None else a + chunk
+        if b < s.n:
+            todo.append((s, b))
+        part = Snapshot(s.t, s.positions[a:b], s.id_hi[a:b], s.id_lo[a:b])
+        try:
+            s = step(part, law, cfg.seed, population_cap=cap - made[s.t + 1], workers=workers)
+        except PopulationCapError as exc:
+            raise PopulationCapError(exc.t, made[exc.t] + exc.population, cap) from None
+        made[s.t] += s.n
         yield s
+        if s.t < cfg.t_max and (s.n or chunk is None):
+            todo.append((s, 0))
 
 
 def _json_line(obj: dict) -> bytes:
@@ -736,10 +758,15 @@ def max_radius(s: Snapshot) -> float:
 def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float]]:
     """(t, max_radius) for every generation up to t_max (stops at extinction).
 
-    Memory-light: nothing is retained beyond the current generation.
+    The run is walked depth first, `_RUN_CHUNK` parents at a time; the
+    largest radius of a generation is the largest over its parts, so the
+    profile is the whole run's bit for bit.
     """
-    alive = itertools.takewhile(lambda s: s.n > 0, _generations(cfg, workers))
-    return [(s.t, max_radius(s)) for s in alive]
+    top: dict[int, float] = {}
+    for s in _generations(cfg, workers, _RUN_CHUNK):
+        if s.n:
+            top[s.t] = max(top.get(s.t, 0.0), max_radius(s))
+    return sorted(top.items())
 
 
 def ensemble_states(
@@ -762,14 +789,26 @@ def ensemble_states(
     """
     if n_replicas < 1:
         raise ValidationError("need at least one replica")
+    for _, t, pos, rep in _replica_chunks(law, d, n_replicas, t_max, seed,
+                                          population_cap, n_replicas):
+        yield t, pos, rep
+
+
+def _replica_chunks(law, d, n_replicas, t_max, seed, population_cap, chunk):
+    """`ensemble_states`, ``chunk`` replicas at a time from the roots the
+    whole batch gives them, as (first, t, positions, replica_index) with
+    replica_index counted from replica ``first``; the cap as `_generations`."""
     if d < 1:
         raise ValidationError(f"dimension {d} must be >= 1")
     seed = _check_int(seed, "seed", 0, 2**64)
-    hi, lo = _root_ids(seed, n_replicas)
-    s = Snapshot(t=0, positions=np.zeros((n_replicas, d)), id_hi=hi, id_lo=lo)
-    rep = np.arange(n_replicas, dtype=np.int64)
-    yield 0, s.positions, rep
-    for _ in range(t_max):
-        s, counts = _advance(s, law, seed, population_cap, 1)
-        rep = np.repeat(rep, counts)
-        yield s.t, s.positions, rep
+    made = [0] * (t_max + 1)
+    for first in range(0, n_replicas, chunk):
+        hi, lo = _root_ids(seed, min(first + chunk, n_replicas), first)
+        s = Snapshot(t=0, positions=np.zeros((hi.shape[0], d)), id_hi=hi, id_lo=lo)
+        rep = np.arange(hi.shape[0], dtype=np.int64)
+        yield first, 0, s.positions, rep
+        for _ in range(t_max):
+            s, counts = _advance(s, law, seed, population_cap, 1, made[s.t + 1])
+            made[s.t] += s.n
+            rep = np.repeat(rep, counts)
+            yield first, s.t, s.positions, rep

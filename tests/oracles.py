@@ -119,6 +119,20 @@ def surviving_run(cfg: sim.SimConfig) -> list[sim.Snapshot]:
     raise AssertionError(f"no surviving run in 100 seeds from {cfg.seed}")
 
 
+def whole_batch_v_matrix(law, d, alphas, t_max, n_replicas, seed,
+                         population_cap=sim.DEFAULT_POPULATION_CAP) -> dict:
+    """V_alpha(t) per replica, as ``martingales.ensemble_v_matrix`` returns
+    it, from one lockstep run of the whole batch (``ensemble_states``) and
+    one ``np.bincount`` over all of its particles per generation and index."""
+    alphas = [mi.as_multiindex(a) for a in alphas]
+    out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
+    for t, pos, rep in sim.ensemble_states(law, d, n_replicas, t_max, seed,
+                                           population_cap=population_cap):
+        for a, w in zip(alphas, hm.hermite_products(pos, float(t), alphas)):
+            out[a][:, t] = np.bincount(rep, weights=w, minlength=n_replicas)
+    return out
+
+
 def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:
     """Two-term form of the order-1 expansion:
 

@@ -714,6 +714,15 @@ def test_diagnose_checks_the_seed_before_it_runs(seed, doubling_config, tmp_path
     assert not list(tmp_path.glob("diag*"))
 
 
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_diagnose_refuses_an_empty_ensemble(replicas, doubling_config, tmp_path, capsys):
+    rc = cli.main(["diagnose", "--config", doubling_config, "--out", str(tmp_path / "diag"),
+                   "--runs", "1", "--replicas", replicas])
+    assert rc == cli.EXIT_VALIDATION
+    assert "need at least one replica" in capsys.readouterr().err
+    assert not list(tmp_path.glob("diag*"))
+
+
 def test_diagnose_refuses_negative_runs(doubling_config, tmp_path, capsys):
     rc = cli.main(["diagnose", "--config", doubling_config, "--out", str(tmp_path / "diag"),
                    "--runs", "-2", "--replicas", "10"])

@@ -10,6 +10,7 @@ from branchwiener.errors import ValidationError
 from branchwiener import hermite as hm
 from branchwiener import martingales as mg
 from branchwiener import regions as rg
+from branchwiener import simulator as sim
 from branchwiener.martingales import NTable
 from branchwiener.simulator import BLOCK as B, OffspringLaw, SimConfig, Snapshot, run
 
@@ -420,6 +421,48 @@ def test_increment_tables_share_one_ensemble(mixed_law):
     assert len(tables) == 3
     for a, table in zip(alphas, tables):
         assert [table] == mg.l2_increment_diagnostic(300, [a], 5, mixed_law, seed=12)
+
+
+C = sim._REPLICA_CHUNK  # replicas per lockstep chunk of ensemble_v_matrix
+
+
+@pytest.mark.parametrize("n_replicas", [1, C - 1, C, C + 1, 2 * C + 3])
+def test_ensemble_v_matrix_is_the_whole_batch_bit_for_bit(n_replicas):
+    # Half the replicas of this law die out, so chunks also end in replicas
+    # with no particles left.
+    law = OffspringLaw((0.25, 0.25, 0.5))
+    alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
+    got = mg.ensemble_v_matrix(law, 2, alphas, 5, n_replicas, seed=8080)
+    want = oracles.whole_batch_v_matrix(law, 2, alphas, 5, n_replicas, seed=8080)
+    assert sorted(got) == sorted(want)
+    for a in want:
+        assert got[a].tobytes() == want[a].tobytes(), a
+    if n_replicas > C:
+        assert (want[(0, 0)][:, -1] == 0).any()
+
+
+def test_ensemble_v_matrix_holds_one_replica_chunk():
+    # Beyond its output, eight chunks of doubling replicas hold what one
+    # chunk does; the whole batch holds all of their particles at once.
+    law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
+    alphas = [(0,), (1,)]
+
+    def beyond_output(build):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in out.values())
+
+    one = beyond_output(lambda: mg.ensemble_v_matrix(law, 1, alphas, 5, C, seed=3))
+    many = beyond_output(lambda: mg.ensemble_v_matrix(law, 1, alphas, 5, 8 * C, seed=3))
+    whole = beyond_output(lambda: oracles.whole_batch_v_matrix(law, 1, alphas, 5, 8 * C,
+                                                               seed=3))
+    assert many <= 1.1 * one
+    assert whole > 4 * one
 
 
 def test_ensemble_v_matrix_shape_and_integrality(mixed_law):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from branchwiener.errors import PopulationCapError, ValidationError
+from branchwiener import martingales as mg
 from branchwiener import regions as rg
 from branchwiener import simulator as sim
 from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot
@@ -656,9 +657,104 @@ def test_one_replica_ensemble_is_the_run(name):
         assert rep.tolist() == [0] * s.n
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_radius_profile_is_max_radius_until_extinction(name):
-    cfg = RUNS[name]
-    alive = [s for s in sim.run(cfg) if s.n > 0]
+
+
+# ------------------------------------------------ depth-first radius runs
+
+# Runs whose generations span 3 or more chunks, as (config, parents per
+# chunk, or None for the package's): the last generations of the wide run
+# span 3, 4 and 5 chunks, and the critical run grows to 26 particles (9
+# chunks of 3) and dies out at t=28.
+CHUNKED_RUNS = {
+    "wide-in-chunks": (SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=1, t_max=30), None),
+    "extinct-in-chunks": (SimConfig(d=2, pmf=(0.5, 0.0, 0.5), seed=297, t_max=40,
+                                    test_mode=True), 3),
+    "doubling-in-chunks": (SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=17,
+                                     test_mode=True), None),
+    "doubling-in-small-chunks": (SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=9,
+                                           test_mode=True), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted([*RUNS, *CHUNKED_RUNS]))
+def test_radius_profile_is_max_radius_until_extinction(name, monkeypatch):
+    cfg, chunk = CHUNKED_RUNS[name] if name in CHUNKED_RUNS else (RUNS[name], None)
+    if chunk is not None:
+        monkeypatch.setattr(sim, "_RUN_CHUNK", chunk)
+    cfg = dataclasses.replace(cfg, snapshot_times=tuple(range(cfg.t_max + 1)))
+    snaps = sim.run(cfg)
+    alive = [s for s in snaps if s.n > 0]
     assert [s.t for s in alive] == list(range(len(alive)))
+    if name in CHUNKED_RUNS:
+        assert max(s.n for s in snaps) >= 3 * sim._RUN_CHUNK
     assert sim.radius_profile(cfg) == [(s.t, sim.max_radius(s)) for s in alive]
+
+
+def _cap_error(build):
+    """The PopulationCapError that build() raises, or None."""
+    try:
+        build()
+    except PopulationCapError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("chunk, t_max", [(None, 17), (3, 8)])
+def test_radius_profile_caps_as_the_whole_run(chunk, t_max, monkeypatch):
+    # Doubling: generation t holds 2^t particles.  Walked depth first, an
+    # abort can be found in a later generation than the first over the cap,
+    # with the count made so far, but only when the whole run aborts.
+    if chunk is not None:
+        monkeypatch.setattr(sim, "_RUN_CHUNK", chunk)
+    for t in range(1, t_max + 1):
+        for cap in (2**t - 1, 2**t):
+            cfg = SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=7, t_max=t_max,
+                            population_cap=cap, test_mode=True)
+            want = _cap_error(lambda: sim.run(cfg))
+            got = _cap_error(lambda: sim.radius_profile(cfg))
+            assert (got is None) == (want is None) == (cap >= 2**t_max), cap
+            if got is not None:
+                assert got.cap == cap and got.t >= want.t
+                assert cap < got.population <= 2**got.t
+
+
+def test_ensemble_v_matrix_caps_the_whole_batch():
+    # Doubling replicas: generation t holds n 2^t particles.  A chunked
+    # abort can be found in a later generation than the first over the cap,
+    # with the count made so far, but only when the whole batch aborts.
+    law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
+    n, t_max = 2 * sim._REPLICA_CHUNK + 3, 4
+    for t in range(1, t_max + 1):
+        for cap in (n * 2**t - 1, n * 2**t):
+            want = _cap_error(lambda: list(sim.ensemble_states(
+                law, 1, n, t_max, seed=6, population_cap=cap)))
+            got = _cap_error(lambda: mg.ensemble_v_matrix(
+                law, 1, [(0,), (1,)], t_max, n, seed=6, population_cap=cap))
+            assert (got is None) == (want is None) == (cap >= n * 2**t_max), cap
+            if got is not None:
+                assert got.cap == cap and got.t >= want.t
+                assert cap < got.population <= n * 2**got.t
+
+
+def test_radius_profile_memory_is_bounded_in_chunks(monkeypatch):
+    # Depth first, a doubling run holds one step's children (two chunks)
+    # per generation past its first full chunk, so its peak grows by two
+    # chunks each time the last generation doubles; whole generations hold
+    # the last two, and their peak doubles.
+    chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
+
+    def peak(cfg):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim.radius_profile(cfg)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    runs = {t: SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=t, test_mode=True)
+            for t in (18, 19, 20)}  # last generation of 8, 16 and 32 chunks
+    for cfg in runs.values():
+        assert peak(cfg) <= 14 * chunk, cfg.t_max
+    monkeypatch.setattr(sim, "_RUN_CHUNK", 2**62)
+    assert peak(runs[19]) > 28 * chunk

@@ -120,18 +120,15 @@ def cmd_simulate(args) -> int:
     cfg = _config(args)
     manifest = _manifest(args, [args.config], [args.out])
     try:
-        kept = sim.run(cfg, out=args.out, workers=args.workers)
+        written = sim.run(cfg, out=args.out, workers=args.workers)
     except PopulationCapError as exc:
         # The partial result keeps its manifest, which records the abort.
         manifest["aborted"] = {"t": exc.t, "population": exc.population, "cap": exc.cap}
         _write_sidecar(args.out, manifest)
         raise
     _write_sidecar(args.out, manifest)
-    final = kept[-1] if kept else None
-    print(
-        f"{args.out}: {len(kept)} snapshots"
-        + (f", final t={final.t} n={final.n}" if final else "")
-    )
+    print(f"{args.out}: {len(written)} snapshots"
+          + (", final t={} n={}".format(*written[-1]) if written else ""))
     return EXIT_OK
 
 
@@ -287,6 +284,8 @@ def cmd_diagnose(args) -> int:
     cfg = _config(args)
     if args.runs < 0:
         raise ValidationError(f"--runs {args.runs} must be >= 0")
+    if args.replicas < 1:
+        raise ValidationError(f"--replicas {args.replicas}: need at least one replica")
     eps = args.epsilon
     if not (math.isfinite(eps) and eps >= -1.0):
         raise ValidationError(f"--epsilon {eps} must be a finite real >= -1")
@@ -455,7 +454,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PopulationCapError as exc:
-        partial = (f"; snapshots before generation {exc.t} remain valid as a "
+        partial = ("; the snapshots completed before it remain valid as a "
                    "partial result" if args.subcommand == "simulate" else "")
         print(f"aborted: {exc}{partial}", file=sys.stderr)
         return EXIT_CAP

@@ -45,7 +45,7 @@ from . import regions as _regions
 
 SAMPLER_NAME = "splitmix64-as241-v3"
 DEFAULT_POPULATION_CAP = 10**8
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 # Longest header or record line the reader accepts (records are ~100 bytes).
 _MAX_RECORD_LINE = 1 << 20
 
@@ -67,8 +67,8 @@ _ONE_BITS = _U64(0x3FF0000000000000)
 #: Also the largest leaf of `martingales.v_alpha_many`, whose sums keep the
 #: bits of `np.sum` only while it is at least 128.
 BLOCK = 1 << 13
-#: Parents per part of a run that `radius_profile` walks depth first, and
-#: replicas per lockstep chunk of `martingales.ensemble_v_matrix`.
+#: Parents per part of a run, which `run` and `radius_profile` walk depth
+#: first, and replicas per lockstep chunk of `martingales.ensemble_v_matrix`.
 _RUN_CHUNK, _REPLICA_CHUNK = 4 * BLOCK, BLOCK // 4
 
 
@@ -539,13 +539,15 @@ def step(
     return _advance(s, law, seed, population_cap, workers)[0]
 
 
-def _generations(cfg: SimConfig, workers: int, chunk: int | None = None) -> Iterator[Snapshot]:
-    """The run of cfg, one snapshot per generation t = 0..t_max; with
-    ``chunk`` set, depth first: the children of at most ``chunk`` parents at
-    a time, holding one step's children per generation and advancing no
-    empty part.  The cap applies to each generation's total; an abort names
-    a generation over it and the count made by then, which can be below
-    that total (and the generation later than the first over the cap).
+def _generations(cfg: SimConfig, workers: int) -> Iterator[tuple[Snapshot, int]]:
+    """The run of cfg walked depth first, as (part, done): a part of
+    generation part.t, the root first, and the number of generations now
+    complete, those that no parent waiting on the stack can add to.  A part
+    holds the children of at most `_RUN_CHUNK` parents, so the walk holds
+    one step's children per generation, and it advances no empty part.  The
+    cap applies to each generation's total; an abort names a generation over
+    it and the count made by then, which can be below that total (and the
+    generation later than the first over the cap).
 
     Generations are made by the public `step` rather than `_advance`, so
     that wrapping `step` (as a profiler or tracer does) sees every one.
@@ -553,11 +555,11 @@ def _generations(cfg: SimConfig, workers: int, chunk: int | None = None) -> Iter
     law, cap = cfg.law, cfg.population_cap
     made = [0] * (cfg.t_max + 1)
     s = initial_snapshot(cfg)
-    yield s
+    yield s, 1
     todo = [(s, 0)] if cfg.t_max else []
     while todo:
         s, a = todo.pop()
-        b = s.n if chunk is None else a + chunk
+        b = a + _RUN_CHUNK
         if b < s.n:
             todo.append((s, b))
         part = Snapshot(s.t, s.positions[a:b], s.id_hi[a:b], s.id_lo[a:b])
@@ -566,9 +568,21 @@ def _generations(cfg: SimConfig, workers: int, chunk: int | None = None) -> Iter
         except PopulationCapError as exc:
             raise PopulationCapError(exc.t, made[exc.t] + exc.population, cap) from None
         made[s.t] += s.n
-        yield s
-        if s.t < cfg.t_max and (s.n or chunk is None):
+        if s.t < cfg.t_max and s.n:
             todo.append((s, 0))
+        # Remainders and children go on top of their parents, so t never
+        # falls up the stack: the bottom entry's generation, and every one
+        # before it, can gain no more parts.
+        yield s, todo[0][0].t + 1 if todo else cfg.t_max + 1
+
+
+def _joined(t: int, d: int, parts: list[Snapshot]) -> Snapshot:
+    """Generation t from its parts, in the order the walk made them."""
+    if len(parts) == 1:
+        return parts[0]
+    return Snapshot(t, np.concatenate([np.empty((0, d)), *(p.positions for p in parts)]),
+                    np.concatenate([np.empty(0, _U64), *(p.id_hi for p in parts)]),
+                    np.concatenate([np.empty(0, _U64), *(p.id_lo for p in parts)]))
 
 
 def _json_line(obj: dict) -> bytes:
@@ -580,19 +594,24 @@ def _record_nbytes(n: int, d: int, ids: bool) -> int:
 
 
 class SnapshotWriter:
-    """Single-owner snapshot file writer (format version 2).
+    """Single-owner snapshot file writer (format version 3).
 
-    The first line is a JSON header record.  Each snapshot becomes one JSON
-    record line ``{"type", "t", "n", "ids", "nbytes", "crc32"}`` followed by
-    exactly ``nbytes`` raw little-endian bytes: the positions as float64,
-    row-major, then the lineage-id words ``id_hi`` and ``id_lo`` as uint64
-    when ``ids`` is true.  ``crc32`` (zlib) covers those raw bytes.  Values
-    are stored bit for bit, and a snapshot written with its lineage ids reads
-    back as one that can be advanced.
+    The first line is a JSON header record.  A snapshot is written in parts,
+    which may interleave with other snapshots' parts.  Each `write` adds one
+    part: a JSON record line ``{"type": "part", "t", "n", "ids", "nbytes",
+    "crc32"}`` followed by exactly ``nbytes`` raw little-endian bytes, the
+    positions as float64, row-major, then the lineage-id words ``id_hi`` and
+    ``id_lo`` as uint64 when ``ids`` is true.  ``crc32`` (zlib) covers those
+    raw bytes.  `end` closes a snapshot with a record line ``{"type": "end",
+    "t", "n"}``, where n counts the rows of its parts; the snapshot is its
+    parts joined in file order.  Values are stored bit for bit, and a
+    snapshot written with its lineage ids reads back as one that can be
+    advanced.
     """
 
     def __init__(self, path, *, d: int, pmf, seed: int):
         self._fh = open(path, "wb")
+        self._rows: dict[int, int] = {}
         header = {
             "type": "header",
             "version": SNAPSHOT_FORMAT_VERSION,
@@ -604,6 +623,7 @@ class SnapshotWriter:
         self._fh.write(_json_line(header))
 
     def write(self, s: Snapshot) -> None:
+        """Write s as one part of the snapshot at s.t."""
         arrays = [s.positions.astype("<f8", copy=False)]
         if s.has_ids:
             arrays += [a.astype("<u8", copy=False) for a in (s.id_hi, s.id_lo)]
@@ -611,7 +631,7 @@ class SnapshotWriter:
         for a in arrays:
             crc = zlib.crc32(a, crc)
         record = {
-            "type": "snapshot",
+            "type": "part",
             "t": s.t,
             "n": s.n,
             "ids": s.has_ids,
@@ -621,6 +641,13 @@ class SnapshotWriter:
         self._fh.write(_json_line(record))
         for a in arrays:
             self._fh.write(a)
+        self._rows[s.t] = self._rows.get(s.t, 0) + s.n
+
+    def end(self, t: int) -> int:
+        """Close the snapshot at t, which may have no parts; returns its n."""
+        n = self._rows.pop(t, 0)
+        self._fh.write(_json_line({"type": "end", "t": t, "n": n}))
+        return n
 
     def close(self) -> None:
         self._fh.close()
@@ -639,16 +666,23 @@ def _is_count(x) -> bool:
 def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
     """Read a snapshot file written by `SnapshotWriter`.
 
-    Returns (header, snapshots) in strictly increasing t; a snapshot keeps
-    its lineage ids when its record stored them.  Any malformed, truncated,
-    corrupted or out-of-order content, and a file in an older format
-    version, raises `ValidationError` naming the record (the header is
-    record 0) and the last complete snapshot time.
+    Returns (header, snapshots): one snapshot per end record, in strictly
+    increasing t, with lineage ids when its parts stored them.  Parts that
+    no end record closes, the tail of a run stopped by the population cap,
+    are dropped.  The record lines are indexed first, seeking past the
+    data; then each snapshot is allocated once and each part read straight
+    into its rows, so the reader holds little more than what it returns.
+    Any malformed, truncated, corrupted or out-of-order content, and a file
+    in another format version, raises `ValidationError` naming the record
+    (the header is record 0) and the last complete snapshot time before it.
     """
-    snaps: list[Snapshot] = []
+    ends: list[tuple[int, int, int]] = []  # (record, t, n) of each end record
+    # t -> (record, n, ids, data offset, crc32) of each of its parts
+    parts: dict[int, list[tuple[int, int, bool, int, int]]] = {}
 
     def fail(index: int, msg: str):
-        last = f"t={snaps[-1].t}" if snaps else "none"
+        done = [t for i, t, _ in ends if i < index]
+        last = f"t={done[-1]}" if done else "none"
         return ValidationError(
             f"{path}: record {index}: {msg} (last complete snapshot: {last})"
         )
@@ -684,58 +718,87 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
             raise fail(0, f"header dimension {d!r} is not an integer >= 1")
         index = 1
         while (rec := json_record(fh, index)) is not None:
-            if rec.get("type") != "snapshot":
-                raise fail(index, f"unexpected record type {rec.get('type')!r}")
-            t, n, ids = rec.get("t"), rec.get("n"), rec.get("ids")
-            nbytes, crc = rec.get("nbytes"), rec.get("crc32")
+            kind, t, n = rec.get("type"), rec.get("t"), rec.get("n")
+            if kind not in ("part", "end"):
+                raise fail(index, f"unexpected record type {kind!r}")
             if not (_is_count(t) and _is_count(n)):
                 raise fail(index, f"t={t!r} and n={n!r} must be integers >= 0")
-            if snaps and t <= snaps[-1].t:
-                raise fail(index, f"t={t} does not follow the previous record's t")
+            if ends and t <= ends[-1][1]:
+                raise fail(index, f"t={t} does not follow the last end record's t")
+            mine = parts.setdefault(t, [])
+            if kind == "end":
+                rows = sum(p[1] for p in mine)
+                if n != rows:
+                    raise fail(index, f"end record n={n}, but the parts of t={t} hold {rows}")
+                ends.append((index, t, n))
+                index += 1
+                continue
+            ids, nbytes, crc = rec.get("ids"), rec.get("nbytes"), rec.get("crc32")
             if type(ids) is not bool or not _is_count(crc):
                 raise fail(index, "record needs a boolean 'ids' and an integer 'crc32'")
+            if mine and ids != mine[0][2]:
+                raise fail(index, f"'ids' differs between the parts of t={t}")
             want = _record_nbytes(n, d, ids)
             if nbytes != want:
                 raise fail(index, f"nbytes={nbytes!r}, but n={n}, d={d}, ids={ids} "
                            f"need {want}")
-            # Checked before allocating, so a damaged n cannot ask for the
-            # memory; a file shrinking under the reader fails the crc.
+            # Checked before anything is allocated, so a damaged n cannot ask
+            # for the memory; a file shrinking under the reader fails below.
             left = size - fh.tell()
             if nbytes > left:
                 raise fail(index, f"truncated: {left} of {nbytes} data bytes present")
-            buf = bytearray(nbytes)
-            fh.readinto(buf)
-            if zlib.crc32(buf) != crc:
-                raise fail(index, "crc32 mismatch: the data bytes are corrupted")
-            positions = np.frombuffer(buf, dtype="<f8", count=n * d).reshape(n, d)
-            id_hi = id_lo = None
-            if ids:
-                off = n * d * 8
-                id_hi = np.frombuffer(buf, dtype="<u8", count=n, offset=off)
-                id_lo = np.frombuffer(buf, dtype="<u8", count=n, offset=off + 8 * n)
-            snaps.append(Snapshot(t=t, positions=positions, id_hi=id_hi, id_lo=id_lo))
+            mine.append((index, n, ids, fh.tell(), crc))
+            fh.seek(nbytes, os.SEEK_CUR)
             index += 1
+
+        snaps = []
+        for _, t, n in ends:
+            mine = parts[t]
+            ids = mine[0][2] if mine else True
+            arrays = [np.empty((n, d), dtype="<f8")]
+            if ids:
+                arrays += [np.empty(n, dtype="<u8"), np.empty(n, dtype="<u8")]
+            row = 0
+            for index, m, _, offset, crc in mine:
+                fh.seek(offset)
+                got = 0
+                for a in arrays:
+                    rows = a[row:row + m]
+                    if fh.readinto(rows) != rows.nbytes:
+                        raise fail(index, "truncated: the file shrank while it was read")
+                    got = zlib.crc32(rows, got)
+                if got != crc:
+                    raise fail(index, "crc32 mismatch: the data bytes are corrupted")
+                row += m
+            snaps.append(Snapshot(t, *arrays))
     return header, snaps
 
 
-def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list[Snapshot]:
-    """Run the process to t_max; returns the requested snapshots.
+def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list:
+    """Run the process to t_max, walked depth first (see `_generations`).
 
-    With ``out`` set, snapshots stream to that path as they are produced;
-    on a population-cap abort the already-written times remain in the file
-    as a valid partial result.
+    Without ``out``, returns the requested snapshots, each joined from the
+    parts of the walk.  With ``out`` set, each part of a requested snapshot
+    is written to that path as it is made and none is kept; returns the
+    (t, n) of each snapshot written.  On a population-cap abort the
+    snapshots completed so far remain in the file as a valid partial result.
     """
     _check_int(workers, "workers", 1)
-    wanted = set(cfg.snapshot_times)
-    kept: list[Snapshot] = []
+    wanted = list(cfg.snapshot_times)
+    parts: dict[int, list[Snapshot]] = {t: [] for t in wanted}
+    result = []
     with (contextlib.nullcontext() if out is None
           else SnapshotWriter(out, d=cfg.d, pmf=cfg.pmf, seed=cfg.seed)) as writer:
-        for s in _generations(cfg, workers):
-            if s.t in wanted:
-                kept.append(s)
+        for s, done in _generations(cfg, workers):
+            if s.n and s.t in parts:
                 if writer:
                     writer.write(s)
-    return kept
+                else:
+                    parts[s.t].append(s)
+            while wanted and wanted[0] < done:
+                t = wanted.pop(0)
+                result.append((t, writer.end(t)) if writer else _joined(t, cfg.d, parts.pop(t)))
+    return result
 
 
 def count(s: Snapshot, region) -> int:
@@ -763,7 +826,7 @@ def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float
     profile is the whole run's bit for bit.
     """
     top: dict[int, float] = {}
-    for s in _generations(cfg, workers, _RUN_CHUNK):
+    for s, _ in _generations(cfg, workers):
         if s.n:
             top[s.t] = max(top.get(s.t, 0.0), max_radius(s))
     return sorted(top.items())

@@ -2,12 +2,14 @@
 
 Each is a closed form, identity or recursion of the heat-calculus Hermite
 family, of the Gaussian kernel and the density expansion, of the
-Galton-Watson process and its Hermite martingales, or of the region JSON,
-written directly rather than through the package's code, so that agreement
-is evidence.  No workflow runs them, so they live here and not in ``src/``.
+Galton-Watson process and its Hermite martingales, or of the region JSON
+and the snapshot file's record lines, written directly rather than through
+the package's code, so that agreement is evidence.  No workflow runs them,
+so they live here and not in ``src/``.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -117,6 +119,30 @@ def surviving_run(cfg: sim.SimConfig) -> list[sim.Snapshot]:
         if snaps[-1].n > 0:
             return snaps
     raise AssertionError(f"no surviving run in 100 seeds from {cfg.seed}")
+
+
+def whole_generation_run(cfg: sim.SimConfig) -> list[sim.Snapshot]:
+    """Every generation of cfg's run, t = 0..t_max, each made whole from the
+    last by one `simulator.step`, which checks the cap on the whole
+    generation: the run that `run` and `radius_profile` walk depth first in
+    parts.  An abort names the first generation over the cap and its size."""
+    snaps = [sim.initial_snapshot(cfg)]
+    while snaps[-1].t < cfg.t_max:
+        snaps.append(sim.step(snaps[-1], cfg.law, cfg.seed,
+                              population_cap=cfg.population_cap))
+    return snaps
+
+
+def snapshot_records(data: bytes) -> list[tuple[int, dict]]:
+    """(offset, record) of each record line of a snapshot file's bytes, the
+    header first, found by skipping each part's ``nbytes`` data bytes."""
+    out, at = [], 0
+    while at < len(data):
+        end = data.index(b"\n", at) + 1
+        rec = json.loads(data[at:end])
+        out.append((at, rec))
+        at = end + rec.get("nbytes", 0)
+    return out
 
 
 def whole_batch_v_matrix(law, d, alphas, t_max, n_replicas, seed,

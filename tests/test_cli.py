@@ -134,6 +134,33 @@ def test_simulate_population_cap_exits_4(tmp_path, capsys):
     assert manifest["aborted"] == {"t": 2, "population": 4, "cap": 3}
 
 
+def test_simulate_population_cap_in_parts(tmp_path, capsys, monkeypatch):
+    # In parts of 3 parents the abort comes mid-walk, with parts of several
+    # generations written: the file keeps exactly the generations that have
+    # an end record, and the sidecar's population can be a lower bound.
+    monkeypatch.setattr(sim, "_RUN_CHUNK", 3)
+    cfg = {"d": 1, "pmf": [0.0, 0.0, 1.0], "seed": 5, "t_max": 9,
+           "population_cap": 63, "snapshot_times": list(range(10)), "test_mode": True}
+    p = tmp_path / "cap.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "cap.snap"
+    assert cli.main(["simulate", "--config", str(p), "--out", str(out)]) == cli.EXIT_CAP
+    assert "partial result" in capsys.readouterr().err
+    records = [r for _, r in oracles.snapshot_records(out.read_bytes())][1:]
+    ended = [r["t"] for r in records if r["type"] == "end"]
+    assert {r["t"] for r in records} - set(ended)  # parts with no end record
+    _, snaps = sim.read_snapshot_file(str(out))
+    # t=3 waits on the rest of t=2 while the walk goes deeper
+    assert [s.t for s in snaps] == ended == [0, 1, 2]
+    whole = oracles.whole_generation_run(sim.SimConfig(**{**cfg, "population_cap": 10**8}))
+    for s in snaps:
+        assert s.positions.tobytes() == whole[s.t].positions.tobytes()
+        assert s.id_lo.tobytes() == whole[s.t].id_lo.tobytes()
+    aborted = json.loads((tmp_path / "cap.snap.manifest.json").read_text())["aborted"]
+    assert aborted["cap"] == 63 and aborted["t"] >= 6
+    assert 63 < aborted["population"] <= 2 ** aborted["t"]
+
+
 def test_simulate_zero_workers_exits_2(doubling_config, tmp_path, capsys):
     rc = cli.main(["simulate", "--config", doubling_config, "--out",
                    str(tmp_path / "x.snap"), "--workers", "0"])
@@ -481,6 +508,7 @@ def write_snapshots(path, times, pmf=(0.0, 0.0, 1.0)):
     with sim.SnapshotWriter(str(path), d=1, pmf=pmf, seed=0) as w:
         for t in times:
             w.write(sim.Snapshot(t=t, positions=np.zeros((2, 1))))
+            w.end(t)
     return str(path)
 
 
@@ -502,7 +530,8 @@ def test_out_of_order_snapshot_file_exits_2(command, tmp_path, capsys):
         "estimate-n": [snaps, "--k", "1", "--out", str(tmp_path / "t.json")],
     }[command]
     assert cli.main([command, *argv]) == 2
-    assert "record 2: t=3 does not follow" in capsys.readouterr().err
+    # records 1 and 2 are the part and end of t=5, record 3 the part of t=3
+    assert "record 3: t=3 does not follow" in capsys.readouterr().err
 
 
 def test_estimate_n_missing_file_exits_5(tmp_path):
@@ -720,6 +749,19 @@ def test_diagnose_refuses_an_empty_ensemble(replicas, doubling_config, tmp_path,
                    "--runs", "1", "--replicas", replicas])
     assert rc == cli.EXIT_VALIDATION
     assert "need at least one replica" in capsys.readouterr().err
+    assert not list(tmp_path.glob("diag*"))
+
+
+def test_diagnose_checks_the_replicas_before_it_runs(doubling_config, tmp_path,
+                                                    capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("radius_profile ran before --replicas was checked")
+
+    monkeypatch.setattr(sim, "radius_profile", no_run)
+    rc = cli.main(["diagnose", "--config", doubling_config, "--out",
+                   str(tmp_path / "diag"), "--runs", "30", "--replicas", "0"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--replicas 0" in capsys.readouterr().err
     assert not list(tmp_path.glob("diag*"))
 
 

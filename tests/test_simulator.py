@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -428,7 +429,9 @@ def test_snapshot_file_round_trip(tmp_path):
     cfg = SimConfig(d=3, pmf=(0.25, 0.25, 0.5), seed=5150, t_max=4,
                     snapshot_times=(0, 2, 4))
     out = tmp_path / "snaps.jsonl"
-    kept = sim.run(cfg, out=str(out))
+    written = sim.run(cfg, out=str(out))
+    kept = sim.run(cfg)
+    assert written == [(s.t, s.n) for s in kept]
     header, snaps = sim.read_snapshot_file(str(out))
     assert header["d"] == 3
     assert header["pmf"] == [0.25, 0.25, 0.5]
@@ -457,7 +460,8 @@ def test_snapshot_read_from_file_advances_like_in_memory(tmp_path, workers):
     cfg = SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=2718, t_max=20,
                     snapshot_times=(15, 20))
     out = tmp_path / "run.snap"
-    kept = sim.run(cfg, out=str(out), workers=workers)
+    sim.run(cfg, out=str(out), workers=workers)
+    kept = sim.run(cfg, workers=workers)
     _, snaps = sim.read_snapshot_file(str(out))
     s = snaps[0]
     assert s.t == 15
@@ -488,6 +492,7 @@ def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d, with_ids):
     out = tmp_path_factory.mktemp("bitexact") / "s.snap"
     with sim.SnapshotWriter(str(out), d=d, pmf=(0.0, 1.0), seed=1) as w:
         w.write(snap)
+        assert w.end(t) == n
     _, (back,) = sim.read_snapshot_file(str(out))
     assert back.t == t
     assert back.positions.shape == (n, d)
@@ -498,12 +503,12 @@ def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d, with_ids):
         assert back.id_lo.tobytes() == ids["id_lo"].tobytes()
 
 
-def test_read_rejects_garbage(tmp_path):
+def test_read_rejects_garbage(tmp_path, monkeypatch):
     p = tmp_path / "bad.jsonl"
     p.write_text("not json\n")
     with pytest.raises(ValidationError):
         sim.read_snapshot_file(str(p))
-    p.write_text('{"type":"snapshot"}\n')
+    p.write_text('{"type":"part"}\n')
     with pytest.raises(ValidationError):
         sim.read_snapshot_file(str(p))
     p.write_text('{"type":"header","version":99,"d":1,"pmf":[1.0],"seed":0}\n')
@@ -513,21 +518,28 @@ def test_read_rejects_garbage(tmp_path):
     p.write_bytes(b"\xff\xfe\n")
     with pytest.raises(ValidationError, match="record 0"):
         sim.read_snapshot_file(str(p))
-    # a format version 1 file (JSON positions) asks for a re-run
-    p.write_text('{"type":"header","version":1,"d":1,"pmf":[0.0,1.0],"seed":0}\n'
-                 '{"type":"snapshot","t":0,"n":1,"positions":[0.0]}\n')
-    with pytest.raises(ValidationError, match="re-run `simulate`"):
-        sim.read_snapshot_file(str(p))
+    # files of format version 1 (JSON positions) and 2 (one record per
+    # snapshot) ask for a re-run
+    for old in ['{"type":"header","version":1,"d":1,"pmf":[0.0,1.0],"seed":0}\n'
+                '{"type":"snapshot","t":0,"n":1,"positions":[0.0]}\n',
+                '{"type":"header","version":2,"d":1,"pmf":[0.0,1.0],"seed":0}\n'
+                '{"type":"snapshot","t":0,"n":0,"ids":true,"nbytes":0,"crc32":0}\n']:
+        p.write_text(old)
+        with pytest.raises(ValidationError, match="re-run `simulate`"):
+            sim.read_snapshot_file(str(p))
 
-    # records 1 (t=1, n=2) and 2 (t=3, n=8) of a d=2 doubling run with ids
+    # A d=2 doubling run with ids, in parts of 2 parents: records 1 and 2
+    # are the part (n=2) and end of t=1, records 3 and 4 the two parts
+    # (n=4 each) of t=3, and record 5 its end.
+    monkeypatch.setattr(sim, "_RUN_CHUNK", 2)
     cfg = SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=8, t_max=3, test_mode=True,
                     snapshot_times=(1, 3))
     good_path = tmp_path / "good.snap"
     sim.run(cfg, out=str(good_path))
     good = good_path.read_bytes()
-    header_line, first = good.split(b"\n", 1)
-    second_at = len(header_line) + 1 + first.index(b"\n") + 1 + 64
-    assert b'"t":3' in good[second_at:]
+    at, recs = zip(*oracles.snapshot_records(good))
+    assert [(r["type"], r["t"], r["n"]) for r in recs[1:]] == [
+        ("part", 1, 2), ("end", 1, 2), ("part", 3, 4), ("part", 3, 4), ("end", 3, 8)]
     first_bad = [
         (b'"t":1,', b'"t":-1,', "integers >= 0"),
         (b'"n":2,', b'"n":-2,', "integers >= 0"),
@@ -543,23 +555,41 @@ def test_read_rejects_garbage(tmp_path):
         assert "record 1" in str(info.value)
         assert "last complete snapshot: none" in str(info.value)
     flipped = bytearray(good)
-    flipped[-1] ^= 0x01
-    second_bad = [
-        (good[:-5], "truncated"),
-        (good[:second_at + 10], "truncated"),
+    flipped[at[5] - 1] ^= 0x01  # the last data byte of record 4
+    fourth_bad = [
+        (good[:at[5] - 5], "truncated"),
+        (good[:at[4] + 10], "truncated"),
         (bytes(flipped), "crc32 mismatch"),
-        (good[:second_at] + b"\xff{not json}\n", "not a JSON record"),
+        (good[:at[4]] + b"\xff{not json}\n", "not a JSON record"),
     ]
-    for content, msg in second_bad:
+    for content, msg in fourth_bad:
         p.write_bytes(content)
         with pytest.raises(ValidationError, match=msg) as info:
             sim.read_snapshot_file(str(p))
-        assert "record 2" in str(info.value)
+        assert "record 4" in str(info.value)
         assert "last complete snapshot: t=1" in str(info.value)
-    # a file cut right after a complete record is a valid partial result
-    p.write_bytes(good[:second_at])
+    # a file cut at a record boundary is a valid partial result: the parts
+    # of t=3 that no end record closes are dropped
+    for cut in (at[3], at[4], at[5]):
+        p.write_bytes(good[:cut])
+        _, snaps = sim.read_snapshot_file(str(p))
+        assert [(s.t, s.n) for s in snaps] == [(1, 2)]
+    # an end record with no parts is an empty snapshot, with ids
+    p.write_bytes(good + b'{"type":"end","t":5,"n":0}\n')
     _, snaps = sim.read_snapshot_file(str(p))
-    assert [s.t for s in snaps] == [1]
+    assert [(s.t, s.n, s.d, s.has_ids) for s in snaps][1:] == [(3, 8, 2, True), (5, 0, 2, True)]
+    # ... and must count the rows of its parts, and follow the last end
+    ends_bad = [
+        (b'{"type":"end","t":5,"n":2}\n', "parts of t=5 hold 0"),
+        (b'{"type":"end","t":3,"n":0}\n', "does not follow the last end"),
+        (good[at[3]:at[4]], "does not follow the last end"),  # a part of t=3
+    ]
+    for extra, msg in ends_bad:
+        p.write_bytes(good + extra)
+        with pytest.raises(ValidationError, match=msg) as info:
+            sim.read_snapshot_file(str(p))
+        assert "record 6" in str(info.value)
+        assert "last complete snapshot: t=3" in str(info.value)
 
 
 # ------------------------------------------------------------ snapshot ops
@@ -659,7 +689,7 @@ def test_one_replica_ensemble_is_the_run(name):
 
 
 
-# ------------------------------------------------ depth-first radius runs
+# ------------------------------------------------------- depth-first runs
 
 # Runs whose generations span 3 or more chunks, as (config, parents per
 # chunk, or None for the package's): the last generations of the wide run
@@ -676,18 +706,39 @@ CHUNKED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted([*RUNS, *CHUNKED_RUNS]))
-def test_radius_profile_is_max_radius_until_extinction(name, monkeypatch):
+def _walked(name, monkeypatch) -> SimConfig:
+    """The run of RUNS or CHUNKED_RUNS called name, with its chunk set."""
     cfg, chunk = CHUNKED_RUNS[name] if name in CHUNKED_RUNS else (RUNS[name], None)
     if chunk is not None:
         monkeypatch.setattr(sim, "_RUN_CHUNK", chunk)
-    cfg = dataclasses.replace(cfg, snapshot_times=tuple(range(cfg.t_max + 1)))
-    snaps = sim.run(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted([*RUNS, *CHUNKED_RUNS]))
+def test_radius_profile_is_max_radius_until_extinction(name, monkeypatch):
+    cfg = _walked(name, monkeypatch)
+    snaps = oracles.whole_generation_run(cfg)
     alive = [s for s in snaps if s.n > 0]
     assert [s.t for s in alive] == list(range(len(alive)))
     if name in CHUNKED_RUNS:
         assert max(s.n for s in snaps) >= 3 * sim._RUN_CHUNK
     assert sim.radius_profile(cfg) == [(s.t, sim.max_radius(s)) for s in alive]
+
+
+@pytest.mark.parametrize("name", sorted([*RUNS, *CHUNKED_RUNS]))
+def test_run_is_the_whole_generation_run(name, monkeypatch, tmp_path):
+    # In memory the parts are joined; in the file each part is its own
+    # record, and the reader joins them.
+    cfg = _walked(name, monkeypatch)
+    cfg = dataclasses.replace(cfg, snapshot_times=tuple(range(cfg.t_max + 1)))
+    want = oracles.whole_generation_run(cfg)
+    out = tmp_path / "run.snap"
+    assert sim.run(cfg, out=str(out), workers=2) == [(s.t, s.n) for s in want]
+    for got in (sim.run(cfg), sim.read_snapshot_file(str(out))[1]):
+        assert [s.t for s in got] == [s.t for s in want]
+        for g, w in zip(got, want):
+            for field in ("positions", "id_hi", "id_lo"):
+                assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
 
 
 def _cap_error(build):
@@ -699,8 +750,7 @@ def _cap_error(build):
     return None
 
 
-@pytest.mark.parametrize("chunk, t_max", [(None, 17), (3, 8)])
-def test_radius_profile_caps_as_the_whole_run(chunk, t_max, monkeypatch):
+def _caps_as_the_whole_run(walk, chunk, t_max, monkeypatch):
     # Doubling: generation t holds 2^t particles.  Walked depth first, an
     # abort can be found in a later generation than the first over the cap,
     # with the count made so far, but only when the whole run aborts.
@@ -710,12 +760,24 @@ def test_radius_profile_caps_as_the_whole_run(chunk, t_max, monkeypatch):
         for cap in (2**t - 1, 2**t):
             cfg = SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=7, t_max=t_max,
                             population_cap=cap, test_mode=True)
-            want = _cap_error(lambda: sim.run(cfg))
-            got = _cap_error(lambda: sim.radius_profile(cfg))
+            want = _cap_error(lambda: oracles.whole_generation_run(cfg))
+            got = _cap_error(lambda: walk(cfg))
             assert (got is None) == (want is None) == (cap >= 2**t_max), cap
             if got is not None:
                 assert got.cap == cap and got.t >= want.t
                 assert cap < got.population <= 2**got.t
+
+
+@pytest.mark.parametrize("chunk, t_max", [(None, 17), (3, 8)])
+def test_radius_profile_caps_as_the_whole_run(chunk, t_max, monkeypatch):
+    _caps_as_the_whole_run(sim.radius_profile, chunk, t_max, monkeypatch)
+
+
+@pytest.mark.parametrize("chunk, t_max", [(None, 17), (3, 8)])
+def test_run_caps_as_the_whole_run(chunk, t_max, monkeypatch, tmp_path):
+    _caps_as_the_whole_run(sim.run, chunk, t_max, monkeypatch)
+    _caps_as_the_whole_run(lambda cfg: sim.run(cfg, out=str(tmp_path / "cap.snap")),
+                           chunk, t_max, monkeypatch)
 
 
 def test_ensemble_v_matrix_caps_the_whole_batch():
@@ -736,6 +798,18 @@ def test_ensemble_v_matrix_caps_the_whole_batch():
                 assert cap < got.population <= n * 2**got.t
 
 
+def _traced_peak(build) -> int:
+    """Peak of the memory that tracemalloc sees while build() runs, above
+    what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_radius_profile_memory_is_bounded_in_chunks(monkeypatch):
     # Depth first, a doubling run holds one step's children (two chunks)
     # per generation past its first full chunk, so its peak grows by two
@@ -744,13 +818,7 @@ def test_radius_profile_memory_is_bounded_in_chunks(monkeypatch):
     chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
 
     def peak(cfg):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sim.radius_profile(cfg)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: sim.radius_profile(cfg))
 
     runs = {t: SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=t, test_mode=True)
             for t in (18, 19, 20)}  # last generation of 8, 16 and 32 chunks
@@ -758,3 +826,65 @@ def test_radius_profile_memory_is_bounded_in_chunks(monkeypatch):
         assert peak(cfg) <= 14 * chunk, cfg.t_max
     monkeypatch.setattr(sim, "_RUN_CHUNK", 2**62)
     assert peak(runs[19]) > 28 * chunk
+
+
+def test_run_to_a_file_memory_is_bounded_in_chunks(monkeypatch, tmp_path):
+    # Writing each part as it is made, a doubling run holds one step's
+    # children per generation, so its peak grows by about two chunks each
+    # time the last generation doubles; whole generations double it.
+    chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
+    out = str(tmp_path / "run.snap")
+    runs = {t: SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=t, test_mode=True)
+            for t in (18, 19, 20)}  # last generation of 8, 16 and 32 chunks
+    peaks = [_traced_peak(lambda: sim.run(cfg, out=out)) for cfg in runs.values()]
+    assert max(peaks) <= 14 * chunk, peaks
+    assert all(0 < b - a <= 3 * chunk for a, b in zip(peaks, peaks[1:])), peaks
+    monkeypatch.setattr(sim, "_RUN_CHUNK", 2**62)
+    assert _traced_peak(lambda: sim.run(runs[19], out=out)) > 24 * chunk
+
+
+def test_read_allocates_the_snapshots_once(monkeypatch, tmp_path):
+    # t=15 is 16 parts of 2048 rows; joining them after reading would hold
+    # its 1.5 MB twice.
+    monkeypatch.setattr(sim, "_RUN_CHUNK", 1024)
+    cfg = SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=5, t_max=15, test_mode=True,
+                    snapshot_times=(10, 15))
+    out = str(tmp_path / "run.snap")
+    sim.run(cfg, out=out)
+    snaps = []
+    peak = _traced_peak(lambda: snaps.extend(sim.read_snapshot_file(out)[1]))
+    data = sum(s.positions.nbytes + s.id_hi.nbytes + s.id_lo.nbytes for s in snaps)
+    assert data == 2**15 * 32 + 2**10 * 32
+    assert peak <= data + 2**16, peak - data
+
+
+# ------------------------------------------------------------ golden streams
+
+# sha256 of the positions, id_hi and id_lo bytes of each snapshot of a run,
+# in order, under SAMPLER_NAME splitmix64-as241-v3, as (config, parents per
+# part or None, digest).  A stream change without a SAMPLER_NAME bump fails
+# here.  The d=3 run's last generations span 4 to 8 parts of 5 parents.
+GOLDEN = {
+    "d2": (SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=2024, t_max=12,
+                     snapshot_times=(0, 6, 12)), None,
+           "1be09a6d505a31fbf940f85b47f9103f9b6dbe3cd68337f361585b11aa9ad171"),
+    "d3-in-parts": (SimConfig(d=3, pmf=(0.0, 0.5, 0.5), seed=77, t_max=11,
+                              snapshot_times=(4, 9, 10, 11)), 5,
+                    "8812dbc51abf026c45d7c7e735e2abbe844ad2a9359c7b82a4d38361a5d2b632"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_streams(name, monkeypatch, tmp_path):
+    cfg, chunk, digest = GOLDEN[name]
+    if chunk is not None:
+        monkeypatch.setattr(sim, "_RUN_CHUNK", chunk)
+    assert sim.SAMPLER_NAME == "splitmix64-as241-v3"
+    out = str(tmp_path / "run.snap")
+    sim.run(cfg, out=out)
+    for snaps in (sim.run(cfg), sim.read_snapshot_file(out)[1]):
+        h = hashlib.sha256()
+        for s in snaps:
+            for a in (s.positions, s.id_hi, s.id_lo):
+                h.update(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
+        assert h.hexdigest() == digest

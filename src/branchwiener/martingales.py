@@ -30,8 +30,8 @@ from .errors import ValidationError
 from .hermite import hermite_products
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import _read_json, _real
-from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, Snapshot, _check_int,
-                        _REPLICA_CHUNK, _replica_chunks)
+from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, SimConfig, Snapshot,
+                        _check_int, _generations, _root_ids)
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
@@ -267,22 +267,25 @@ def ensemble_v_matrix(
     """Raw V_alpha(t) for a batch of independent replicas.
 
     Returns alpha -> array of shape (n_replicas, t_max+1); column t holds
-    V_alpha(t) per replica (0 for extinct replicas).  Chunks of replicas
-    advance in lockstep, each with the particles, in order, that the whole
-    batch gives its replicas, so each `np.bincount` sum is the batch's.
+    V_alpha(t) per replica (0 for extinct replicas).  Replica r is the run
+    of the r-th root id of the seed at the origin, so replica 0 is `run`'s
+    under the same seed, and the population cap applies to the whole batch.
+    The batch is walked depth first in parts of BLOCK parents; the parts of
+    a generation come in its row order, so adding each part's terms with
+    `np.add.at` gives the sums of one `np.bincount` over the generation.
     """
     alphas = [as_multiindex(a) for a in alphas]
     for a in alphas:
         if a.dim != d:
             raise ValidationError(f"index dim {a.dim} != d={d}")
-    if n_replicas < 1:
-        raise ValidationError("need at least one replica")
+    cfg = SimConfig(d, law.pmf, seed, t_max, population_cap, test_mode=law.test_mode)
+    n_replicas = _check_int(n_replicas, "number of replicas", 1)
+    hi, lo = _root_ids(cfg.seed, n_replicas)
+    roots = Snapshot(0, np.zeros((n_replicas, d)), hi, lo, np.arange(n_replicas))
     out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
-    for first, t, pos, rep in _replica_chunks(law, d, n_replicas, t_max, seed,
-                                              population_cap, _REPLICA_CHUNK):
-        for a, w in zip(alphas, hermite_products(pos, float(t), alphas)):
-            sums = np.bincount(rep, weights=w)
-            out[a][first:first + sums.size, t] = sums
+    for part, _ in _generations(cfg, 1, BLOCK, roots):
+        for a, w in zip(alphas, hermite_products(part.positions, float(part.t), alphas)):
+            np.add.at(out[a][:, part.t], part.root, w)
     return out
 
 

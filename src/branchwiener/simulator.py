@@ -68,8 +68,9 @@ _ONE_BITS = _U64(0x3FF0000000000000)
 #: bits of `np.sum` only while it is at least 128.
 BLOCK = 1 << 13
 #: Parents per part of a run, which `run` and `radius_profile` walk depth
-#: first, and replicas per lockstep chunk of `martingales.ensemble_v_matrix`.
-_RUN_CHUNK, _REPLICA_CHUNK = 4 * BLOCK, BLOCK // 4
+#: first; `martingales.ensemble_v_matrix`, whose generations are all wide,
+#: walks its replicas in parts of BLOCK parents.
+_RUN_CHUNK = 4 * BLOCK
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -246,8 +247,9 @@ def _child_ids(parent_hi, parent_lo, rank):
     return _mix(hi), _mix(lo)
 
 
-def _root_ids(seed: int, stop: int, first: int = 0):
-    idx = np.arange(first + 1, stop + 1, dtype=np.uint64)
+def _root_ids(seed: int, n: int):
+    """The 128-bit ids of the first n roots under seed; `run` has the first."""
+    idx = np.arange(1, n + 1, dtype=np.uint64)
     s0 = _U64(_mix_int(seed * _GOLDEN + 1))
     s1 = _U64(_mix_int(seed * _SALT + 2))
     return _mix(s0 ^ (idx * _M1)), _mix(s1 ^ (idx * _M2))
@@ -329,13 +331,16 @@ class Snapshot:
     carry them, and the snapshot file stores them, so a snapshot read back
     from disk can be advanced with `step` exactly as the in-memory one.
     Without ids (e.g. a snapshot built from bare positions) it can be
-    analyzed but not advanced.
+    analyzed but not advanced.  ``root``, when set, holds each particle's
+    root: the row of the generation-0 population it descends from, which
+    `step` carries to the children.
     """
 
     t: int
     positions: np.ndarray
     id_hi: np.ndarray | None = None
     id_lo: np.ndarray | None = None
+    root: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=np.float64)
@@ -350,6 +355,10 @@ class Snapshot:
             self.id_lo = np.ascontiguousarray(self.id_lo, dtype=np.uint64)
             if self.id_hi.shape != (self.n,) or self.id_lo.shape != (self.n,):
                 raise ValidationError("lineage id arrays must match positions")
+        if self.root is not None:
+            self.root = np.ascontiguousarray(self.root, dtype=np.int64)
+            if self.root.shape != (self.n,):
+                raise ValidationError("root array must match positions")
 
     @property
     def n(self) -> int:
@@ -506,16 +515,16 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
 
 
 def _advance(s: Snapshot, law: OffspringLaw, seed: int, population_cap: int,
-             workers: int, made: int = 0) -> tuple[Snapshot, np.ndarray]:
-    """The next generation of s and each parent's offspring count: the one
-    place that draws offspring, applies the population cap (to these
-    children plus ``made`` others of their generation) and branches."""
+             workers: int) -> Snapshot:
+    """The next generation of s: the one place that draws offspring, applies
+    the population cap and branches.  Children inherit their parent's root."""
     counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
-    total = made + int(counts.sum())
+    total = int(counts.sum())
     if total > population_cap:
         raise PopulationCapError(s.t + 1, total, population_cap)
     pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d, workers)
-    return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo), counts
+    root = None if s.root is None else np.repeat(s.root, counts)
+    return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo, root=root)
 
 
 def step(
@@ -536,17 +545,21 @@ def step(
         raise ValidationError("snapshot has no lineage ids and cannot be advanced")
     seed = _check_int(seed, "seed", 0, 2**64)
     _check_int(workers, "workers", 1)
-    return _advance(s, law, seed, population_cap, workers)[0]
+    return _advance(s, law, seed, population_cap, workers)
 
 
-def _generations(cfg: SimConfig, workers: int) -> Iterator[tuple[Snapshot, int]]:
+def _generations(cfg: SimConfig, workers: int, chunk: int,
+                 start: Snapshot | None = None) -> Iterator[tuple[Snapshot, int]]:
     """The run of cfg walked depth first, as (part, done): a part of
-    generation part.t, the root first, and the number of generations now
-    complete, those that no parent waiting on the stack can add to.  A part
-    holds the children of at most `_RUN_CHUNK` parents, so the walk holds
+    generation part.t, generation 0 first and whole, and the number of
+    generations now complete, those that no parent waiting on the stack can
+    add to.  Generation 0 is ``start`` (one row per root, the roots of
+    independent runs of cfg's law and seed) or else `initial_snapshot`.  A
+    part holds the children of at most ``chunk`` parents, so the walk holds
     one step's children per generation, and it advances no empty part.  The
-    cap applies to each generation's total; an abort names a generation over
-    it and the count made by then, which can be below that total (and the
+    parts of a generation come in the order of its rows made whole.  The cap
+    applies to each generation's total; an abort names a generation over it
+    and the count made by then, which can be below that total (and the
     generation later than the first over the cap).
 
     Generations are made by the public `step` rather than `_advance`, so
@@ -554,15 +567,16 @@ def _generations(cfg: SimConfig, workers: int) -> Iterator[tuple[Snapshot, int]]
     """
     law, cap = cfg.law, cfg.population_cap
     made = [0] * (cfg.t_max + 1)
-    s = initial_snapshot(cfg)
+    s = initial_snapshot(cfg) if start is None else start
     yield s, 1
     todo = [(s, 0)] if cfg.t_max else []
     while todo:
         s, a = todo.pop()
-        b = a + _RUN_CHUNK
+        b = a + chunk
         if b < s.n:
             todo.append((s, b))
-        part = Snapshot(s.t, s.positions[a:b], s.id_hi[a:b], s.id_lo[a:b])
+        part = Snapshot(s.t, s.positions[a:b], s.id_hi[a:b], s.id_lo[a:b],
+                        None if s.root is None else s.root[a:b])
         try:
             s = step(part, law, cfg.seed, population_cap=cap - made[s.t + 1], workers=workers)
         except PopulationCapError as exc:
@@ -576,13 +590,15 @@ def _generations(cfg: SimConfig, workers: int) -> Iterator[tuple[Snapshot, int]]
         yield s, todo[0][0].t + 1 if todo else cfg.t_max + 1
 
 
-def _joined(t: int, d: int, parts: list[Snapshot]) -> Snapshot:
-    """Generation t from its parts, in the order the walk made them."""
-    if len(parts) == 1:
-        return parts[0]
-    return Snapshot(t, np.concatenate([np.empty((0, d)), *(p.positions for p in parts)]),
-                    np.concatenate([np.empty(0, _U64), *(p.id_hi for p in parts)]),
-                    np.concatenate([np.empty(0, _U64), *(p.id_lo for p in parts)]))
+def _append(arrays: tuple[np.ndarray, ...], s: Snapshot) -> None:
+    """Copy the positions and ids of s onto the ends of arrays, which grow
+    by reallocation (`ndarray.resize`), so a generation joined from its
+    parts is held once plus the part being added."""
+    row = arrays[1].shape[0]
+    # Indexed, so that no loop variable adds a reference that resize refuses.
+    for i, new in enumerate((s.positions, s.id_hi, s.id_lo)):
+        arrays[i].resize((row + s.n, *new.shape[1:]))
+        arrays[i][row:] = new
 
 
 def _json_line(obj: dict) -> bytes:
@@ -778,26 +794,27 @@ def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list:
     """Run the process to t_max, walked depth first (see `_generations`).
 
     Without ``out``, returns the requested snapshots, each joined from the
-    parts of the walk.  With ``out`` set, each part of a requested snapshot
+    parts of the walk as they are made, so that it holds each generation
+    once plus one part.  With ``out`` set, each part of a requested snapshot
     is written to that path as it is made and none is kept; returns the
     (t, n) of each snapshot written.  On a population-cap abort the
     snapshots completed so far remain in the file as a valid partial result.
     """
     _check_int(workers, "workers", 1)
     wanted = list(cfg.snapshot_times)
-    parts: dict[int, list[Snapshot]] = {t: [] for t in wanted}
+    kept = {t: (np.empty((0, cfg.d)), np.empty(0, _U64), np.empty(0, _U64)) for t in wanted}
     result = []
     with (contextlib.nullcontext() if out is None
           else SnapshotWriter(out, d=cfg.d, pmf=cfg.pmf, seed=cfg.seed)) as writer:
-        for s, done in _generations(cfg, workers):
-            if s.n and s.t in parts:
+        for s, done in _generations(cfg, workers, _RUN_CHUNK):
+            if s.n and s.t in kept:
                 if writer:
                     writer.write(s)
                 else:
-                    parts[s.t].append(s)
+                    _append(kept[s.t], s)
             while wanted and wanted[0] < done:
                 t = wanted.pop(0)
-                result.append((t, writer.end(t)) if writer else _joined(t, cfg.d, parts.pop(t)))
+                result.append((t, writer.end(t)) if writer else Snapshot(t, *kept.pop(t)))
     return result
 
 
@@ -826,52 +843,7 @@ def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float
     profile is the whole run's bit for bit.
     """
     top: dict[int, float] = {}
-    for s, _ in _generations(cfg, workers):
+    for s, _ in _generations(cfg, workers, _RUN_CHUNK):
         if s.n:
             top[s.t] = max(top.get(s.t, 0.0), max_radius(s))
     return sorted(top.items())
-
-
-def ensemble_states(
-    law: OffspringLaw,
-    d: int,
-    n_replicas: int,
-    t_max: int,
-    seed: int,
-    *,
-    population_cap: int = DEFAULT_POPULATION_CAP,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Advance ``n_replicas`` independent runs from the origin in lockstep.
-
-    Yields (t, positions, replica_index) for t = 0..t_max, where
-    ``replica_index[i]`` says which replica particle row i belongs to.  The
-    population cap applies to the whole batch.  Replicas get distinct root
-    lineages derived from (seed, replica), so the batch is statistically
-    identical to independent single runs.  Replica 0 has the root of `run`
-    under the same seed, so one replica from the origin is that run.
-    """
-    if n_replicas < 1:
-        raise ValidationError("need at least one replica")
-    for _, t, pos, rep in _replica_chunks(law, d, n_replicas, t_max, seed,
-                                          population_cap, n_replicas):
-        yield t, pos, rep
-
-
-def _replica_chunks(law, d, n_replicas, t_max, seed, population_cap, chunk):
-    """`ensemble_states`, ``chunk`` replicas at a time from the roots the
-    whole batch gives them, as (first, t, positions, replica_index) with
-    replica_index counted from replica ``first``; the cap as `_generations`."""
-    if d < 1:
-        raise ValidationError(f"dimension {d} must be >= 1")
-    seed = _check_int(seed, "seed", 0, 2**64)
-    made = [0] * (t_max + 1)
-    for first in range(0, n_replicas, chunk):
-        hi, lo = _root_ids(seed, min(first + chunk, n_replicas), first)
-        s = Snapshot(t=0, positions=np.zeros((hi.shape[0], d)), id_hi=hi, id_lo=lo)
-        rep = np.arange(hi.shape[0], dtype=np.int64)
-        yield first, 0, s.positions, rep
-        for _ in range(t_max):
-            s, counts = _advance(s, law, seed, population_cap, 1, made[s.t + 1])
-            made[s.t] += s.n
-            rep = np.repeat(rep, counts)
-            yield first, s.t, s.positions, rep

@@ -145,17 +145,31 @@ def snapshot_records(data: bytes) -> list[tuple[int, dict]]:
     return out
 
 
+def whole_batch(law, d, n_replicas, t_max, seed, population_cap=sim.DEFAULT_POPULATION_CAP):
+    """Generations t = 0..t_max of n_replicas independent runs from the
+    origin, as one population whose ``root`` is each row's replica, each
+    made whole from the last by one `simulator.step`, which checks the cap
+    on the whole batch: the batch that ``martingales.ensemble_v_matrix``
+    walks depth first in parts.  Replica r has the r-th root id of the seed,
+    so replica 0 has the root of `simulator.run`."""
+    hi, lo = sim._root_ids(seed, n_replicas)
+    s = sim.Snapshot(0, np.zeros((n_replicas, d)), hi, lo, np.arange(n_replicas))
+    yield s
+    while s.t < t_max:
+        s = sim.step(s, law, seed, population_cap=population_cap)
+        yield s
+
+
 def whole_batch_v_matrix(law, d, alphas, t_max, n_replicas, seed,
                          population_cap=sim.DEFAULT_POPULATION_CAP) -> dict:
     """V_alpha(t) per replica, as ``martingales.ensemble_v_matrix`` returns
-    it, from one lockstep run of the whole batch (``ensemble_states``) and
-    one ``np.bincount`` over all of its particles per generation and index."""
+    it, from the generations of `whole_batch` and one ``np.bincount`` over
+    all of a generation's particles per index."""
     alphas = [mi.as_multiindex(a) for a in alphas]
     out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
-    for t, pos, rep in sim.ensemble_states(law, d, n_replicas, t_max, seed,
-                                           population_cap=population_cap):
-        for a, w in zip(alphas, hm.hermite_products(pos, float(t), alphas)):
-            out[a][:, t] = np.bincount(rep, weights=w, minlength=n_replicas)
+    for s in whole_batch(law, d, n_replicas, t_max, seed, population_cap):
+        for a, w in zip(alphas, hm.hermite_products(s.positions, float(s.t), alphas)):
+            out[a][:, s.t] = np.bincount(s.root, weights=w, minlength=n_replicas)
     return out
 
 

@@ -253,7 +253,8 @@ def test_a08_hermite_second_moment_along_diffusion():
     n_rep = 100_000
     want = {1, 2, 5}
     alphas = [a for n in range(4) for a in mi.enumerate_order(2, n)]
-    for t, pos, rep in sim.ensemble_states(law, 2, n_rep, 5, seed=777001):
+    for s in oracles.whole_batch(law, 2, n_rep, 5, seed=777001):
+        t, pos = s.t, s.positions
         if t not in want:
             continue
         assert pos.shape == (n_rep, 2)
@@ -356,7 +357,8 @@ def test_a10_inference_round_trip_and_forecast():
     region = rg.Box((-1.25,), (1.25,))
     counts = np.zeros((len(sets), n_rep))
     fields = np.zeros(n_rep)
-    for t, pos, rep in sim.ensemble_states(law, 1, n_rep, 27, seed=31415):
+    for s in oracles.whole_batch(law, 1, n_rep, 27, seed=31415):
+        t, pos, rep = s.t, s.positions, s.root
         if t == 25:
             for i, A in enumerate(sets):
                 mask = rg.contains(A, pos)

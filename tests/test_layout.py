@@ -6,7 +6,10 @@ referenced in the package outside its own definition, or be exported:
 shown called in README.md, which is the package's API.  References that
 only tests use live in ``tests/oracles.py``.  Every name in ``__all__``
 must exist.  Only ``simulator._advance`` draws offspring and branches,
-and only ``simulator._generations`` loops `initial_snapshot` + `step`.
+only the public ``simulator.step`` calls it, and only
+``simulator._generations`` loops `initial_snapshot` + `step`: every
+generation, the replica ensemble's included, goes through the `step` that a
+tracer wraps.
 """
 
 import ast
@@ -79,6 +82,7 @@ def test_every_name_in_all_exists():
 @pytest.mark.parametrize("name, user", [
     ("_offspring_counts", "simulator._advance"),
     ("_branch", "simulator._advance"),
+    ("_advance", "simulator.step"),
     ("initial_snapshot", "simulator._generations"),
     ("step", "simulator._generations"),
 ])

@@ -413,6 +413,16 @@ def test_increment_table_validation(binary_law):
         mg.l2_increment_diagnostic(10, [], 3, binary_law)
 
 
+@pytest.mark.parametrize("t_max, cap", [(-1, 10**6), (3, "10"), (3, 1.5)],
+                         ids=["negative-t_max", "cap-string", "cap-float"])
+def test_ensemble_checks_its_inputs(t_max, cap, binary_law):
+    with pytest.raises(ValidationError):
+        mg.ensemble_v_matrix(binary_law, 1, [(0,)], t_max, 10, seed=1, population_cap=cap)
+    with pytest.raises(ValidationError):
+        mg.l2_increment_diagnostic(10, [(0,)], t_max, binary_law, seed=1,
+                                   population_cap=cap)
+
+
 def test_increment_tables_share_one_ensemble(mixed_law):
     # One call over several indices runs one ensemble; each table equals
     # the one a single-index call with the same seed gives.
@@ -423,12 +433,16 @@ def test_increment_tables_share_one_ensemble(mixed_law):
         assert [table] == mg.l2_increment_diagnostic(300, [a], 5, mixed_law, seed=12)
 
 
-C = sim._REPLICA_CHUNK  # replicas per lockstep chunk of ensemble_v_matrix
+B = sim.BLOCK  # parents per part of the ensemble's depth-first walk
 
 
-@pytest.mark.parametrize("n_replicas", [1, C - 1, C, C + 1, 2 * C + 3])
+# Up to 4099 replicas, a generation fits one or two parts; B - 1 to B + 1
+# put the edge of a part at the last root, and at 3 B + 5 every generation
+# spans at least three parts.
+@pytest.mark.parametrize("n_replicas", [1, 2047, 2048, 2049, 4099,
+                                        B - 1, B, B + 1, 3 * B + 5])
 def test_ensemble_v_matrix_is_the_whole_batch_bit_for_bit(n_replicas):
-    # Half the replicas of this law die out, so chunks also end in replicas
+    # Half the replicas of this law die out, so parts also end in replicas
     # with no particles left.
     law = OffspringLaw((0.25, 0.25, 0.5))
     alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
@@ -437,15 +451,21 @@ def test_ensemble_v_matrix_is_the_whole_batch_bit_for_bit(n_replicas):
     assert sorted(got) == sorted(want)
     for a in want:
         assert got[a].tobytes() == want[a].tobytes(), a
-    if n_replicas > C:
+    if n_replicas > 2048:
         assert (want[(0, 0)][:, -1] == 0).any()
+    if n_replicas > 3 * B:
+        assert want[(0, 0)].sum(axis=0).min() > 3 * B
 
 
-def test_ensemble_v_matrix_holds_one_replica_chunk():
-    # Beyond its output, eight chunks of doubling replicas hold what one
-    # chunk does; the whole batch holds all of their particles at once.
+def test_ensemble_v_matrix_memory_is_bounded_in_parts():
+    # Beyond their output and roots, doubling replicas walked depth first
+    # hold one step's children (two parts) per generation, so the peak grows
+    # by about two parts each time t_max does; the batch made whole holds
+    # its last two generations.
     law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
     alphas = [(0,), (1,)]
+    n = 2 * B
+    part = B * (8 + 16 + 8)  # bytes of B particles at d=1 with their root
 
     def beyond_output(build):
         tracemalloc.start()
@@ -457,12 +477,13 @@ def test_ensemble_v_matrix_holds_one_replica_chunk():
             tracemalloc.stop()
         return peak - sum(a.nbytes for a in out.values())
 
-    one = beyond_output(lambda: mg.ensemble_v_matrix(law, 1, alphas, 5, C, seed=3))
-    many = beyond_output(lambda: mg.ensemble_v_matrix(law, 1, alphas, 5, 8 * C, seed=3))
-    whole = beyond_output(lambda: oracles.whole_batch_v_matrix(law, 1, alphas, 5, 8 * C,
+    peaks = [beyond_output(lambda: mg.ensemble_v_matrix(law, 1, alphas, t, n, seed=3))
+             for t in (5, 6, 7)]  # last generation of 64, 128 and 256 parts
+    assert max(peaks) <= 24 * part, peaks
+    assert all(0 < b - a <= 3 * part for a, b in zip(peaks, peaks[1:])), peaks
+    whole = beyond_output(lambda: oracles.whole_batch_v_matrix(law, 1, alphas, 5, n,
                                                                seed=3))
-    assert many <= 1.1 * one
-    assert whole > 4 * one
+    assert whole > 4 * peaks[0]
 
 
 def test_ensemble_v_matrix_shape_and_integrality(mixed_law):

@@ -278,10 +278,10 @@ def test_single_particle_positions_are_brownian():
     law = OffspringLaw((0.0, 1.0), test_mode=True)
     t_max = 4
     final = {}
-    for t, pos, rep in sim.ensemble_states(law, 2, 4000, t_max, seed=77):
-        assert pos.shape == (4000, 2)
-        np.testing.assert_array_equal(rep, np.arange(4000))
-        final[t] = pos
+    for s in oracles.whole_batch(law, 2, 4000, t_max, seed=77):
+        assert s.positions.shape == (4000, 2)
+        np.testing.assert_array_equal(s.root, np.arange(4000))
+        final[s.t] = s.positions
     x = final[t_max][:, 0]
     se_mean = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean()) <= 4 * se_mean
@@ -655,11 +655,12 @@ def test_radius_profile_monotone_time():
 
 
 def test_ensemble_population_cap():
+    # The cap counts the particles of all replicas together.
     law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
-    gen = sim.ensemble_states(law, 1, 100, 10, seed=4, population_cap=500)
     with pytest.raises(PopulationCapError):
-        for _ in gen:
-            pass
+        list(oracles.whole_batch(law, 1, 100, 10, seed=4, population_cap=500))
+    with pytest.raises(PopulationCapError):
+        mg.ensemble_v_matrix(law, 1, [(0,)], 10, 100, seed=4, population_cap=500)
 
 
 # ---------------------------------------------------- one generation path
@@ -680,11 +681,12 @@ def test_one_replica_ensemble_is_the_run(name):
     cfg = RUNS[name]
     snaps = sim.run(cfg)
     assert snaps[-1].n > 8
-    states = list(sim.ensemble_states(cfg.law, cfg.d, 1, cfg.t_max, cfg.seed))
-    assert [t for t, _, _ in states] == [s.t for s in snaps]
-    for (_, pos, rep), s in zip(states, snaps):
-        assert pos.tobytes() == s.positions.tobytes()
-        assert rep.tolist() == [0] * s.n
+    states = list(oracles.whole_batch(cfg.law, cfg.d, 1, cfg.t_max, cfg.seed))
+    assert [b.t for b in states] == [s.t for s in snaps]
+    for b, s in zip(states, snaps):
+        for field in ("positions", "id_hi", "id_lo"):
+            assert getattr(b, field).tobytes() == getattr(s, field).tobytes()
+        assert b.root.tolist() == [0] * s.n
 
 
 
@@ -781,14 +783,15 @@ def test_run_caps_as_the_whole_run(chunk, t_max, monkeypatch, tmp_path):
 
 
 def test_ensemble_v_matrix_caps_the_whole_batch():
-    # Doubling replicas: generation t holds n 2^t particles.  A chunked
-    # abort can be found in a later generation than the first over the cap,
-    # with the count made so far, but only when the whole batch aborts.
+    # Doubling replicas: generation t holds n 2^t particles, in parts of
+    # BLOCK parents from t=2 on.  Walked depth first, an abort can be found
+    # in a later generation than the first over the cap, with the count
+    # made so far, but only when the whole batch aborts.
     law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
-    n, t_max = 2 * sim._REPLICA_CHUNK + 3, 4
+    n, t_max = sim.BLOCK // 2 + 3, 4
     for t in range(1, t_max + 1):
         for cap in (n * 2**t - 1, n * 2**t):
-            want = _cap_error(lambda: list(sim.ensemble_states(
+            want = _cap_error(lambda: list(oracles.whole_batch(
                 law, 1, n, t_max, seed=6, population_cap=cap)))
             got = _cap_error(lambda: mg.ensemble_v_matrix(
                 law, 1, [(0,), (1,)], t_max, n, seed=6, population_cap=cap))
@@ -856,6 +859,20 @@ def test_read_allocates_the_snapshots_once(monkeypatch, tmp_path):
     data = sum(s.positions.nbytes + s.id_hi.nbytes + s.id_lo.nbytes for s in snaps)
     assert data == 2**15 * 32 + 2**10 * 32
     assert peak <= data + 2**16, peak - data
+
+
+def test_run_in_memory_holds_the_generation_once(monkeypatch):
+    # t=15 is 16 parts of 2048 rows.  Joined as it is made, it is held
+    # once, besides what the walk itself holds and one part; joining the
+    # parts at the end would hold its 1 MB twice.
+    monkeypatch.setattr(sim, "_RUN_CHUNK", 1024)
+    cfg = SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=5, t_max=15, test_mode=True)
+    walk = _traced_peak(lambda: sim.radius_profile(cfg))
+    snaps = []
+    peak = _traced_peak(lambda: snaps.extend(sim.run(cfg)))
+    data = snaps[0].positions.nbytes + snaps[0].id_hi.nbytes + snaps[0].id_lo.nbytes
+    assert data == 2**15 * 32
+    assert peak <= data + walk + 2048 * 32, (peak - data, walk)
 
 
 # ------------------------------------------------------------ golden streams

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -280,6 +281,51 @@ def cmd_infer(args) -> int:
 # ----------------------------------------------------------------- diagnose
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _diagnose_task(task):
+    """One independent computation of `cmd_diagnose`: a radius run or the
+    increment ensemble, given by name and keyword arguments.  A failure is
+    returned, not raised, so that the caller can raise the one the tasks
+    would meet first one by one."""
+    name, kwargs = task
+    try:
+        if name == "radius":
+            return sim.radius_profile(**kwargs)
+        return mg.l2_increment_diagnostic(**kwargs)
+    except Exception as exc:
+        return exc
+
+
+def _run_tasks(tasks):
+    """`_diagnose_task` over ``tasks``, results in task order, on one forked
+    process per available CPU, starting with the last task, which
+    `cmd_diagnose` makes its longest.  With only one CPU, one task, or no
+    fork, the tasks run in order in this process, one as each result is
+    taken.  Every task is a pure function of its seed, so the results do
+    not depend on the path."""
+    procs = min(_cpus(), len(tasks))
+    if procs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # Forked workers start with the package imported, where spawned ones
+        # would each pay an interpreter start-up; no other Python thread runs
+        # in this process here.
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            # Leaving the block waits for every worker process to exit.
+            with ProcessPoolExecutor(procs, mp_context=context) as pool:
+                futures = [pool.submit(_diagnose_task, t) for t in reversed(tasks)]
+                return [f.result() for f in reversed(futures)]
+    return map(_diagnose_task, tasks)
+
+
 def cmd_diagnose(args) -> int:
     cfg = _config(args)
     if args.runs < 0:
@@ -298,13 +344,19 @@ def cmd_diagnose(args) -> int:
     e1 = tuple([1] + [0] * (cfg.d - 1))
     alphas = ((0,) * cfg.d, e1)
     # Everything is computed before any file is opened, so a run stopped by
-    # the population cap leaves no output behind.
+    # the population cap leaves no output behind.  The first failure in task
+    # order is raised: the radius runs', then the ensemble's.
     seeds = [(cfg.seed + r) % 2**64 for r in range(args.runs)]
-    profiles = [sim.radius_profile(dataclasses.replace(cfg, seed=s)) for s in seeds]
-    tables = mg.l2_increment_diagnostic(
-        args.replicas, alphas, min(cfg.t_max, 8), law, seed=cfg.seed,
-        population_cap=cfg.population_cap,
-    )
+    tasks = [("radius", dict(cfg=dataclasses.replace(cfg, seed=s))) for s in seeds]
+    tasks.append(("increments", dict(replicas=args.replicas, alphas=alphas,
+                                     t_max=min(cfg.t_max, 8), law=law, seed=cfg.seed,
+                                     population_cap=cfg.population_cap)))
+    results = []
+    for result in _run_tasks(tasks):
+        if isinstance(result, Exception):
+            raise result
+        results.append(result)
+    *profiles, tables = results
 
     # Radius-versus-t^(1+eps) check over independent runs.
     radius = []

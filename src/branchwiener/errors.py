@@ -34,3 +34,7 @@ class PopulationCapError(RuntimeError):
         super().__init__(
             f"population {population} at generation {t} exceeds cap {cap}"
         )
+
+    def __reduce__(self):
+        # Rebuilt from its three values, so it crosses a process boundary.
+        return type(self), (self.t, self.population, self.cap)

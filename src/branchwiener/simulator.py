@@ -835,7 +835,7 @@ def max_radius(s: Snapshot) -> float:
     return float(math.sqrt(float(sq.max())))
 
 
-def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float]]:
+def radius_profile(cfg: SimConfig) -> list[tuple[int, float]]:
     """(t, max_radius) for every generation up to t_max (stops at extinction).
 
     The run is walked depth first, `_RUN_CHUNK` parents at a time; the
@@ -843,7 +843,7 @@ def radius_profile(cfg: SimConfig, *, workers: int = 1) -> list[tuple[int, float
     profile is the whole run's bit for bit.
     """
     top: dict[int, float] = {}
-    for s, _ in _generations(cfg, workers, _RUN_CHUNK):
+    for s, _ in _generations(cfg, 1, _RUN_CHUNK):
         if s.n:
             top[s.t] = max(top.get(s.t, 0.0), max_radius(s))
     return sorted(top.items())

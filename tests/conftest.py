@@ -5,6 +5,8 @@ tests (means, second moments, increment decay) share one batch of replicas
 instead of re-simulating per test.  All seeds are frozen.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,14 @@ BINARY_PMF = (0.0, 0.0, 1.0)
 MIXED_PMF = (0.25, 0.25, 0.5)
 
 ALPHAS_1D = [(0,), (1,), (2,)]
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """A test may start worker processes (diagnose does) but must not leave
+    one running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

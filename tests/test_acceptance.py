@@ -442,7 +442,7 @@ def test_a12_radius_bound_and_increment_decay(binary_law, mixed_law):
         cfg = sim.SimConfig(
             d=1, pmf=BINARY_PMF, seed=7000 + i, t_max=20, test_mode=True
         )
-        profile = sim.radius_profile(cfg, workers=4)
+        profile = sim.radius_profile(cfg)
         assert len(profile) == 21
         assert profile[0] == (0, 0.0)
         for t, radius in profile:

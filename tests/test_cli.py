@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,10 @@ from branchwiener import cli
 from branchwiener import expansion as xp
 from branchwiener import inference as inf
 from branchwiener import kernel_expansion as kx
+from branchwiener import martingales as mg
 from branchwiener import regions as rg
 from branchwiener import simulator as sim
+from branchwiener.errors import PopulationCapError
 from branchwiener.martingales import NTable
 
 import oracles
@@ -715,6 +718,78 @@ def test_diagnose_honours_the_population_cap(tmp_path, capsys):
     assert "cap 50" in err
     assert "snapshots" not in err  # diagnose writes none
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def _diagnose_on(cpus, argv, prefix, capsys, monkeypatch):
+    """exit code, stdout, stderr and CSV texts of `diagnose` run as if on
+    ``cpus`` CPUs; also the number of radius runs made in this process."""
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    here = []
+    profile = sim.radius_profile
+
+    def counted(cfg):
+        here.append(cfg.seed)
+        return profile(cfg)
+
+    # A forked worker counts into its own copy of the list.
+    monkeypatch.setattr(sim, "radius_profile", counted)
+    rc = cli.main(["diagnose", "--out", str(prefix), *argv])
+    out, err = capsys.readouterr()
+    texts = {}
+    for part in ("radius", "increments", "moments"):
+        path = Path(f"{prefix}.{part}.csv")
+        if path.exists():
+            texts[part] = path.read_text()
+            path.unlink()
+    return rc, out, err, texts, len(here)
+
+
+@pytest.mark.parametrize("runs", [0, 1, 4])
+@pytest.mark.parametrize("seed", [11, 2024])
+def test_diagnose_is_the_same_on_one_or_two_processes(runs, seed, tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": 2, "pmf": [0.0, 0.5, 0.5], "seed": seed,
+                               "t_max": 9}))
+    argv = ["--config", str(cfg), "--runs", str(runs), "--replicas", "300"]
+    prefix = tmp_path / "diag"
+    one = _diagnose_on(1, argv, prefix, capsys, monkeypatch)
+    two = _diagnose_on(2, argv, prefix, capsys, monkeypatch)
+    assert one[0] == two[0] == 0
+    assert one[1:4] == two[1:4]
+    assert len(one[3]["radius"].splitlines()) > 10 * runs
+    # One CPU runs every radius run here; two run them all in workers,
+    # except that a lone task (--runs 0) stays in this process.
+    assert one[4] == runs
+    assert two[4] == 0
+
+
+def test_diagnose_raises_the_first_radius_run_cap_abort(tmp_path, capsys, monkeypatch):
+    # Runs 1, 2 and 3 of base seed 6 outgrow a cap of 100, each at another
+    # generation, and so does the ensemble; run 1's abort is the one a
+    # sequential diagnose would meet first.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": 1, "pmf": [0.25, 0.25, 0.5], "seed": 6,
+                               "t_max": 40, "population_cap": 100}))
+    config = sim.SimConfig.from_json(str(cfg))
+    aborts = []
+    for r in range(4):
+        try:
+            sim.radius_profile(dataclasses.replace(config, seed=6 + r))
+            aborts.append(None)
+        except PopulationCapError as exc:
+            aborts.append(str(exc))
+    assert aborts[0] is None and len(set(aborts[1:])) == 3
+    with pytest.raises(PopulationCapError):
+        mg.l2_increment_diagnostic(500, [(0,)], 8, config.law, seed=6, population_cap=100)
+    argv = ["--config", str(cfg), "--runs", "4", "--replicas", "500"]
+    for cpus in (1, 2):
+        rc, out, err, texts, _ = _diagnose_on(cpus, argv, tmp_path / "diag", capsys,
+                                              monkeypatch)
+        assert rc == cli.EXIT_CAP
+        assert (out, err) == ("", f"aborted: {aborts[1]}\n")
+        assert texts == {}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-2", "1e308"])

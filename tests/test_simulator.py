@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,14 @@ def test_population_cap():
     assert err.t == 5
     assert err.population == 32
     assert err.cap == 31
+
+
+def test_population_cap_error_survives_pickling():
+    # A worker process hands its abort to the parent by pickling it.
+    err = pickle.loads(pickle.dumps(PopulationCapError(5, 123, 50)))
+    assert type(err) is PopulationCapError
+    assert (err.t, err.population, err.cap) == (5, 123, 50)
+    assert str(err) == "population 123 at generation 5 exceeds cap 50"
 
 
 def test_population_cap_leaves_partial_file(tmp_path):

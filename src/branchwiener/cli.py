@@ -7,8 +7,8 @@ and a timestamp; the data files themselves contain no timestamps, so a
 rerun with the same inputs and seed is byte-identical.
 
 Exit codes: 0 success; 2 validation error (bad config, region, arguments);
-3 numeric failure (ill-conditioned system); 4 resource cap exceeded;
-5 I/O failure.
+3 numeric failure (ill-conditioned system); 4 resource cap exceeded, or a
+worker process killed; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -119,9 +119,11 @@ def _pick_snapshot(snaps, t):
 
 def cmd_simulate(args) -> int:
     cfg = _config(args)
+    if args.workers < 1:
+        raise ValidationError(f"--workers {args.workers} must be >= 1")
     manifest = _manifest(args, [args.config], [args.out])
     try:
-        written = sim.run(cfg, out=args.out, workers=args.workers)
+        written = sim.run(cfg, out=args.out)
     except PopulationCapError as exc:
         # The partial result keeps its manifest, which records the abort.
         manifest["aborted"] = {"t": exc.t, "population": exc.population, "cap": exc.cap}
@@ -309,20 +311,26 @@ def _run_tasks(tasks):
     `cmd_diagnose` makes its longest.  With only one CPU, one task, or no
     fork, the tasks run in order in this process, one as each result is
     taken.  Every task is a pure function of its seed, so the results do
-    not depend on the path."""
+    not depend on the path.  Returns None, having said why on stderr, when
+    a worker process dies abruptly (killed for memory, say)."""
     procs = min(_cpus(), len(tasks))
     if procs > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         # Forked workers start with the package imported, where spawned ones
-        # would each pay an interpreter start-up; no other Python thread runs
-        # in this process here.
+        # would each pay an interpreter start-up.
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-            # Leaving the block waits for every worker process to exit.
-            with ProcessPoolExecutor(procs, mp_context=context) as pool:
-                futures = [pool.submit(_diagnose_task, t) for t in reversed(tasks)]
-                return [f.result() for f in reversed(futures)]
+            try:
+                # Leaving the block waits for every worker process to exit;
+                # a broken pool has ended the others first.
+                with ProcessPoolExecutor(procs, mp_context=context) as pool:
+                    futures = [pool.submit(_diagnose_task, t) for t in reversed(tasks)]
+                    return [f.result() for f in reversed(futures)]
+            except BrokenProcessPool as exc:
+                print(f"aborted: {exc}", file=sys.stderr)
+                return None
     return map(_diagnose_task, tasks)
 
 
@@ -351,8 +359,11 @@ def cmd_diagnose(args) -> int:
     tasks.append(("increments", dict(replicas=args.replicas, alphas=alphas,
                                      t_max=min(cfg.t_max, 8), law=law, seed=cfg.seed,
                                      population_cap=cfg.population_cap)))
+    done = _run_tasks(tasks)
+    if done is None:
+        return EXIT_CAP
     results = []
-    for result in _run_tasks(tasks):
+    for result in done:
         if isinstance(result, Exception):
             raise result
         results.append(result)
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True, help="snapshot file to write")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (output is identical for any value)")
+                   help="no effect: steps run on the calling thread (must be >= 1)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("count", help="count particles of a snapshot in a region")

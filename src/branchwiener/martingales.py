@@ -283,7 +283,7 @@ def ensemble_v_matrix(
     hi, lo = _root_ids(cfg.seed, n_replicas)
     roots = Snapshot(0, np.zeros((n_replicas, d)), hi, lo, np.arange(n_replicas))
     out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
-    for part, _ in _generations(cfg, 1, BLOCK, roots):
+    for part, _ in _generations(cfg, BLOCK, roots):
         for a, w in zip(alphas, hermite_products(part.positions, float(part.t), alphas)):
             np.add.at(out[a][:, part.t], part.root, w)
     return out

@@ -11,8 +11,8 @@ Randomness is counter-based rather than sequential: every draw is a pure
 hash of (seed, particle lineage id, purpose tag), where a child's 128-bit
 lineage id is itself a hash of (parent id, birth rank).  Two consequences:
 
-* runs are bitwise reproducible for a fixed seed regardless of worker count
-  or particle processing order, and
+* runs are bitwise reproducible for a fixed seed regardless of how the
+  particles are split into blocks, parts or processes, or of their order, and
 * a stored snapshot can be continued under a fresh seed with randomness
   independent of the original run.
 
@@ -29,12 +29,10 @@ SIMD paths.  The sampler name recorded in snapshot file headers is
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -62,10 +60,9 @@ _TAG_STRIDE = 0x636F6F7264313375
 # Bits of the float 1.0: OR-ed onto 52 random mantissa bits, a float in [1, 2).
 _ONE_BITS = _U64(0x3FF0000000000000)
 
-#: Parents per block of the branching kernel, and the one threshold for
-#: threads: a step of fewer than two blocks runs on the calling thread.
-#: Also the largest leaf of `martingales.v_alpha_many`, whose sums keep the
-#: bits of `np.sum` only while it is at least 128.
+#: Parents per block of the branching kernel.  Also the largest leaf of
+#: `martingales.v_alpha_many`, whose sums keep the bits of `np.sum` only
+#: while it is at least 128.
 BLOCK = 1 << 13
 #: Parents per part of a run, which `run` and `radius_profile` walk depth
 #: first; `martingales.ensemble_v_matrix`, whose generations are all wide,
@@ -478,51 +475,37 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
     return counts
 
 
-def _make_children(positions, hi, lo, counts, axis_keys, pos, chi, clo):
-    """Write the children of one block of parents into pos, chi and clo,
-    whose length is counts.sum().  Coordinate j of a child's displacement
-    is drawn from its id folded to one word, XOR axis_keys[j]."""
-    starts = (np.cumsum(counts) - counts).astype(np.uint64)
-    rank = np.arange(1, pos.shape[0] + 1, dtype=np.uint64)
-    rank -= np.repeat(starts, counts)
-    chi[:], clo[:] = _child_ids(np.repeat(hi, counts), np.repeat(lo, counts), rank)
-    pos[:] = np.repeat(positions, counts, axis=0)
-    pos += _ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
-
-
-def _branch(positions, id_hi, id_lo, counts, seed: int, d: int, workers: int):
-    """(positions, id_hi, id_lo) of all children, in parent order, filled
-    BLOCK parents at a time, on up to ``workers`` threads when there are at
-    least two blocks; draws are counter-based, so threads change nothing."""
+def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
+    """(positions, id_hi, id_lo) of all children, in parent order, written
+    BLOCK parents at a time into arrays made once, so that the scratch is
+    one block's.  Coordinate j of a child's displacement is drawn from its
+    id folded to one word, XOR the key of axis j."""
     axis_keys = np.array([_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(d)])
-    firsts = range(0, counts.shape[0], BLOCK)
-    ends = [0, *itertools.accumulate(int(counts[a:a + BLOCK].sum()) for a in firsts)]
-    pos = np.empty((ends[-1], d), dtype=np.float64)
-    hi = np.empty(ends[-1], dtype=np.uint64)
-    lo = np.empty(ends[-1], dtype=np.uint64)
-
-    def build(b: int) -> None:
-        p, c = slice(firsts[b], firsts[b] + BLOCK), slice(ends[b], ends[b + 1])
-        _make_children(positions[p], id_hi[p], id_lo[p], counts[p], axis_keys,
-                       pos[c], hi[c], lo[c])
-
-    if workers > 1 and len(firsts) >= 2:
-        with ThreadPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
-            list(pool.map(build, range(len(firsts))))
-    else:
-        list(map(build, range(len(firsts))))
+    pos = np.empty((int(counts.sum()), d), dtype=np.float64)
+    hi = np.empty(pos.shape[0], dtype=np.uint64)
+    lo = np.empty(pos.shape[0], dtype=np.uint64)
+    end = 0
+    for a in range(0, counts.shape[0], BLOCK):
+        c = counts[a:a + BLOCK]
+        start, end = end, end + int(c.sum())
+        rank = np.arange(1, end - start + 1, dtype=np.uint64)
+        rank -= np.repeat((np.cumsum(c) - c).astype(np.uint64), c)
+        chi, clo, p = hi[start:end], lo[start:end], pos[start:end]
+        chi[:], clo[:] = _child_ids(np.repeat(id_hi[a:a + BLOCK], c),
+                                    np.repeat(id_lo[a:a + BLOCK], c), rank)
+        p[:] = np.repeat(positions[a:a + BLOCK], c, axis=0)
+        p += _ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
     return pos, hi, lo
 
 
-def _advance(s: Snapshot, law: OffspringLaw, seed: int, population_cap: int,
-             workers: int) -> Snapshot:
+def _advance(s: Snapshot, law: OffspringLaw, seed: int, population_cap: int) -> Snapshot:
     """The next generation of s: the one place that draws offspring, applies
     the population cap and branches.  Children inherit their parent's root."""
     counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
     total = int(counts.sum())
     if total > population_cap:
         raise PopulationCapError(s.t + 1, total, population_cap)
-    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d, workers)
+    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d)
     root = None if s.root is None else np.repeat(s.root, counts)
     return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo, root=root)
 
@@ -533,22 +516,18 @@ def step(
     seed: int,
     *,
     population_cap: int = DEFAULT_POPULATION_CAP,
-    workers: int = 1,
 ) -> Snapshot:
     """Advance one generation: branch at the parent position, then diffuse.
 
-    Output is a pure function of (snapshot, law, seed).  ``workers`` caps
-    the threads that build the children; a step of fewer than two blocks
-    of BLOCK parents runs on the calling thread.
+    Output is a pure function of (snapshot, law, seed).
     """
     if not s.has_ids:
         raise ValidationError("snapshot has no lineage ids and cannot be advanced")
     seed = _check_int(seed, "seed", 0, 2**64)
-    _check_int(workers, "workers", 1)
-    return _advance(s, law, seed, population_cap, workers)
+    return _advance(s, law, seed, population_cap)
 
 
-def _generations(cfg: SimConfig, workers: int, chunk: int,
+def _generations(cfg: SimConfig, chunk: int,
                  start: Snapshot | None = None) -> Iterator[tuple[Snapshot, int]]:
     """The run of cfg walked depth first, as (part, done): a part of
     generation part.t, generation 0 first and whole, and the number of
@@ -578,7 +557,7 @@ def _generations(cfg: SimConfig, workers: int, chunk: int,
         part = Snapshot(s.t, s.positions[a:b], s.id_hi[a:b], s.id_lo[a:b],
                         None if s.root is None else s.root[a:b])
         try:
-            s = step(part, law, cfg.seed, population_cap=cap - made[s.t + 1], workers=workers)
+            s = step(part, law, cfg.seed, population_cap=cap - made[s.t + 1])
         except PopulationCapError as exc:
             raise PopulationCapError(exc.t, made[exc.t] + exc.population, cap) from None
         made[s.t] += s.n
@@ -790,7 +769,7 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
     return header, snaps
 
 
-def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list:
+def run(cfg: SimConfig, out=None) -> list:
     """Run the process to t_max, walked depth first (see `_generations`).
 
     Without ``out``, returns the requested snapshots, each joined from the
@@ -800,13 +779,12 @@ def run(cfg: SimConfig, out=None, *, workers: int = 1) -> list:
     (t, n) of each snapshot written.  On a population-cap abort the
     snapshots completed so far remain in the file as a valid partial result.
     """
-    _check_int(workers, "workers", 1)
     wanted = list(cfg.snapshot_times)
     kept = {t: (np.empty((0, cfg.d)), np.empty(0, _U64), np.empty(0, _U64)) for t in wanted}
     result = []
     with (contextlib.nullcontext() if out is None
           else SnapshotWriter(out, d=cfg.d, pmf=cfg.pmf, seed=cfg.seed)) as writer:
-        for s, done in _generations(cfg, workers, _RUN_CHUNK):
+        for s, done in _generations(cfg, _RUN_CHUNK):
             if s.n and s.t in kept:
                 if writer:
                     writer.write(s)
@@ -843,7 +821,7 @@ def radius_profile(cfg: SimConfig) -> list[tuple[int, float]]:
     profile is the whole run's bit for bit.
     """
     top: dict[int, float] = {}
-    for s, _ in _generations(cfg, 1, _RUN_CHUNK):
+    for s, _ in _generations(cfg, _RUN_CHUNK):
         if s.n:
             top[s.t] = max(top.get(s.t, 0.0), max_radius(s))
     return sorted(top.items())

@@ -792,6 +792,29 @@ def test_diagnose_raises_the_first_radius_run_cap_abort(tmp_path, capsys, monkey
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_diagnose_exits_4_when_a_worker_process_dies(tmp_path, capsys, monkeypatch):
+    # A worker killed abruptly (for memory, say) breaks the pool: one line
+    # on stderr, no traceback, and no output file.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.5, 0.5], "seed": 3, "t_max": 6}))
+    here = os.getpid()
+
+    def die(cfg):
+        assert os.getpid() != here, "a radius run ran in the test's process"
+        os._exit(1)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "radius_profile", die)
+    rc = cli.main(["diagnose", "--config", str(config), "--out", str(tmp_path / "diag"),
+                   "--runs", "2", "--replicas", "50"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_CAP
+    assert out == ""
+    assert err.startswith("aborted: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-2", "1e308"])
 def test_diagnose_refuses_a_bad_epsilon(epsilon, doubling_config, tmp_path, capsys):
     # nan and inf have no meaning, t^-1 is infinite at t=0 and t^(1+1e308)

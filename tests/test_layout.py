@@ -9,11 +9,15 @@ must exist.  Only ``simulator._advance`` draws offspring and branches,
 only the public ``simulator.step`` calls it, and only
 ``simulator._generations`` loops `initial_snapshot` + `step`: every
 generation, the replica ensemble's included, goes through the `step` that a
-tracer wraps.
+tracer wraps.  Only ``cli._run_tasks`` runs anything in parallel, on
+processes, and no command imports ``concurrent.futures`` at start-up.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +92,36 @@ def test_every_name_in_all_exists():
 ])
 def test_one_place_makes_a_generation(name, user):
     assert users_of(name) == [user]
+
+
+CONCURRENCY = {"ThreadPoolExecutor", "ProcessPoolExecutor", "threading", "multiprocessing"}
+
+
+def _names_and_imports(node) -> set[str]:
+    """`_names_used` of node, and every dotted part of the modules and names
+    that its import statements take."""
+    names = _names_used(node)
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            for module in [getattr(n, "module", None), *(a.name for a in n.names)]:
+                names.update((module or "").split("."))
+    return names
+
+
+def test_only_diagnose_runs_in_parallel():
+    where = {
+        f"{module}.{getattr(node, 'name', f'line {node.lineno}')}"
+        for module, node in _top_level(PACKAGE)
+        if CONCURRENCY & _names_and_imports(node)
+    }
+    assert where == {"cli._run_tasks"}
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, branchwiener.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["False"]

@@ -96,17 +96,6 @@ def test_initial_position_offsets_everything():
     np.testing.assert_allclose(a.positions, b.positions + [10.0, -4.0], atol=1e-12)
 
 
-def test_worker_count_does_not_change_output():
-    cfg = SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=42, t_max=6)
-    ref = sim.run(cfg, workers=1)[-1]
-    for workers in (2, 3, 8):
-        got = sim.run(cfg, workers=workers)[-1]
-        assert got.n == ref.n
-        np.testing.assert_array_equal(got.positions, ref.positions)
-        np.testing.assert_array_equal(got.id_hi, ref.id_hi)
-        np.testing.assert_array_equal(got.id_lo, ref.id_lo)
-
-
 def _whole_population_step(s, law, seed):
     """The children of every parent built in one pass, as one array per
     field, with the draws written out: the reference the block kernel must
@@ -145,38 +134,21 @@ def test_block_kernel_matches_whole_population_build(n):
     law = OffspringLaw((0.3, 0.2, 0.3, 0.2), test_mode=True)
     s = _parents(n, 2)
     pos, hi, lo = _whole_population_step(s, law, 77)
-    for workers in (1, 2, 4):
-        got = sim.step(s, law, 77, workers=workers)
-        assert got.t == 4
-        np.testing.assert_array_equal(got.positions, pos)
-        np.testing.assert_array_equal(got.id_hi, hi)
-        np.testing.assert_array_equal(got.id_lo, lo)
+    got = sim.step(s, law, 77)
+    assert got.t == 4
+    np.testing.assert_array_equal(got.positions, pos)
+    np.testing.assert_array_equal(got.id_hi, hi)
+    np.testing.assert_array_equal(got.id_lo, lo)
 
 
-def test_threads_start_only_on_steps_of_two_blocks(monkeypatch):
-    opened = []
-
-    class Pool(sim.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
-    law = OffspringLaw((0.0, 1.0), test_mode=True)
-    sim.step(_parents(B, 1), law, 3, workers=4)
-    assert opened == []
-    sim.step(_parents(B + 1, 1), law, 3, workers=4)
-    sim.step(_parents(5 * B, 1), law, 3, workers=4)
-    sim.step(_parents(5 * B, 1), law, 3, workers=1)
-    assert opened == [2, 4]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_step_scratch_memory_is_bounded_by_blocks(workers):
-    # Besides its outputs and the counts, a step holds a constant times
-    # BLOCK per running block (about 105, 160 and 227 bytes per parent of a
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_step_scratch_memory_is_bounded_by_blocks(chunks):
+    # Besides its outputs and the counts, a step holds one block's scratch,
+    # a constant times BLOCK (about 105, 160 and 227 bytes per parent of a
     # doubling law at d = 1, 2 and 3); building all children at once held
-    # about 1000 at d = 1.
+    # about 1000 at d = 1. The bound does not grow with the parents: a
+    # step of one run chunk (what the depth-first walk hands to step) and
+    # a step of two are held to the same scratch.
     law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
 
     def peak(build):
@@ -189,11 +161,11 @@ def test_step_scratch_memory_is_bounded_by_blocks(workers):
             tracemalloc.stop()
 
     for d in (1, 2, 3):
-        s = _parents(8 * B, d)
-        bound = 256 * workers * B + 8 * s.n  # scratch, and the counts
+        s = _parents(chunks * sim._RUN_CHUNK, d)
+        bound = 256 * B + 8 * s.n  # scratch, and the counts
 
         def step():
-            c = sim.step(s, law, 9, workers=workers)
+            c = sim.step(s, law, 9)
             return c.positions, c.id_hi, c.id_lo
 
         assert peak(lambda: _whole_population_step(s, law, 9)) > bound
@@ -215,17 +187,6 @@ def test_lineage_ids_unique():
     s = sim.run(cfg)[-1]
     ids = set(zip(s.id_hi.tolist(), s.id_lo.tolist()))
     assert len(ids) == s.n == 256
-
-
-def test_worker_count_must_be_positive(tmp_path):
-    cfg = SimConfig(d=1, pmf=(0.25, 0.25, 0.5), seed=42, t_max=2)
-    s = sim.initial_snapshot(cfg)
-    for bad in (0, -1):
-        with pytest.raises(ValidationError, match="workers"):
-            sim.step(s, cfg.law, cfg.seed, workers=bad)
-        with pytest.raises(ValidationError, match="workers"):
-            sim.run(cfg, out=str(tmp_path / "w.snap"), workers=bad)
-    assert not (tmp_path / "w.snap").exists()
 
 
 def test_step_requires_ids():
@@ -464,18 +425,18 @@ def test_extinct_snapshot_round_trips(tmp_path):
     assert all(s.has_ids for s in snaps)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_snapshot_read_from_file_advances_like_in_memory(tmp_path, workers):
-    cfg = SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=2718, t_max=20,
+@pytest.mark.parametrize("d", [1, 2])
+def test_snapshot_read_from_file_advances_like_in_memory(tmp_path, d):
+    cfg = SimConfig(d=d, pmf=(0.0, 0.5, 0.5), seed=2718, t_max=20,
                     snapshot_times=(15, 20))
     out = tmp_path / "run.snap"
-    sim.run(cfg, out=str(out), workers=workers)
-    kept = sim.run(cfg, workers=workers)
+    sim.run(cfg, out=str(out))
+    kept = sim.run(cfg)
     _, snaps = sim.read_snapshot_file(str(out))
     s = snaps[0]
     assert s.t == 15
     for _ in range(5):
-        s = sim.step(s, cfg.law, cfg.seed, workers=workers)
+        s = sim.step(s, cfg.law, cfg.seed)
     mem = kept[-1]
     assert s.t == mem.t == 20 and s.n == mem.n
     assert s.positions.tobytes() == mem.positions.tobytes()
@@ -744,7 +705,7 @@ def test_run_is_the_whole_generation_run(name, monkeypatch, tmp_path):
     cfg = dataclasses.replace(cfg, snapshot_times=tuple(range(cfg.t_max + 1)))
     want = oracles.whole_generation_run(cfg)
     out = tmp_path / "run.snap"
-    assert sim.run(cfg, out=str(out), workers=2) == [(s.t, s.n) for s in want]
+    assert sim.run(cfg, out=str(out)) == [(s.t, s.n) for s in want]
     for got in (sim.run(cfg), sim.read_snapshot_file(str(out))[1]):
         assert [s.t for s in got] == [s.t for s in want]
         for g, w in zip(got, want):

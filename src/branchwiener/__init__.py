@@ -19,7 +19,6 @@ from .errors import (
 from .multiindex import MultiIndex
 from .hermite import hermite_1d, hermite_table
 from .kernel_expansion import (
-    KernelExpansionParams,
     gauss_kernel,
     truncated_kernel,
     truncation_error_scan,
@@ -65,7 +64,6 @@ __all__ = [
     "MultiIndex",
     "hermite_1d",
     "hermite_table",
-    "KernelExpansionParams",
     "gauss_kernel",
     "truncated_kernel",
     "truncation_error_scan",

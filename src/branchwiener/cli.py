@@ -171,11 +171,10 @@ def cmd_kernel_check(args) -> int:
         args.d, args.t, offset, args.k, T_list, scaled=not args.raw
     )
     # One row per grid point; the slope column repeats the per-k fit.
-    rows = [f"{r.k},{r.T:g},{r.error!r},{scan.slopes[r.k]!r},{int(r.flagged)}"
-            for r in scan.rows]
+    rows = [f"{r.k},{r.T:g},{r.error!r},{scan.slopes[r.k]!r}" for r in scan.rows]
     manifest = _manifest(args, [], [])
     _emit(args.out, manifest,
-          _csv_text(manifest, "k,T,error,fitted_slope,flagged", rows))
+          _csv_text(manifest, "k,T,error,fitted_slope", rows))
     return EXIT_OK
 
 

@@ -10,66 +10,30 @@ error decays like T^(-(k+1)) (after scaling out the (2 pi T)^(-d/2)
 prefactor); `truncation_error_scan` measures that decay.
 
 The series converges for t < T but is only numerically useful well inside
-that range; results with t/T > 1/2 are flagged with a warning.
+that range, so the scan keeps to T > 2t.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import multiindex as mi
+from . import regions as rg
 from .errors import ValidationError
-from .hermite import hermite_table
-
-#: t/T at or below this ratio is the validated regime; beyond it the series
-#: still evaluates but results carry a warning flag.
-VALIDATED_RATIO = 0.5
+from .hermite import hermite_products
 
 #: Largest truncation order accepted (the long closed-form checks need 60).
 MAX_ORDER = 64
 
 
-class ConvergenceRegionWarning(UserWarning):
-    """Emitted when a kernel truncation is evaluated with t/T > 1/2."""
-
-
-@dataclass(frozen=True)
-class KernelExpansionParams:
-    """Parameters of a truncated kernel expansion.
-
-    d : spatial dimension; T : terminal time (> 0); t : early time in
-    [0, T); k : truncation order (the outer sum runs n = 0..k).
-    """
-
-    d: int
-    T: float
-    t: float
-    k: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"dimension {self.d} must be >= 1")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValidationError(f"T must be a positive finite real, got {self.T}")
-        if not (0.0 <= self.t < self.T):
-            raise ValidationError(f"t={self.t} outside [0, T={self.T})")
-        if not (0 <= self.k <= MAX_ORDER):
-            raise ValidationError(f"order k={self.k} outside [0, {MAX_ORDER}]")
-
-    @property
-    def flagged(self) -> bool:
-        """True when t/T lies outside the validated convergence region."""
-        return self.t / self.T > VALIDATED_RATIO
-
-
-def _as_point(x, d: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape != (d,):
-        raise ValidationError(f"point shape {x.shape} does not match d={d}")
+def _as_point(x, what: str, d: int | None = None) -> np.ndarray:
+    """x as an array of finite floats, of length d when d is given."""
+    x = np.array(rg._as_float_tuple(np.atleast_1d(x), what))
+    if d is not None and x.shape != (d,):
+        raise ValidationError(f"{what} shape {x.shape} does not match d={d}")
     return x
 
 
@@ -78,39 +42,31 @@ def gauss_kernel(d: int, t: float, x) -> float:
     coordinates."""
     if t <= 0:
         raise ValidationError(f"kernel time must be positive, got {t}")
-    x = _as_point(x, d)
+    x = _as_point(x, "point", d)
     return (2.0 * math.pi * t) ** (-d / 2.0) * math.exp(-float(x @ x) / (2.0 * t))
 
 
-def _warn_if_flagged(params: KernelExpansionParams) -> None:
-    if params.flagged:
-        warnings.warn(
-            f"t/T = {params.t / params.T:.3f} exceeds validated ratio "
-            f"{VALIDATED_RATIO}; truncation quality is not guaranteed",
-            ConvergenceRegionWarning,
-            stacklevel=3,
-        )
-
-
-def truncated_kernel(params: KernelExpansionParams, x) -> float:
-    """Order-k truncation of the kernel series at the point x.
+def truncated_kernel(x, T: float, t: float, k: int) -> float:
+    """Order-k truncation of the kernel series at the point x of dimension
+    d = len(x): terminal time T > 0, early time t in [0, T), and the outer
+    sum running n = 0..k.
 
     Terms are generated in increasing n and combined with exact compensated
     summation (math.fsum); the alternating (-T)^(-n) signs make naive
     accumulation lossy.
     """
-    x = _as_point(x, params.d)
-    _warn_if_flagged(params)
-    tables = [hermite_table(2 * params.k, x[i], params.t) for i in range(params.d)]
-    terms = []
-    for n in range(params.k + 1):
-        factor = (-params.T) ** (-n) / 2.0**n
-        for alpha in mi.enumerate_order(params.d, n):
-            h = 1.0
-            for i, a in enumerate(alpha):
-                h *= float(tables[i][2 * a])
-            terms.append(factor * h / mi.factorial(alpha))
-    return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
+    x = _as_point(x, "point")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValidationError(f"T must be a positive finite real, got {T}")
+    if not (0.0 <= t < T):
+        raise ValidationError(f"t={t} outside [0, T={T})")
+    if not (0 <= k <= MAX_ORDER):
+        raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
+    alphas = [a for n in range(k + 1) for a in mi.enumerate_order(len(x), n)]
+    hs = hermite_products(x[None, :], t, [2 * a for a in alphas])
+    terms = [(-T) ** (-a.order) / 2.0**a.order * float(h[0]) / mi.factorial(a)
+             for a, h in zip(alphas, hs)]
+    return (2.0 * math.pi * T) ** (-len(x) / 2.0) * math.fsum(terms)
 
 
 def fit_loglog_slope(T_values, errors) -> float:
@@ -121,8 +77,8 @@ def fit_loglog_slope(T_values, errors) -> float:
     """
     T_values = np.asarray(T_values, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
-    if T_values.shape != errors.shape or T_values.size < 2:
-        raise ValidationError("need matching T/error arrays with >= 2 points")
+    if T_values.shape != errors.shape or np.unique(T_values).size < 2:
+        raise ValidationError("need matching T/error arrays with >= 2 distinct T values")
     positive = errors[errors > 0]
     if positive.size == 0:
         return float("-inf")
@@ -136,7 +92,6 @@ class ScanRow:
     k: int
     T: float
     error: float
-    flagged: bool
 
 
 @dataclass(frozen=True)
@@ -165,7 +120,7 @@ def truncation_error_scan(
     """
     if not (0 <= k_max <= MAX_ORDER):
         raise ValidationError(f"largest order k={k_max} outside [0, {MAX_ORDER}]")
-    offset = _as_point(offset, d)
+    offset = _as_point(offset, "offset", d)
     T_arr = [float(T) for T in np.atleast_1d(np.asarray(T_list, dtype=np.float64))]
     if len(T_arr) == 0:
         raise ValidationError("empty T list")
@@ -187,10 +142,8 @@ def truncation_error_scan(
     for k in range(k_max + 1):
         errs = []
         for T, scale, exact in zip(T_arr, scales, exacts):
-            params = KernelExpansionParams(d=d, T=T, t=t, k=k)
-            approx = truncated_kernel(params, offset)
-            err = abs(exact - approx) * scale
-            rows.append(ScanRow(k=k, T=T, error=err, flagged=params.flagged))
+            err = abs(exact - truncated_kernel(offset, T, t, k)) * scale
+            rows.append(ScanRow(k=k, T=T, error=err))
             errs.append(err)
         slopes[k] = fit_loglog_slope(T_arr, errs)
     return ScanTable(rows=tuple(rows), slopes=slopes)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import chndtr, ndtr
 
 from branchwiener import hermite as hm
-from branchwiener import kernel_expansion as kx
 from branchwiener import multiindex as mi
 from branchwiener import regions as rg
 from branchwiener import simulator as sim
@@ -195,30 +194,30 @@ def theorem_a_form(region, T: float, n0: float, n1, n2: float) -> float:
     return n0 * vol - (n0 * quad - 2.0 * lin + n2 * vol) / (2.0 * T)
 
 
-def truncated_kernel_shifted(params: kx.KernelExpansionParams, x, y) -> float:
+def truncated_kernel_shifted(x, y, T: float, t: float, k: int) -> float:
     """Two-point order-k truncation: each H_{2 alpha} is expanded binomially
     around the source point x, i.e. the summand becomes
 
         sum_{beta <= 2 alpha} C(2 alpha, beta) (-x)^beta H_{2 alpha - beta}(y, t).
 
-    Equals ``truncated_kernel(params, y - x)`` term by term.
+    Equals ``truncated_kernel(y - x, T, t, k)`` term by term.
     """
-    x = kx._as_point(x, params.d)
-    y = kx._as_point(y, params.d)
-    kx._warn_if_flagged(params)
-    tables = [hm.hermite_table(2 * params.k, y[i], params.t) for i in range(params.d)]
-    factors = [(-params.T) ** (-n) / 2.0**n for n in range(params.k + 1)]
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    d = len(y)
+    tables = [hm.hermite_table(2 * k, y[i], t) for i in range(d)]
+    factors = [(-T) ** (-n) / 2.0**n for n in range(k + 1)]
     terms = []
     # The S_k term list, with (-x)^beta H_gamma(y, t) in place of
     # (-1)^|beta| M_beta N_gamma.
-    for n, fact, c, _, beta, gamma in mi.expansion_terms(params.k, params.d):
+    for n, fact, c, _, beta, gamma in mi.expansion_terms(k, d):
         xb = 1.0
         h = 1.0
-        for i in range(params.d):
+        for i in range(d):
             xb *= (-x[i]) ** beta[i]
             h *= float(tables[i][gamma[i]])
         terms.append(factors[n] / fact * c * xb * h)
-    return (2.0 * math.pi * params.T) ** (-params.d / 2.0) * math.fsum(terms)
+    return (2.0 * math.pi * T) ** (-d / 2.0) * math.fsum(terms)
 
 
 def _box_gauss_mass(box: rg.Box, positions: np.ndarray, s: float) -> np.ndarray:

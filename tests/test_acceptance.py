@@ -110,9 +110,8 @@ def test_a02_origin_series_closed_form():
     for d in (1, 2):
         for ratio in (0.05, 0.2, 0.45):
             t = ratio * T
-            params = kx.KernelExpansionParams(d=d, T=T, t=t, k=60)
             scaled = (2.0 * math.pi * T) ** (d / 2.0) * kx.truncated_kernel(
-                params, [0.0] * d
+                [0.0] * d, T, t, 60
             )
             _close(scaled, (1.0 - t / T) ** (-d / 2.0), 1e-10)
     assert time.monotonic() - t0 < 1.0
@@ -156,9 +155,8 @@ def test_a04_shifted_equals_displaced():
         t = float(rng.uniform(0.0, T / 4.0))
         x = rng.normal(0.0, 0.8, size=d)
         y = rng.normal(0.0, 0.8, size=d)
-        params = kx.KernelExpansionParams(d=d, T=T, t=t, k=k)
-        direct = kx.truncated_kernel(params, y - x)
-        shifted = oracles.truncated_kernel_shifted(params, x, y)
+        direct = kx.truncated_kernel(y - x, T, t, k)
+        shifted = oracles.truncated_kernel_shifted(x, y, T, t, k)
         assert abs(direct - shifted) <= 1e-10, (case, direct, shifted)
 
 

@@ -284,12 +284,12 @@ def test_kernel_check_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == f"# branchwiener {branchwiener.__version__} kernel-check"
     data = [ln for ln in lines if not ln.startswith("#")]
-    assert lines[len(lines) - len(data)] == data[0] == "k,T,error,fitted_slope,flagged"
+    assert lines[len(lines) - len(data)] == data[0] == "k,T,error,fitted_slope"
     # one row per (k, T); repr floats parse back to the scan's values exactly
     scan = kx.truncation_error_scan(1, 1.0, [0.7], 1, [64.0, 128.0, 256.0])
     assert [tuple(ln.split(",")) for ln in data[1:]] == [
-        (str(r.k), f"{r.T:g}", repr(r.error), repr(scan.slopes[r.k]), "0")
-        for r in scan.rows  # flagged is 0: t/T far below 1/2
+        (str(r.k), f"{r.T:g}", repr(r.error), repr(scan.slopes[r.k]))
+        for r in scan.rows
     ]
     assert [float(ln.split(",")[2]) for ln in data[1:]] == [r.error for r in scan.rows]
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
@@ -307,6 +307,21 @@ def test_kernel_check_overflowing_scale_exits_2(raw, capsys):
     argv = ["kernel-check", "--d", "250", "--k", "0", "--T", "64,128", *raw]
     assert cli.main(argv) == 2
     assert "d=250, T=64.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--offset", "nan"], "offset must be finite"),
+    (["--d", "2", "--offset", "0.3,inf"], "offset must be finite"),
+    (["--T", "64,64"], "2 distinct T"),
+], ids=["nan-offset", "inf-offset", "repeated-horizon"])
+def test_kernel_check_bad_offset_or_horizons_exit_2(argv, message, tmp_path, capsys):
+    # A non-finite offset would give nan errors; one distinct horizon, a
+    # slope fitted through a single point.
+    out = tmp_path / "scan.csv"
+    argv = ["kernel-check", "--t", "1", "--k", "1", "--T", "64,128", *argv]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["-1", "65"])
@@ -659,7 +674,7 @@ def test_csv_comments_escape_line_breaks(command, doubling_config, tmp_path):
                      "--out", out],
                     {out: "region_id,T,k,s_value,normalized_density,raw_count"}),
         "kernel-check": (["kernel-check", "--T", "64\n128", "--out", out],
-                         {out: "k,T,error,fitted_slope,flagged"}),
+                         {out: "k,T,error,fitted_slope"}),
         "diagnose": (["diagnose", "--config", inline_config, "--out", out,
                       "--runs", "1", "--replicas", "10"],
                      {f"{out}.radius.csv": "run,seed,t,max_radius,bound,ok",

@@ -25,26 +25,23 @@ def test_gauss_kernel_values():
 
 
 def test_params_validation():
-    kx.KernelExpansionParams(d=1, T=10.0, t=0.0, k=0)
+    kx.truncated_kernel([0.0], 10.0, 0.0, 0)
     with pytest.raises(ValidationError):
-        kx.KernelExpansionParams(d=0, T=10.0, t=0.0, k=0)
+        kx.truncated_kernel([], 10.0, 0.0, 0)  # d = 0
     with pytest.raises(ValidationError):
-        kx.KernelExpansionParams(d=1, T=-1.0, t=0.0, k=0)
+        kx.truncated_kernel([0.0], -1.0, 0.0, 0)
     with pytest.raises(ValidationError):
-        kx.KernelExpansionParams(d=1, T=10.0, t=10.0, k=0)
+        kx.truncated_kernel([0.0], 10.0, 10.0, 0)
     with pytest.raises(ValidationError):
-        kx.KernelExpansionParams(d=1, T=10.0, t=1.0, k=kx.MAX_ORDER + 1)
-    assert kx.KernelExpansionParams(d=1, T=10.0, t=6.0, k=0).flagged
-    assert not kx.KernelExpansionParams(d=1, T=10.0, t=5.0, k=0).flagged
+        kx.truncated_kernel([0.0], 10.0, 1.0, kx.MAX_ORDER + 1)
 
 
 def test_truncation_t_zero_is_exact_at_origin():
     # At t=0 every H_{2a}(0,0) with a != 0 vanishes, so the k-truncation
     # collapses to the n=0 term and equals the kernel exactly at x=0.
     for d in (1, 2):
-        params = kx.KernelExpansionParams(d=d, T=7.0, t=0.0, k=3)
         ref = kx.gauss_kernel(d, 7.0, np.zeros(d))
-        assert kx.truncated_kernel(params, np.zeros(d)) == pytest.approx(
+        assert kx.truncated_kernel(np.zeros(d), 7.0, 0.0, 3) == pytest.approx(
             ref, rel=1e-14
         )
 
@@ -52,8 +49,7 @@ def test_truncation_t_zero_is_exact_at_origin():
 def test_central_binomial_partial_sum():
     # scaled kernel at x=0:  sum_n C(2n,n) (t/4T)^n -> (1 - t/T)^(-1/2)
     t, T = 2.0, 16.0
-    params = kx.KernelExpansionParams(d=1, T=T, t=t, k=40)
-    scaled = (2 * math.pi * T) ** 0.5 * kx.truncated_kernel(params, [0.0])
+    scaled = (2 * math.pi * T) ** 0.5 * kx.truncated_kernel([0.0], T, t, 40)
     direct = math.fsum(
         math.comb(2 * n, n) * (t / (4 * T)) ** n for n in range(41)
     )
@@ -65,20 +61,11 @@ def test_shifted_equals_unshifted_small():
     rng = np.random.default_rng(99)
     for d in (1, 2):
         for k in (0, 1, 2):
-            params = kx.KernelExpansionParams(d=d, T=50.0, t=1.5, k=k)
             x = rng.normal(scale=0.8, size=d)
             y = rng.normal(scale=0.8, size=d)
-            a = oracles.truncated_kernel_shifted(params, x, y)
-            b = kx.truncated_kernel(params, y - x)
+            a = oracles.truncated_kernel_shifted(x, y, 50.0, 1.5, k)
+            b = kx.truncated_kernel(y - x, 50.0, 1.5, k)
             assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_flag_warning_outside_validated_region():
-    params = kx.KernelExpansionParams(d=1, T=10.0, t=6.0, k=1)
-    with pytest.warns(kx.ConvergenceRegionWarning):
-        kx.truncated_kernel(params, [0.3])
-    with pytest.warns(kx.ConvergenceRegionWarning):
-        oracles.truncated_kernel_shifted(params, [0.1], [0.3])
 
 
 def test_fit_loglog_slope_recovers_power():
@@ -91,6 +78,9 @@ def test_fit_loglog_slope_recovers_power():
     assert math.isfinite(kx.fit_loglog_slope(T, errs2))
     with pytest.raises(ValidationError):
         kx.fit_loglog_slope([10.0], [1.0])
+    # repeated horizons are one point, and one point fits no slope
+    with pytest.raises(ValidationError):
+        kx.fit_loglog_slope([64.0, 64.0], [1e-3, 1e-3])
 
 
 def test_scan_rejects_small_horizons():
@@ -106,6 +96,26 @@ def test_scan_table():
     assert [r.T for r in scan.rows if r.k == 0] == [64.0, 128.0, 256.0]
     assert all(r.error >= 0 for r in scan.rows)
     assert set(scan.slopes) == {0, 1}
+
+
+def test_scan_bits_are_pinned():
+    # float.hex of every error and per-k slope of this scan, recorded before
+    # the truncation took its Hermite products from hermite_products.
+    scan = kx.truncation_error_scan(2, 1.5, [0.7, 0.7], 3, [16, 64, 128, 256, 512])
+    assert [r.error.hex() for r in scan.rows] == [
+        "0x1.118a5edb43af1p-4", "0x1.0632678cf8b00p-6", "0x1.045e894b17423p-7",
+        "0x1.03765c57cd57ep-8", "0x1.0302b6a1b7581p-9",
+        "0x1.df605649bd800p-9", "0x1.d185b20176139p-13", "0x1.cf2d222184a32p-15",
+        "0x1.ce005daf3487ep-17", "0x1.cd69e30637a63p-19",
+        "0x1.28cfbc436096dp-13", "0x1.2c95defbe6114p-19", "0x1.2ce3cdfd81cd9p-22",
+        "0x1.2d0329b130e1cp-25", "0x1.2d1101689e4b4p-28",
+        "0x1.137a81da8ff7bp-19", "0x1.0f8e9dcfd36f7p-28", "0x1.cec2838366755p-33",
+        "0x1.a7cbc2bd2c9b6p-37", "0x1.949406cf7d79ep-41",
+    ]
+    assert {k: s.hex() for k, s in scan.slopes.items()} == {
+        0: "-0x1.03fac264c6028p+0", 1: "-0x1.0164e8e3f02a3p+1",
+        2: "-0x1.7f7dac778f52bp+1", 3: "-0x1.12750895e2ceap+2",
+    }
 
 
 def test_raw_scan_rolls_off_faster():

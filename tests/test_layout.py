@@ -11,6 +11,8 @@ only the public ``simulator.step`` calls it, and only
 generation, the replica ensemble's included, goes through the `step` that a
 tracer wraps.  Only ``cli._run_tasks`` runs anything in parallel, on
 processes, and no command imports ``concurrent.futures`` at start-up.
+Every Hermite product the package takes comes from
+``hermite.hermite_products``.
 """
 
 import ast
@@ -92,6 +94,16 @@ def test_every_name_in_all_exists():
 ])
 def test_one_place_makes_a_generation(name, user):
     assert users_of(name) == [user]
+
+
+def test_one_routine_takes_hermite_products():
+    # hermite_table stays for the oracles and the README's API.
+    assert users_of("hermite_table") == []
+    assert sorted(users_of("hermite_products")) == [
+        "kernel_expansion.truncated_kernel",
+        "martingales._pairwise_v",
+        "martingales.ensemble_v_matrix",
+    ]
 
 
 CONCURRENCY = {"ThreadPoolExecutor", "ProcessPoolExecutor", "threading", "multiprocessing"}

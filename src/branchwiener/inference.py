@@ -188,9 +188,10 @@ def predict_all(
     for d in dict.fromkeys(region.dim for region in regions):
         if not table.covers(k, d):
             raise ValidationError(f"table does not cover required_indices(k={k}, d={d})")
-    preds = []
+    preds, two_pi_t = [], 2.0 * math.pi * T
     for region, s_value in zip(regions, expansion_values(regions, T, k, table)):
-        density = (2.0 * math.pi * T) ** (-region.dim / 2.0) * s_value
+        e = -region.dim / 2.0  # (2 pi)^e T^e only where 2 pi T overflows
+        density = (two_pi_t**e if two_pi_t < math.inf else (2 * math.pi) ** e * T**e) * s_value
         raw = _times_power(density, table.m, T) if T <= RAW_COUNT_MAX_T else None
         preds.append(Prediction(region=region, T=float(T), k=int(k), s_value=s_value,
                                 normalized_density=density, raw_count=raw))

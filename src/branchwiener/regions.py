@@ -12,11 +12,13 @@ for off-center balls.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -188,72 +190,101 @@ def contains(region, x):
 
 @lru_cache(maxsize=64)
 def _moment_plan(betas: tuple[tuple[int, ...], ...]):
-    """What moment_matrix needs from the beta list alone, as ints and floats.
-
-    ``cores``: per even gamma <= some beta, (|gamma|+d, Gamma((g_i+1)/2) per
-    axis, (|gamma|+d) Gamma((|gamma|+d)/2)); the centered ball's Dirichlet
-    integral (zero for odd gamma) is 2 R^(|gamma|+d) times them over the
-    last.  ``shifted[j]``: (core, C(beta, gamma), beta - gamma) over the even
-    gamma <= beta_j, expanding (c + y)^beta for an off-center ball."""
+    """moment_matrix's arrays from the beta list alone.  Cores, per even
+    gamma <= some beta: the centered ball's Dirichlet integral is 2 R^nds
+    times gam's rows over den.  Terms, per beta (spans) and even gamma <=
+    beta: its core, C(beta, gamma) and exps = beta - gamma, which expand
+    (c + y)^beta for an off-center ball."""
     d = len(betas[0])
     if max(map(sum, betas)) > MOMENT_CAP:
         raise ValidationError(f"moment order exceeds cap {MOMENT_CAP}")
-    cores, core_of, shifted = [], {}, []
+    core_of, terms, spans = {}, [], []
     for beta in betas:
-        terms = []
+        spans.append((len(terms), len(terms) + math.prod(b // 2 + 1 for b in beta)))
         for g in itertools.product(*(range(0, b + 1, 2) for b in beta)):
-            if g not in core_of:
-                nd, core_of[g] = sum(g) + d, len(cores)
-                gammas = [math.gamma((c + 1) / 2.0) for c in g]
-                cores.append((nd, gammas, nd * math.gamma(nd / 2.0)))
-            choose = math.prod(map(math.comb, beta, g))
-            terms.append((core_of[g], choose, tuple(b - c for b, c in zip(beta, g))))
-        shifted.append(terms)
-    tops = tuple(max(col) for col in zip(*betas))
-    return d, tops, betas, cores, [core_of.get(b) for b in betas], shifted
+            terms.append((core_of.setdefault(g, len(core_of)),
+                          math.prod(map(math.comb, beta, g)), *(b - c for b, c in zip(beta, g))))
+    nds, terms = [sum(g) + d for g in core_of], np.array(terms)
+    return SimpleNamespace(
+        d=d, betas=np.array(betas).T, spans=spans, core=terms[:, 0], exps=terms[:, 2:].T,
+        choose=terms[:, 1].astype(np.float64), nds=nds,
+        gam=np.array([[math.gamma((c + 1) / 2.0) for c in g] for g in core_of]).T,
+        den=np.array([nd * math.gamma(nd / 2.0) for nd in nds]),
+        centered=np.array([core_of.get(b, -1) for b in betas]))
 
 
-def _moment_row(region, plan) -> list[float]:
-    """One region's moments for every beta of the plan; math.prod multiplies
-    left to right, as the closed forms read."""
-    _, tops, betas, cores, centered, shifted = plan
-    if isinstance(region, Box):
-        f = [[(hi ** (e + 1) - lo ** (e + 1)) / (e + 1) for e in range(top + 1)]
-             for lo, hi, top in zip(region.lower, region.upper, tops)]
-        return [math.prod(fi[b] for fi, b in zip(f, beta)) for beta in betas]
-    if isinstance(region, Ball):
-        core = [math.prod(g, start=2.0 * region.radius**nd) / den for nd, g, den in cores]
-        if all(c == 0.0 for c in region.center):
-            return [0.0 if j is None else core[j] for j in centered]
-        # Shift to the centered case: x = c + y, expand x^beta binomially.
-        powers = [[c**e for e in range(top + 1)] for c, top in zip(region.center, tops)]
-        return [math.fsum(choose * math.prod(p[e] for p, e in zip(powers, exps)) * core[j]
-                          for j, choose, exps in terms if core[j] != 0.0)
-                for terms in shifted]
-    if isinstance(region, UnionRegion):
-        return [math.fsum(c) for c in zip(*(_moment_row(m, plan) for m in region.members))]
-    raise ValidationError(f"not a region: {region!r}")
+def _powers(values, exps) -> np.ndarray:
+    """t[i, j] = values[i] ** exps[j] by Python's float **, which raises
+    OverflowError (numpy's power can differ from it in the last bit)."""
+    return np.array([[v ** e for v in values] for e in exps]).T
 
 
-def _finite_row(i: int, region, plan) -> list[float]:
-    try:
-        row = _moment_row(region, plan)
-        if all(map(math.isfinite, row)):
-            return row
-    except OverflowError:
-        pass
-    raise ValidationError(f"region {i}: a moment overflows float64 (coordinates too large)")
+def _box_moments(boxes, plan) -> np.ndarray:
+    """Per axis (hi^(e+1) - lo^(e+1))/(e+1), multiplied left to right."""
+    lower, upper = zip(*((b.lower, b.upper) for b in boxes))
+    return math.prod(((_powers(hi, e) - _powers(lo, e)) / np.array(e))[:, col]
+                     for lo, hi, col, e in zip(zip(*lower), zip(*upper), plan.betas,
+                                               (range(1, max(col) + 2) for col in plan.betas)))
+
+
+def _ball_moments(balls, plan) -> np.ndarray:
+    """Centered rows pick their core; off-center rows fsum choose * shift *
+    core over their terms, with 0.0 (which fsum ignores) for a zero core."""
+    radii = _powers([b.radius for b in balls], plan.nds)
+    core = math.prod(plan.gam, start=2.0 * radii) / plan.den
+    centers = [b.center for b in balls]
+    shift = math.prod(_powers(c, range(max(e) + 1))[:, e]
+                      for c, e in zip(zip(*centers), plan.exps))
+    k = core[:, plan.core]
+    terms = np.where(k != 0.0, plan.choose * shift * k, 0.0)
+    out = np.where(plan.centered >= 0, core[:, plan.centered], 0.0)
+    off = np.flatnonzero(np.any(centers, axis=1))
+    out[off] = np.array([list(map(math.fsum, terms[off, s:t].tolist())) for s, t in plan.spans]).T
+    return out
+
+
+def _rows(regions, plan) -> np.ndarray:
+    """moment_matrix's rows; an overflowing power or fsum raises."""
+    leaves, first = [], []
+    for region in regions:
+        first.append(len(leaves))
+        leaves += region.members if isinstance(region, UnionRegion) else (region,)
+    rows = np.empty((len(leaves), len(plan.spans)))
+    for kind, moments in ((Box, _box_moments), (Ball, _ball_moments)):
+        idx = [j for j, m in enumerate(leaves) if isinstance(m, kind)]
+        if idx:
+            rows[idx] = moments([leaves[j] for j in idx], plan)
+    out = rows[first]
+    for i, (region, j) in enumerate(zip(regions, first)):
+        if isinstance(region, UnionRegion):
+            out[i] = list(map(math.fsum, rows[j:j + len(region.members)].T.tolist()))
+    return out
 
 
 def moment_matrix(regions, betas) -> np.ndarray:
     """M[i, j] = moment(regions[i], betas[j]) for distinct betas of one
-    dimension; each region computes each beta once."""
+    dimension.  Unions are taken apart, each beta is one column over all
+    boxes, then all balls, and a union's row is the fsum of its members'.
+    The first region with an overflowing power or moment is refused."""
     plan = _moment_plan(tuple(map(tuple, betas)))
     for region in regions:
-        if region.dim != plan[0]:
-            raise ValidationError(f"moment index dim {plan[0]} != region dim {region.dim}")
-    rows = [_finite_row(i, r, plan) for i, r in enumerate(regions)]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(plan[2]))
+        if not isinstance(region, (Box, Ball, UnionRegion)):
+            raise ValidationError(f"not a region: {region!r}")
+        if region.dim != plan.d:
+            raise ValidationError(f"moment index dim {plan.d} != region dim {region.dim}")
+    with np.errstate(all="ignore"):
+        try:
+            out = _rows(regions, plan)
+        except (OverflowError, ValueError):  # one region at a time, to name it
+            out = np.full((len(regions), len(plan.spans)), math.nan)
+            for i, region in enumerate(regions):
+                with contextlib.suppress(OverflowError, ValueError):
+                    out[i] = _rows([region], plan)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"region {bad.argmax()}: a moment overflows float64 (coordinates too large)")
+    return out
 
 
 def moment(region, beta) -> float:

@@ -451,6 +451,35 @@ def test_predict_huge_or_string_coordinates_exit_2(region, message, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_predict_union_of_opposite_infinite_moments_exits_2(k, tmp_path, capsys):
+    # The members' moments of (1, 0, 0) are +inf and -inf, whose fsum once
+    # escaped as a traceback at k=1; at k=2 a power overflows first.
+    region = json.dumps({"type": "union", "members": [
+        {"type": "box", "lower": [1e100] * 3, "upper": [2e100] * 3},
+        {"type": "box", "lower": [-2e100, 1e100, 1e100], "upper": [-1e100, 2e100, 2e100]}]})
+    path = tmp_path / "table.json"
+    NTable(d=3, m=1.5, entries={a: 1.0 for a in xp.required_indices(k, 3)}, k=k).save(str(path))
+    rc = cli.main(["predict", "--table", str(path), "--region", region, "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: region 0: a moment overflows float64 (coordinates too large)\n")
+
+
+def test_infer_sets_with_overflowing_moments_exit_2(tmp_path, capsys):
+    # infer names the first set whose moments overflow, by its place in --sets.
+    sets = [rg.Box((0.0,), (1.0,)), rg.Box((2.0,), (3.0,)), rg.Ball((1e300,), 1e10)]
+    sets_path = write_regions(tmp_path / "sets.json", sets)
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("region_id,count\n0,1.0\n1,1.0\n2,1.0\n")
+    rc = cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
+                   "--T0", "25", "--k", "1", "--m", "1.5", "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: region 2: a moment overflows float64 (coordinates too large)\n")
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_count_in_a_huge_ball(doubling_config, tmp_path, capsys):
     out = tmp_path / "run.snap"
     assert cli.main(["simulate", "--config", doubling_config, "--out", str(out)]) == 0

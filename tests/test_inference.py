@@ -159,6 +159,19 @@ def test_predict_validation_and_raw_cutoff():
         inf.predict(box, 30.0, small)  # does not cover k=1
 
 
+def test_predict_at_horizons_where_2_pi_T_overflows():
+    # Above T ~ 2.9e307, 2 pi T is inf; the scale is then (2 pi)^(-d/2)
+    # T^(-d/2), and below that it stays the one power it always was.
+    table = NTable(d=1, m=1.5, entries={(0,): 1.0}, k=0)
+    box = rg.Box((-1.0,), (1.0,))
+    far = inf.predict(box, 1e308, table)
+    assert far.s_value == 2.0 and far.raw_count is None
+    assert far.normalized_density == (2 * math.pi) ** -0.5 * 1e308**-0.5 * 2.0
+    assert far.normalized_density == pytest.approx(7.978845608028654e-155, rel=1e-15)
+    assert inf.predict(box, 1e300, table).normalized_density == (
+        (2 * math.pi * 1e300) ** -0.5 * 2.0)
+
+
 def test_default_sets_counts_and_conditioning():
     for k, d, expected in [(0, 1, 1), (1, 1, 3), (2, 1, 5), (0, 2, 1)]:
         boxes = inf.default_sets(k, d, 1.0)

@@ -175,18 +175,6 @@ def test_moment_cap_and_dim_checks():
     assert math.isfinite(rg.moment(box, (rg.MOMENT_CAP,)))
 
 
-def test_overflowing_moments_raise_validation_error():
-    # Finite coordinates whose moments exceed float64: a raised
-    # OverflowError (hi ** 5), and a silent inf (radius ** d), both exit 2.
-    betas = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
-    for region in (Box((1e100, 0.0, 0.0), (2e100, 1.0, 1.0)),
-                   Ball((0.0, 0.0, 0.0), 1e200),
-                   Ball((0.5, 2e154, 0.0), 1.0)):
-        with pytest.raises(ValidationError, match="region 1: a moment overflows"):
-            rg.moment_matrix([Box((0.0,) * 3, (1.0,) * 3), region], betas)
-    assert rg.moment(Box((1e100,), (2e100,)), (0,)) == 1e100
-
-
 def test_separation_test_never_overflows():
     # A huge radius overlaps the box; a gap above 1.3e154 once overflowed
     # as a square, and is a plain separation.
@@ -386,30 +374,104 @@ def _moment_by_closed_form(region, beta):
 
 
 coord = st.floats(-4, 4, allow_nan=False)
+# Radii whose R^(|gamma|+d) underflows to 0.0 drop terms from an off-center
+# ball's sum (the closed form skips a zero core).
+radius = st.one_of(st.floats(0.1, 3), st.sampled_from([1e-120, 1e-200, 1e-310]))
 
 
 @st.composite
 def any_region(draw, d):
     def leaf(shift):
-        point = [draw(st.one_of(coord, st.just(0.0))) for _ in range(d)]
-        point[0] += shift
+        point = [draw(st.one_of(coord, st.just(0.0), st.just(-0.0))) for _ in range(d)]
+        if shift:
+            point[0] += shift
         if draw(st.booleans()):
             return Box(tuple(point), tuple(p + draw(st.floats(0.1, 3)) for p in point))
-        return Ball(tuple(point), draw(st.floats(0.1, 3)))
+        return Ball(tuple(point), draw(radius))
 
     if draw(st.booleans()):
         return leaf(0.0)
-    return UnionRegion((leaf(0.0), leaf(20.0)))
+    return UnionRegion(tuple(leaf(20.0 * j) for j in range(draw(st.integers(1, 5)))))
+
+
+def _bits(rows, shape) -> list:
+    return np.array(rows, dtype=np.float64).reshape(shape).view(np.uint64).tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_moment_matrix_matches_closed_forms_bitwise(data):
+    # Boxes, balls (centered ones with -0.0 coordinates among them) and
+    # unions of up to five members in one call; bits compared, so a -0.0
+    # where the closed form has 0.0 fails.
     d = data.draw(st.integers(1, 3))
-    regions = data.draw(st.lists(any_region(d), min_size=0, max_size=4))
+    regions = data.draw(st.lists(any_region(d), min_size=0, max_size=40))
     betas = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1,
                                max_size=12, unique=True))
     got = rg.moment_matrix(regions, betas)
     assert got.shape == (len(regions), len(betas))
-    for row, region in zip(got.tolist(), regions):
-        assert row == [_moment_by_closed_form(region, b) for b in betas]
+    want = [[_moment_by_closed_form(region, b) for b in betas] for region in regions]
+    assert got.view(np.uint64).tolist() == _bits(want, got.shape)
+
+
+def test_moment_matrix_keeps_centered_signs_and_underflowing_cores():
+    # Every core of the second and third balls underflows; the third's
+    # shifts reach inf, which the closed form never multiplies by 0.
+    regions = [Ball((-0.0, 0.0, -0.0), 1.5), Ball((-0.0, 2.0, 0.0), 1e-120),
+               Ball((1e100, 1e100, 0.0), 1e-120), UnionRegion((Ball((-0.0,) * 3, 1.0),)),
+               Box((-1.0, -2.0, 0.0), (0.0, 0.0, 1.0))]
+    betas = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1), (2, 2, 0), (3, 0, 1)]
+    got = rg.moment_matrix(regions, betas)
+    want = [[_moment_by_closed_form(region, b) for b in betas] for region in regions]
+    assert got.view(np.uint64).tolist() == _bits(want, got.shape)
+    assert got[1:3].tolist() == [[0.0] * len(betas)] * 2
+
+
+def _first_bad(regions, betas):
+    """Index of the first region whose closed forms raise or are not finite."""
+    for i, region in enumerate(regions):
+        try:
+            if all(math.isfinite(_moment_by_closed_form(region, b)) for b in betas):
+                continue
+        except (OverflowError, ValueError):
+            pass
+        return i
+    return None
+
+
+# Each overflows at these betas in its own way; the union's members are
+# finite until their moments of (1, 0, 0), +inf and -inf, are added.
+_OVERFLOW_BETAS = [(0, 0, 0), (1, 0, 0), (0, 4, 0), (0, 0, 3)]
+_OVERFLOWING = {
+    "box end power": Box((0.0, 1e100, 0.0), (1.0, 2e100, 1.0)),
+    "ball centre power": Ball((0.5, 2e154, 0.0), 1.0),
+    "radius power": Ball((0.0, 0.0, 0.0), 1e200),
+    "product to +inf": Box((1e60,) * 3, (2e60,) * 3),
+    "product to -inf": Box((1e60, 1e60, -2e60), (2e60, 2e60, -1e60)),
+    "union inf - inf": UnionRegion((Ball((1e300, 0.0, 0.0), 1e10),
+                                    Ball((-1e300, 0.0, 0.0), 1e10))),
+}
+
+
+def test_overflowing_moments_raise_validation_error():
+    # Finite coordinates whose moments exceed float64, by each path: a
+    # raised OverflowError (hi ** 5, c ** 4, radius ** 3), a silent inf, and
+    # an fsum of +inf and -inf; all exit 2.
+    for path, region in _OVERFLOWING.items():
+        regions = [Box((0.0,) * 3, (1.0,) * 3), region]
+        assert _first_bad(regions, _OVERFLOW_BETAS) == 1, path
+        with pytest.raises(ValidationError, match="^region 1: a moment overflows"):
+            rg.moment_matrix(regions, _OVERFLOW_BETAS)
+    assert rg.moment(Box((1e100,), (2e100,)), (0,)) == 1e100
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_overflowing_moments_name_the_first_bad_region(data):
+    regions = data.draw(st.lists(any_region(3), max_size=12))
+    for _ in range(data.draw(st.integers(1, 3))):
+        bad = _OVERFLOWING[data.draw(st.sampled_from(sorted(_OVERFLOWING)))]
+        regions.insert(data.draw(st.integers(0, len(regions))), bad)
+    first = _first_bad(regions, _OVERFLOW_BETAS)
+    with pytest.raises(ValidationError, match=f"^region {first}: a moment overflows"):
+        rg.moment_matrix(regions, _OVERFLOW_BETAS)

@@ -13,7 +13,7 @@ that shrinks like T^-(k+1) relative to S_0.
 
 This module returns S_k itself; callers apply the m^T (2 pi T)^(-d/2)
 prefactor (m^T overflows quickly, so raw counts are only materialized for
-small T — see inference.predict).
+small T — see inference.predict_all).
 """
 
 from __future__ import annotations

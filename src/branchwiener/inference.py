@@ -29,14 +29,15 @@ import numpy as np
 from . import regions as rg
 from .errors import ConditioningError, ValidationError
 from .expansion import _weight_matrix, expansion_values, required_indices
+from .kernel_expansion import _gauss_factor
 from .martingales import NTable, _growth, _times_power
 from .multiindex import MultiIndex
 
 #: solve_n refuses systems whose 2-norm condition number exceeds this.
-DEFAULT_CONDITION_THRESHOLD = 1e8
+CONDITION_THRESHOLD = 1e8
 
 #: default_sets validation time and retry budget.
-DEFAULT_VALIDATION_T0 = 25.0
+VALIDATION_T0 = 25.0
 MAX_PATTERN_TRIES = 10
 
 
@@ -56,10 +57,6 @@ class DesignSystem:
     indices: tuple[MultiIndex, ...]
     matrix: np.ndarray = field(compare=False)
     condition_number: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
@@ -81,9 +78,7 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     for a in sets:
         if a.dim != d:
             raise ValidationError(f"set dimension {a.dim} != {d}")
-    if len(sets) > 1:
-        # Reuse the union validator's separation sweep.
-        rg.UnionRegion(sets)
+    rg._check_disjoint(sets, "observation sets")
     weights, gammas = _weight_matrix(sets, T0, k, d)
     col_pos = {g: j for j, g in enumerate(cols)}
     matrix = np.zeros((len(sets), len(cols)))
@@ -101,13 +96,7 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     )
 
 
-def solve_n(
-    observed_counts,
-    system: DesignSystem,
-    m: float,
-    *,
-    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
-) -> NTable:
+def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
     """Recover the N_gamma from counts observed at T0.
 
     Right-hand side: b_A = (2 pi T0)^(d/2) count_A / m^T0.  Solves by
@@ -120,13 +109,13 @@ def solve_n(
             f"{counts.size} counts for {len(system.sets)} observation sets"
         )
     growth = _growth(m, system.T0, "T0")
-    if system.condition_number > condition_threshold:
+    if system.condition_number > CONDITION_THRESHOLD:
         raise ConditioningError(
             f"design matrix condition number {system.condition_number:.3e} "
-            f"exceeds {condition_threshold:.1e}; choose observation sets "
+            f"exceeds {CONDITION_THRESHOLD:.1e}; choose observation sets "
             "with more varied geometry (or a larger scale) and retry"
         )
-    b = (2.0 * math.pi * system.T0) ** (system.d / 2.0) * counts / growth
+    b = _gauss_factor(system.d, system.T0, 1) * counts / growth
     col_scale = np.linalg.norm(system.matrix, axis=0)
     if np.any(col_scale == 0.0):
         dead = [tuple(system.indices[j]) for j in np.nonzero(col_scale == 0.0)[0]]
@@ -175,7 +164,8 @@ def predict_all(
 ) -> list[Prediction]:
     """Forecast the normalized count (2 pi T)^(-d/2) S_k, i.e. the expected
     psi(A, T)/m^T, for each region A; the raw count, if finite, is attached
-    only for T <= 40.  The table is checked once per dimension."""
+    only for T <= 40.  The table is checked, and (2 pi T)^(-d/2) taken, once
+    per dimension."""
     if k is None:
         k = table.k
     if k is None:
@@ -185,13 +175,15 @@ def predict_all(
         raise ValidationError(
             f"prediction horizon T={T} precedes the observation time T0={t0}"
         )
-    for d in dict.fromkeys(region.dim for region in regions):
+    dims = dict.fromkeys(region.dim for region in regions)
+    for d in dims:
         if not table.covers(k, d):
             raise ValidationError(f"table does not cover required_indices(k={k}, d={d})")
-    preds, two_pi_t = [], 2.0 * math.pi * T
-    for region, s_value in zip(regions, expansion_values(regions, T, k, table)):
-        e = -region.dim / 2.0  # (2 pi)^e T^e only where 2 pi T overflows
-        density = (two_pi_t**e if two_pi_t < math.inf else (2 * math.pi) ** e * T**e) * s_value
+    values = expansion_values(regions, T, k, table)
+    factors = {d: _gauss_factor(d, T, -1) for d in dims}
+    preds = []
+    for region, s_value in zip(regions, values):
+        density = factors[region.dim] * s_value
         raw = _times_power(density, table.m, T) if T <= RAW_COUNT_MAX_T else None
         preds.append(Prediction(region=region, T=float(T), k=int(k), s_value=s_value,
                                 normalized_density=density, raw_count=raw))
@@ -229,19 +221,12 @@ def _box_grid(n_sets: int, d: int, scale: float) -> list[rg.Box]:
     return boxes
 
 
-def default_sets(
-    k: int,
-    d: int,
-    scale: float,
-    *,
-    t0: float = DEFAULT_VALIDATION_T0,
-    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
-) -> list[rg.Box]:
+def default_sets(k: int, d: int, scale: float) -> list[rg.Box]:
     """A validated layout of |required_indices(k,d)| disjoint boxes.
 
     Starts from a cube lattice of the requested scale and grows the scale
-    (up to 10 patterns) until the design matrix at time ``t0`` is
-    comfortably conditioned; raises ConditioningError when no pattern
+    (up to 10 patterns) until the design matrix at time ``VALIDATION_T0``
+    is within CONDITION_THRESHOLD; raises ConditioningError when no pattern
     qualifies.  The accepted pattern's condition number is recomputable via
     design_matrix.  For d >= 2 with k >= 1 no pattern can qualify (see the
     module docstring); the error then says so instead of suggesting retries.
@@ -253,9 +238,9 @@ def default_sets(
     for attempt in range(MAX_PATTERN_TRIES):
         s = scale * 1.25**attempt
         boxes = _box_grid(n_sets, d, s)
-        system = design_matrix(boxes, t0, k, d)
+        system = design_matrix(boxes, VALIDATION_T0, k, d)
         last = system.condition_number
-        if system.condition_number <= condition_threshold:
+        if system.condition_number <= CONDITION_THRESHOLD:
             return boxes
     hint = "pass a different scale"
     if d > 1 and k >= 1:
@@ -265,6 +250,6 @@ def default_sets(
             "-vol/(2 T0)), so the system is singular by construction"
         )
     raise ConditioningError(
-        f"no box pattern reached condition number <= {condition_threshold:.1e} "
+        f"no box pattern reached condition number <= {CONDITION_THRESHOLD:.1e} "
         f"after {MAX_PATTERN_TRIES} tries (last: {last:.3e}); {hint}"
     )

@@ -37,13 +37,27 @@ def _as_point(x, what: str, d: int | None = None) -> np.ndarray:
     return x
 
 
+def _gauss_factor(d: int, T: float, sign: int) -> float:
+    """(2 pi T)^(sign d/2): (2.0 * math.pi * T) ** e while 2 pi T is finite,
+    (2 pi)^e T^e beyond.  A factor that overflows a float is refused,
+    naming d and T."""
+    e, two_pi_t = sign * d / 2.0, 2.0 * math.pi * T
+    try:
+        out = two_pi_t**e if two_pi_t < math.inf else (2.0 * math.pi) ** e * T**e
+    except OverflowError:
+        out = math.inf
+    if out == math.inf:
+        raise ValidationError(f"the factor (2 pi T)^{e:g} overflows a float at d={d}, T={T}")
+    return out
+
+
 def gauss_kernel(d: int, t: float, x) -> float:
     """Gaussian density (2 pi t)^(-d/2) exp(-|x|^2 / 2t); factorizes over
     coordinates."""
     if t <= 0:
         raise ValidationError(f"kernel time must be positive, got {t}")
     x = _as_point(x, "point", d)
-    return (2.0 * math.pi * t) ** (-d / 2.0) * math.exp(-float(x @ x) / (2.0 * t))
+    return _gauss_factor(d, t, -1) * math.exp(-float(x @ x) / (2.0 * t))
 
 
 def truncated_kernel(x, T: float, t: float, k: int) -> float:
@@ -63,10 +77,10 @@ def truncated_kernel(x, T: float, t: float, k: int) -> float:
     if not (0 <= k <= MAX_ORDER):
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
     alphas = [a for n in range(k + 1) for a in mi.enumerate_order(len(x), n)]
-    hs = hermite_products(x[None, :], t, [2 * a for a in alphas])
+    hs = hermite_products(x[None, :], t, [[2 * c for c in a] for a in alphas])
     terms = [(-T) ** (-a.order) / 2.0**a.order * float(h[0]) / mi.factorial(a)
              for a, h in zip(alphas, hs)]
-    return (2.0 * math.pi * T) ** (-len(x) / 2.0) * math.fsum(terms)
+    return _gauss_factor(len(x), T, -1) * math.fsum(terms)
 
 
 def fit_loglog_slope(T_values, errors) -> float:
@@ -128,11 +142,7 @@ def truncation_error_scan(
     for T in T_arr:
         if not T > 2 * t:
             raise ValidationError(f"scan requires T > 2t, got T={T}, t={t}")
-        try:
-            scales.append((2.0 * math.pi * T) ** (d / 2.0) if scaled else 1.0)
-        except OverflowError:
-            msg = f"the scale (2 pi T)^(d/2) overflows a float at d={d}, T={T}"
-            raise ValidationError(msg) from None
+        scales.append(_gauss_factor(d, T, 1) if scaled else 1.0)
         exacts.append(gauss_kernel(d, T - t, offset))
         if exacts[-1] == 0.0:
             raise ValidationError(f"the Gaussian kernel is 0.0 in floating point at "

@@ -302,12 +302,12 @@ class IncrementTable:
 
     rows: tuple[IncrementRow, ...]
 
-    def mean_successive_ratio(self, t_lo: int = 2, t_hi: int = 8) -> float:
-        """Mean of norm(t)/norm(t-1) over the window [t_lo, t_hi]."""
+    def mean_successive_ratio(self) -> float:
+        """Mean of norm(t)/norm(t-1) over the window t in [2, 8]."""
         norms = {r.t: r.empirical_norm for r in self.rows}
         ratios = [
             norms[t] / norms[t - 1]
-            for t in range(t_lo + 1, t_hi + 1)
+            for t in range(3, 9)
             if t in norms and t - 1 in norms and norms[t - 1] > 0
         ]
         if not ratios:

@@ -1,4 +1,4 @@
-"""Multi-index combinatorics.
+"""Multi-indices and the term list of the density expansion.
 
 A multi-index is a vector of non-negative integers ``alpha = (a_1, ..., a_d)``
 with order ``|alpha| = a_1 + ... + a_d``.  Everything downstream (Hermite
@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
 
 
 class MultiIndex(tuple):
-    """An immutable multi-index with componentwise vector arithmetic.
+    """An immutable multi-index: a tuple of non-negative ints, checked once.
 
     Being a ``tuple`` subclass keeps instances hashable (they are used as
-    dict keys throughout) while ``+`` and ``-`` act componentwise rather
-    than concatenating.
+    dict keys throughout); ``+`` and ``*`` are the tuple's concatenation
+    and repetition, so componentwise sums are spelled out where needed.
     """
 
     __slots__ = ()
@@ -49,36 +49,6 @@ class MultiIndex(tuple):
     def order(self) -> int:
         return sum(self)
 
-    def _check_dim(self, other: "MultiIndex") -> None:
-        if len(self) != len(other):
-            raise ValidationError(
-                f"dimension mismatch: {len(self)} vs {len(other)}"
-            )
-
-    def __add__(self, other):  # type: ignore[override]
-        other = MultiIndex(other)
-        self._check_dim(other)
-        return MultiIndex(a + b for a, b in zip(self, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = MultiIndex(other)
-        self._check_dim(other)
-        diff = [a - b for a, b in zip(self, other)]
-        if any(c < 0 for c in diff):
-            raise ValidationError(f"{other} is not a sub-index of {self}")
-        return MultiIndex(diff)
-
-    def __mul__(self, k):  # scalar only
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValidationError("scalar multiple must be non-negative")
-        return MultiIndex(k * a for a in self)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"MultiIndex({', '.join(str(c) for c in self)})"
 
@@ -96,25 +66,6 @@ def factorial(alpha) -> int:
     out = 1
     for c in a:
         out *= math.factorial(c)
-    return out
-
-
-def is_sub_index(beta, alpha) -> bool:
-    """True when beta <= alpha componentwise."""
-    b, a = as_multiindex(beta), as_multiindex(alpha)
-    if b.dim != a.dim:
-        raise ValidationError(f"dimension mismatch: {b.dim} vs {a.dim}")
-    return all(x <= y for x, y in zip(b, a))
-
-
-def choose(alpha, beta) -> int:
-    """Product of componentwise binomials C(a_i, b_i); requires beta <= alpha."""
-    a, b = as_multiindex(alpha), as_multiindex(beta)
-    if not is_sub_index(b, a):
-        raise ValidationError(f"{b} is not a sub-index of {a}")
-    out = 1
-    for x, y in zip(a, b):
-        out *= math.comb(x, y)
     return out
 
 
@@ -141,39 +92,27 @@ def enumerate_order(d: int, n: int) -> list[MultiIndex]:
     return [MultiIndex(t) for t in rec(d, n)]
 
 
-def sub_indices(alpha) -> list[MultiIndex]:
-    """All beta with beta <= alpha componentwise.
-
-    Enumerated in "odometer" order: the last component varies fastest and
-    every component counts upward, so the first entry is the zero index and
-    the last is ``alpha`` itself.  There are prod_i (a_i + 1) entries.
-    """
-    a = as_multiindex(alpha)
-    ranges = [range(c + 1) for c in a]
-    return [MultiIndex(t) for t in _cartesian(*ranges)]
-
-
 @lru_cache(maxsize=16)
 def expansion_terms(k: int, d: int) -> tuple:
     """The terms of the order-k expansion double sum in dimension d.
 
     One tuple ``(n, alpha!, C(2 alpha, beta), (-1)^|beta|, beta,
     2 alpha - beta)`` per pair |alpha| = n <= k, beta <= 2 alpha: n
-    ascending, alpha in :func:`enumerate_order` order, beta in
-    :func:`sub_indices` order.  The sign is a float, the rest exact.  Every
-    sum over these pairs (the density expansion, its design rows, the
-    shifted kernel) reads this one list.
+    ascending, alpha in :func:`enumerate_order` order, beta in odometer
+    order (the last component fastest, each counting up from 0).  The sign
+    is a float, the rest exact, the two indices MultiIndex.  Every sum over
+    these pairs (the density expansion and its design rows) reads this one
+    list.
     """
     if k < 0:
         raise ValidationError(f"order k={k} must be >= 0")
     terms = []
     for n in range(k + 1):
         for alpha in enumerate_order(d, n):
-            two_alpha = 2 * alpha
-            fact = factorial(alpha)
-            for beta in sub_indices(two_alpha):
-                sign = -1.0 if beta.order % 2 else 1.0
-                terms.append(
-                    (n, fact, choose(two_alpha, beta), sign, beta, two_alpha - beta)
-                )
+            two_alpha, fact = [2 * a for a in alpha], factorial(alpha)
+            for beta in product(*(range(c + 1) for c in two_alpha)):
+                sign = -1.0 if sum(beta) % 2 else 1.0
+                gamma = MultiIndex(c - b for c, b in zip(two_alpha, beta))
+                terms.append((n, fact, math.prod(map(math.comb, two_alpha, beta)), sign,
+                              MultiIndex(beta), gamma))
     return tuple(terms)

@@ -123,6 +123,25 @@ def _axis0_extent(m) -> tuple[float, float]:
     return m.center[0] - reach, m.center[0] + reach
 
 
+def _check_disjoint(regions, what: str) -> None:
+    """Refuse the first two of ``regions`` found to meet, naming them as
+    ``what`` i and j; a union takes part through its members.  Sweep along
+    axis 0: only members whose extents there meet get the exact test;
+    every pair skipped is one _separated accepts."""
+    leaves = [(i, m) for i, region in enumerate(regions)
+              for m in (region.members if isinstance(region, UnionRegion) else (region,))]
+    ext = [_axis0_extent(m) for _, m in leaves]
+    active = []
+    for j in sorted(range(len(leaves)), key=lambda i: ext[i][0]):
+        active = [i for i in active if ext[i][1] > ext[j][0]]
+        for i in active:
+            (a, x), (b, y) = leaves[min(i, j)], leaves[max(i, j)]
+            if not _separated(x, y):
+                raise ValidationError(f"{what} {a} and {b} overlap (or touch in a way "
+                                      "the separation test cannot certify)")
+        active.append(j)
+
+
 @dataclass(frozen=True)
 class UnionRegion:
     """Disjoint union of boxes and balls; members are validated pairwise."""
@@ -140,19 +159,7 @@ class UnionRegion:
         for m in members:
             if not isinstance(m, (Box, Ball)):
                 raise ValidationError("union members must be boxes or balls")
-        # Sweep along axis 0: only members whose extents there meet get
-        # the exact test; every pair skipped is one _separated accepts.
-        ext = [_axis0_extent(m) for m in members]
-        active = []
-        for j in sorted(range(len(members)), key=lambda i: ext[i][0]):
-            active = [i for i in active if ext[i][1] > ext[j][0]]
-            for i in active:
-                if not _separated(members[min(i, j)], members[max(i, j)]):
-                    raise ValidationError(
-                        f"union members {min(i, j)} and {max(i, j)} overlap (or "
-                        "touch in a way the separation test cannot certify)"
-                    )
-            active.append(j)
+        _check_disjoint(members, "union members")
 
     @property
     def dim(self) -> int:
@@ -209,7 +216,8 @@ def _moment_plan(betas: tuple[tuple[int, ...], ...]):
         d=d, betas=np.array(betas).T, spans=spans, core=terms[:, 0], exps=terms[:, 2:].T,
         choose=terms[:, 1].astype(np.float64), nds=nds,
         gam=np.array([[math.gamma((c + 1) / 2.0) for c in g] for g in core_of]).T,
-        den=np.array([nd * math.gamma(nd / 2.0) for nd in nds]),
+        # Gamma(nd/2) overflows from nd = 344: NaN there refuses a ball, not a box.
+        den=np.array([nd * math.gamma(nd / 2.0) if nd < 344 else math.nan for nd in nds]),
         centered=np.array([core_of.get(b, -1) for b in betas]))
 
 

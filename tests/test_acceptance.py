@@ -331,7 +331,7 @@ def test_a10_inference_round_trip_and_forecast():
     for k, d in ((0, 1), (1, 1), (2, 1), (0, 2)):
         sets = inf.default_sets(k, d, 1.5)
         system = inf.design_matrix(sets, 25.0, k, d)
-        assert system.condition_number <= inf.DEFAULT_CONDITION_THRESHOLD
+        assert system.condition_number <= inf.CONDITION_THRESHOLD
         true = {g: float(rng.uniform(0.5, 2.0)) for g in system.indices}
         scale = (2.0 * math.pi * 25.0) ** (d / 2.0)
         counts = np.array(

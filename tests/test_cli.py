@@ -309,6 +309,47 @@ def test_kernel_check_overflowing_scale_exits_2(raw, capsys):
     assert "d=250, T=64.0" in capsys.readouterr().err
 
 
+def _d300_files(tmp_path):
+    """A unit box and a k=0 table in d=300, and one count for the box."""
+    box = rg.Box((0.0,) * 300, (1.0,) * 300)
+    NTable(d=300, m=1.5, entries={(0,) * 300: 1.0}, k=0).save(str(tmp_path / "table.json"))
+    (tmp_path / "counts.csv").write_text("region_id,count\n0,5\n")
+    write_regions(tmp_path / "box.json", [box])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["infer", "--counts", "{dir}/counts.csv", "--sets", "{dir}/box.json", "--T0", "25",
+      "--k", "0", "--m", "1.5", "--out", "{dir}/t.json"], "d=300, T=25.0"),
+    (["predict", "--table", "{dir}/table.json", "--region", "{dir}/box.json",
+      "--T", "0.001"], "d=300, T=0.001"),
+    (["kernel-check", "--d", "700", "--t", "0", "--T", "0.01,0.02", "--k", "0", "--raw"],
+     "d=700, T=0.01"),
+], ids=["infer", "predict", "kernel-check-raw"])
+def test_overflowing_gauss_factor_exits_2(argv, named, tmp_path, capsys):
+    # (2 pi T)^(d/2) at d=300, T0=25 and (2 pi T)^(-d/2) at d=300,
+    # T=0.001 or d=700, T=0.01 are beyond float range.
+    _d300_files(tmp_path)
+    rc = cli.main([a.format(dir=tmp_path) for a in argv])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "overflows a float" in err and named in err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_predict_in_700_dimensions(tmp_path, capsys):
+    # Gamma(d/2) overflows from d=344 on; a box needs no Gamma and forecasts
+    # (the density underflows to 0), a ball is refused by name.
+    table = tmp_path / "table.json"
+    NTable(d=700, m=1.5, entries={(0,) * 700: 1.0}, k=0).save(str(table))
+    box = json.dumps({"type": "box", "lower": [0.0] * 700, "upper": [1.0] * 700})
+    assert cli.main(["predict", "--table", str(table), "--region", box, "--T", "30"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0,30,0,1.0,0.0,0.0"
+    ball = json.dumps({"type": "ball", "center": [0.0] * 700, "radius": 1.0})
+    rc = cli.main(["predict", "--table", str(table), "--region", ball, "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: region 0: ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--offset", "nan"], "offset must be finite"),
     (["--d", "2", "--offset", "0.3,inf"], "offset must be finite"),
@@ -668,6 +709,35 @@ def test_infer_overlapping_sets_exit_2(tmp_path):
     assert cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
                      "--T0", "25", "--k", "1", "--m", "1.5",
                      "--out", str(tmp_path / "t.json")]) == 2
+
+
+def test_infer_accepts_union_sets(tmp_path, capsys):
+    # A union set is one observation set: its members are checked against
+    # the other sets, not against each other as if each were a set.
+    sets = [rg.UnionRegion((rg.Box((0.0,), (1.0,)), rg.Box((5.0,), (6.0,)))),
+            rg.Box((1.0,), (2.0,)), rg.Box((2.5,), (3.0,))]
+    sets_path = write_regions(tmp_path / "sets.json", sets)
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("region_id,count\n0,900\n1,400\n2,250\n")
+    rc = cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
+                   "--T0", "25", "--k", "1", "--m", "1.5",
+                   "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_OK, capsys.readouterr().err
+    assert sorted(NTable.load(str(tmp_path / "t.json")).entries) == [(0,), (1,), (2,)]
+
+
+def test_infer_names_the_overlapping_observation_sets(tmp_path, capsys):
+    sets = [rg.UnionRegion((rg.Box((0.0,), (1.0,)), rg.Box((5.0,), (6.0,)))),
+            rg.Box((1.0,), (2.0,)), rg.Box((5.5,), (7.0,))]
+    sets_path = write_regions(tmp_path / "sets.json", sets)
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("region_id,count\n0,1\n1,1\n2,1\n")
+    rc = cli.main(["infer", "--counts", str(counts_path), "--sets", sets_path,
+                   "--T0", "25", "--k", "1", "--m", "1.5",
+                   "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "observation sets 0 and 2 overlap" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_infer_empty_sets_exits_2(tmp_path, capsys):

@@ -12,7 +12,8 @@ generation, the replica ensemble's included, goes through the `step` that a
 tracer wraps.  Only ``cli._run_tasks`` runs anything in parallel, on
 processes, and no command imports ``concurrent.futures`` at start-up.
 Every Hermite product the package takes comes from
-``hermite.hermite_products``.
+``hermite.hermite_products``, and every Gaussian factor (2 pi T)^(+-d/2)
+from ``kernel_expansion._gauss_factor``.
 """
 
 import ast
@@ -104,6 +105,15 @@ def test_one_routine_takes_hermite_products():
         "martingales._pairwise_v",
         "martingales.ensemble_v_matrix",
     ]
+
+
+def test_one_routine_takes_the_gauss_factor():
+    where = [
+        f"{module}.{getattr(node, 'name', f'line {node.lineno}')}"
+        for module, node in _top_level(PACKAGE)
+        if "pi" in _names_used(node)
+    ]
+    assert where == ["kernel_expansion._gauss_factor"]
 
 
 CONCURRENCY = {"ThreadPoolExecutor", "ProcessPoolExecutor", "threading", "multiprocessing"}

@@ -393,7 +393,7 @@ def test_increment_table_p2_exact_column(binary_law):
     for row in table.rows:
         # crude sanity: the empirical norm sits within a factor 2 of exact
         assert row.empirical_norm == pytest.approx(row.exact_norm, rel=1.0)
-    ratio = table.mean_successive_ratio(2, 5)
+    ratio = table.mean_successive_ratio()
     assert 0.0 < ratio < 1.0
 
 

@@ -1,7 +1,7 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from branchwiener.errors import ValidationError
 from branchwiener import multiindex as mi
@@ -21,21 +21,9 @@ def test_construction_and_validation():
         MultiIndex((0.5,))
     # integer-valued floats are accepted
     assert MultiIndex((2.0, 1.0)) == (2, 1)
-
-
-def test_arithmetic():
-    a = MultiIndex((2, 1))
-    b = MultiIndex((1, 1))
-    assert a + b == (3, 2)
-    assert a - b == (1, 0)
-    assert 2 * a == (4, 2)
-    assert a * 3 == (6, 3)
-    with pytest.raises(ValidationError):
-        b - a
-    with pytest.raises(ValidationError):
-        a + MultiIndex((1,))
-    with pytest.raises(ValidationError):
-        -1 * a
+    # + and * are the tuple's own: concatenation and repetition
+    assert a + (4,) == (2, 0, 1, 4)
+    assert 2 * MultiIndex((1,)) == (1, 1)
 
 
 def test_hashable_as_dict_key():
@@ -47,20 +35,6 @@ def test_factorial():
     assert mi.factorial((3, 2)) == 12
     assert mi.factorial((0, 0, 0)) == 1
     assert mi.factorial((20,)) == math.factorial(20)
-
-
-def test_choose():
-    assert mi.choose((4, 2), (2, 1)) == 12
-    assert mi.choose((5,), (0,)) == 1
-    with pytest.raises(ValidationError):
-        mi.choose((1, 1), (2, 0))  # not a sub-index
-
-
-def test_is_sub_index():
-    assert mi.is_sub_index((1, 0), (2, 1))
-    assert not mi.is_sub_index((3, 0), (2, 1))
-    with pytest.raises(ValidationError):
-        mi.is_sub_index((1,), (1, 0))
 
 
 def test_enumerate_order():
@@ -76,34 +50,6 @@ def test_enumerate_order():
             assert all(g.order == n for g in got)
 
 
-def test_sub_indices_odometer_order():
-    got = mi.sub_indices((1, 1))
-    assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert mi.sub_indices((0, 0)) == [(0, 0)]
-    got = mi.sub_indices((2, 1))
-    assert len(got) == 6
-    assert got[0] == (0, 0) and got[-1] == (2, 1)
-
-
-small_indices = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(MultiIndex)
-
-
-@given(small_indices)
-def test_choose_sums_to_power_of_two(alpha):
-    total = sum(mi.choose(alpha, beta) for beta in mi.sub_indices(alpha))
-    assert total == 2**alpha.order
-
-
-@given(small_indices)
-def test_sub_index_count(alpha):
-    count = 1
-    for c in alpha:
-        count *= c + 1
-    subs = mi.sub_indices(alpha)
-    assert len(subs) == count
-    assert all(mi.is_sub_index(b, alpha) for b in subs)
-
-
 def test_expansion_terms():
     terms = mi.expansion_terms(2, 2)
     assert terms is mi.expansion_terms(2, 2)  # cached
@@ -111,13 +57,29 @@ def test_expansion_terms():
     # prod_i (2 alpha_i + 1).
     assert len(terms) == 1 + 2 * 3 + 2 * 5 + 9
     assert terms[0] == (0, 1, 1, 1.0, (0, 0), (0, 0))
-    for n, fact, c, sign, beta, gamma in terms:
-        two_alpha = beta + gamma
-        assert two_alpha.order == 2 * n
-        alpha = MultiIndex(a // 2 for a in two_alpha)
-        assert fact == mi.factorial(alpha)
-        assert c == mi.choose(two_alpha, beta)
-        assert sign == (-1.0) ** beta.order
-    assert [t[0] for t in terms] == sorted(t[0] for t in terms)
     with pytest.raises(ValidationError):
         mi.expansion_terms(-1, 2)
+    # math.comb is the oracle: per alpha the betas run over the box
+    # beta <= 2 alpha in odometer order (last component fastest, each
+    # counting up), beta + gamma = 2 alpha, and the C(2 alpha, beta) sum
+    # to 2^|2 alpha| = 4^|alpha|.
+    for k, d in ((2, 2), (4, 1), (2, 3)):
+        groups, alpha_of_term = {}, []
+        for n, fact, c, sign, beta, gamma in mi.expansion_terms(k, d):
+            assert [type(v) for v in (n, fact, c, sign)] == [int, int, int, float]
+            assert isinstance(beta, MultiIndex) and isinstance(gamma, MultiIndex)
+            two_alpha = [b + g for b, g in zip(beta, gamma)]
+            assert all(a % 2 == 0 for a in two_alpha) and sum(two_alpha) == 2 * n
+            alpha = tuple(a // 2 for a in two_alpha)
+            assert fact == mi.factorial(alpha)
+            assert c == math.prod(math.comb(a, b) for a, b in zip(two_alpha, beta))
+            assert sign == (-1.0) ** beta.order
+            groups.setdefault(alpha, []).append((tuple(beta), c))
+            alpha_of_term.append(alpha)
+        assert list(groups) == [a for n in range(k + 1) for a in mi.enumerate_order(d, n)]
+        assert alpha_of_term == [a for a, group in groups.items() for _ in group]
+        for alpha, group in groups.items():
+            betas = [b for b, _ in group]
+            assert betas == list(itertools.product(*(range(2 * a + 1) for a in alpha)))
+            assert len(betas) == math.prod(2 * a + 1 for a in alpha)
+            assert sum(c for _, c in group) == 4 ** sum(alpha)

@@ -73,7 +73,8 @@ def _weight_matrix(regions, T: float, k: int, d: int):
 def expansion_values(regions, T: float, k: int, table) -> list[float]:
     """S_k(A, T) for regions A of one dimension d, each the correctly rounded
     sum of its terms, for an NTable or any mapping from multi-index to value
-    covering required_indices(k, d)."""
+    covering required_indices(k, d).  The first region whose S_k is not a
+    finite float is refused."""
     if not regions:
         return []
     weights, gammas = _weight_matrix(regions, T, k, regions[0].dim)
@@ -82,7 +83,19 @@ def expansion_values(regions, T: float, k: int, table) -> list[float]:
     except KeyError as exc:
         missing = tuple(exc.args[0])
         raise ValidationError(f"coefficient table is missing index {missing}") from None
-    return [math.fsum(row) for row in (weights * n).tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (weights * n).tolist()
+    out = []
+    for i, row in enumerate(terms):
+        try:
+            s = math.fsum(row)
+        except (OverflowError, ValueError):  # partials overflow, or inf - inf
+            s = math.nan
+        if not math.isfinite(s):
+            raise ValidationError(f"region {i}: S_{k} at T={T} overflows float64 "
+                                  "(coefficients or moments too large)")
+        out.append(s)
+    return out
 
 
 def expansion_value(region, T: float, k: int, table) -> float:

@@ -115,7 +115,12 @@ def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
             f"exceeds {CONDITION_THRESHOLD:.1e}; choose observation sets "
             "with more varied geometry (or a larger scale) and retry"
         )
-    b = _gauss_factor(system.d, system.T0, 1) * counts / growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _gauss_factor(system.d, system.T0, 1) * counts / growth
+    if not np.isfinite(b).all():
+        raise ValidationError(
+            f"observation set {(~np.isfinite(b)).argmax()}: its normalized count "
+            f"(2 pi T0)^(d/2) count / m^T0 is not a finite float (d={system.d}, T0={system.T0})")
     col_scale = np.linalg.norm(system.matrix, axis=0)
     if np.any(col_scale == 0.0):
         dead = [tuple(system.indices[j]) for j in np.nonzero(col_scale == 0.0)[0]]

@@ -5,9 +5,9 @@ balls, and disjoint unions of those.  The half-open box convention makes
 tilings partition space, so particle counts over a tiling add up exactly.
 
 Moments M_beta(A) = integral over A of x^beta dx are closed-form in every
-case: a product formula for boxes, the Dirichlet integral for centered
-balls (odd components integrate to zero), and a binomial change of variables
-for off-center balls.
+case: a product formula for boxes, and for balls a binomial change of
+variables around the centre over the centered ball's Dirichlet integrals
+(odd components integrate to zero).
 """
 
 from __future__ import annotations
@@ -166,14 +166,12 @@ class UnionRegion:
         return self.members[0].dim
 
 
-def contains(region, x):
-    """Membership test; x of shape (d,) gives a bool, (N, d) a bool array."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
+def contains(region, pts):
+    """Membership mask of the points, an (N, d) array, as N bools."""
+    pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != region.dim:
         raise ValidationError(
-            f"points of shape {x.shape} do not match region dim {region.dim}"
+            f"points of shape {pts.shape} do not match region dim {region.dim}"
         )
     if isinstance(region, Box):
         # One axis at a time into one mask: no (N, d) temporaries.
@@ -192,7 +190,7 @@ def contains(region, x):
             mask |= contains(m, pts)
     else:
         raise ValidationError(f"not a region: {region!r}")
-    return bool(mask[0]) if single else mask
+    return mask
 
 
 @lru_cache(maxsize=64)
@@ -201,7 +199,8 @@ def _moment_plan(betas: tuple[tuple[int, ...], ...]):
     gamma <= some beta: the centered ball's Dirichlet integral is 2 R^nds
     times gam's rows over den.  Terms, per beta (spans) and even gamma <=
     beta: its core, C(beta, gamma) and exps = beta - gamma, which expand
-    (c + y)^beta for an off-center ball."""
+    (c + y)^beta for a ball centred at c.  huge is (|beta|, nd) of the
+    first beta whose core's den is beyond float64, or None."""
     d = len(betas[0])
     if max(map(sum, betas)) > MOMENT_CAP:
         raise ValidationError(f"moment order exceeds cap {MOMENT_CAP}")
@@ -212,13 +211,15 @@ def _moment_plan(betas: tuple[tuple[int, ...], ...]):
             terms.append((core_of.setdefault(g, len(core_of)),
                           math.prod(map(math.comb, beta, g)), *(b - c for b, c in zip(beta, g))))
     nds, terms = [sum(g) + d for g in core_of], np.array(terms)
+    huge = next(((sum(b), nd) for b in betas
+                 if (nd := d + sum(c - c % 2 for c in b)) >= 341), None)
     return SimpleNamespace(
         d=d, betas=np.array(betas).T, spans=spans, core=terms[:, 0], exps=terms[:, 2:].T,
         choose=terms[:, 1].astype(np.float64), nds=nds,
         gam=np.array([[math.gamma((c + 1) / 2.0) for c in g] for g in core_of]).T,
-        # Gamma(nd/2) overflows from nd = 344: NaN there refuses a ball, not a box.
-        den=np.array([nd * math.gamma(nd / 2.0) if nd < 344 else math.nan for nd in nds]),
-        centered=np.array([core_of.get(b, -1) for b in betas]))
+        # nd Gamma(nd/2) overflows from nd = 341: NaN there refuses a ball, not a box.
+        den=np.array([nd * math.gamma(nd / 2.0) if nd < 341 else math.nan for nd in nds]),
+        huge=huge)
 
 
 def _powers(values, exps) -> np.ndarray:
@@ -236,19 +237,17 @@ def _box_moments(boxes, plan) -> np.ndarray:
 
 
 def _ball_moments(balls, plan) -> np.ndarray:
-    """Centered rows pick their core; off-center rows fsum choose * shift *
-    core over their terms, with 0.0 (which fsum ignores) for a zero core."""
+    """Each row fsums choose * shift * core over its terms, with 0.0 (which
+    fsum ignores) for a zero core; at a zero centre only the term of shift
+    0.0 ** 0 = 1 is nonzero, so the sum is that core, or 0.0 for an odd beta."""
     radii = _powers([b.radius for b in balls], plan.nds)
     core = math.prod(plan.gam, start=2.0 * radii) / plan.den
     centers = [b.center for b in balls]
     shift = math.prod(_powers(c, range(max(e) + 1))[:, e]
                       for c, e in zip(zip(*centers), plan.exps))
     k = core[:, plan.core]
-    terms = np.where(k != 0.0, plan.choose * shift * k, 0.0)
-    out = np.where(plan.centered >= 0, core[:, plan.centered], 0.0)
-    off = np.flatnonzero(np.any(centers, axis=1))
-    out[off] = np.array([list(map(math.fsum, terms[off, s:t].tolist())) for s, t in plan.spans]).T
-    return out
+    terms = np.where(k != 0.0, plan.choose * shift * k, 0.0).tolist()
+    return np.array([[math.fsum(row[s:t]) for s, t in plan.spans] for row in terms])
 
 
 def _rows(regions, plan) -> np.ndarray:
@@ -290,8 +289,13 @@ def moment_matrix(regions, betas) -> np.ndarray:
                     out[i] = _rows([region], plan)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
-        raise ValidationError(
-            f"region {bad.argmax()}: a moment overflows float64 (coordinates too large)")
+        i = bad.argmax()
+        members = regions[i].members if isinstance(regions[i], UnionRegion) else (regions[i],)
+        if plan.huge and any(isinstance(m, Ball) for m in members):
+            order, nd = plan.huge
+            raise ValidationError(f"region {i}: a ball's moment of order {order} in {plan.d} "
+                                  f"dimensions needs {nd} Gamma({nd / 2:g}), beyond float64")
+        raise ValidationError(f"region {i}: a moment overflows float64 (coordinates too large)")
     return out
 
 

@@ -33,7 +33,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -299,11 +299,6 @@ class OffspringLaw:
         cum[-1] = 1.0
         cum.setflags(write=False)
         object.__setattr__(self, "_cumulative", cum)
-        det = None
-        for ell, p in enumerate(pmf):
-            if p == 1.0:
-                det = ell
-        object.__setattr__(self, "_deterministic", det)
 
     @property
     def mean(self) -> float:
@@ -312,11 +307,6 @@ class OffspringLaw:
     @property
     def variance(self) -> float:
         return self._variance
-
-    @property
-    def deterministic_value(self):
-        """The fixed offspring count when the pmf is a point mass, else None."""
-        return self._deterministic
 
 
 @dataclass(eq=False)
@@ -370,18 +360,6 @@ class Snapshot:
         return self.id_hi is not None
 
 
-_CONFIG_KEYS = {
-    "d",
-    "pmf",
-    "seed",
-    "t_max",
-    "population_cap",
-    "snapshot_times",
-    "initial_position",
-    "test_mode",
-}
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce a run."""
@@ -431,10 +409,11 @@ class SimConfig:
     def from_dict(cls, obj: dict) -> "SimConfig":
         if not isinstance(obj, dict):
             raise ValidationError("config must be a JSON object")
-        unknown = set(obj) - _CONFIG_KEYS
+        keys = fields(cls)
+        unknown = set(obj) - {f.name for f in keys}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"d", "pmf", "seed", "t_max"} - set(obj)
+        missing = {f.name for f in keys if f.default is MISSING} - set(obj)
         if missing:
             raise ValidationError(f"config missing keys: {sorted(missing)}")
         try:
@@ -456,12 +435,9 @@ def initial_snapshot(cfg: SimConfig) -> Snapshot:
 def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
     """Each parent's offspring count: the number of cut points of the law's
     cumulative pmf at or below its uniform, one comparison per cut point
-    (as ``searchsorted(cum, u, "right")``, since u < 1 = cum[-1])."""
-    det = law.deterministic_value
-    if det is not None:
-        # Point-mass law: the draw would be constant; skipping it changes
-        # nothing because counter-based draws consume no shared state.
-        return np.full(hi.shape[0], det, dtype=np.int64)
+    (as ``searchsorted(cum, u, "right")``, since u < 1 = cum[-1]).  A
+    point mass at l has cut points 0.0 up to l and 1.0 after, so every
+    parent draws l: the uniforms lie strictly inside (0, 1)."""
     key = _key(seed, _TAG_OFFSPRING)
     cum = law._cumulative
     counts = np.zeros(hi.shape[0], dtype=np.int64)
@@ -498,18 +474,6 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
     return pos, hi, lo
 
 
-def _advance(s: Snapshot, law: OffspringLaw, seed: int, population_cap: int) -> Snapshot:
-    """The next generation of s: the one place that draws offspring, applies
-    the population cap and branches.  Children inherit their parent's root."""
-    counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
-    total = int(counts.sum())
-    if total > population_cap:
-        raise PopulationCapError(s.t + 1, total, population_cap)
-    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d)
-    root = None if s.root is None else np.repeat(s.root, counts)
-    return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo, root=root)
-
-
 def step(
     s: Snapshot,
     law: OffspringLaw,
@@ -519,12 +483,20 @@ def step(
 ) -> Snapshot:
     """Advance one generation: branch at the parent position, then diffuse.
 
-    Output is a pure function of (snapshot, law, seed).
+    The one place that draws offspring, applies the population cap and
+    branches; children inherit their parent's root.  Output is a pure
+    function of (snapshot, law, seed).
     """
     if not s.has_ids:
         raise ValidationError("snapshot has no lineage ids and cannot be advanced")
     seed = _check_int(seed, "seed", 0, 2**64)
-    return _advance(s, law, seed, population_cap)
+    counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
+    total = int(counts.sum())
+    if total > population_cap:
+        raise PopulationCapError(s.t + 1, total, population_cap)
+    pos, hi, lo = _branch(s.positions, s.id_hi, s.id_lo, counts, seed, s.d)
+    root = None if s.root is None else np.repeat(s.root, counts)
+    return Snapshot(t=s.t + 1, positions=pos, id_hi=hi, id_lo=lo, root=root)
 
 
 def _generations(cfg: SimConfig, chunk: int,
@@ -541,8 +513,8 @@ def _generations(cfg: SimConfig, chunk: int,
     and the count made by then, which can be below that total (and the
     generation later than the first over the cap).
 
-    Generations are made by the public `step` rather than `_advance`, so
-    that wrapping `step` (as a profiler or tracer does) sees every one.
+    Every generation is made by the public `step`, so that wrapping `step`
+    (as a profiler or tracer does) sees every one.
     """
     law, cap = cfg.law, cfg.population_cap
     made = [0] * (cfg.t_max + 1)
@@ -800,8 +772,6 @@ def count(s: Snapshot, region) -> int:
     """ψ(A, t): number of particles of the snapshot inside the region."""
     if s.d != region.dim:
         raise ValidationError(f"snapshot dim {s.d} != region dim {region.dim}")
-    if s.n == 0:
-        return 0
     return int(np.count_nonzero(_regions.contains(region, s.positions)))
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,8 +337,17 @@ def test_overflowing_gauss_factor_exits_2(argv, named, tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def _main_without_warnings(argv) -> int:
+    """cli.main(argv), checking that it raised no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    return rc
+
+
 def test_predict_in_700_dimensions(tmp_path, capsys):
-    # Gamma(d/2) overflows from d=344 on; a box needs no Gamma and forecasts
+    # d Gamma(d/2) overflows from d=341 on; a box needs no Gamma and forecasts
     # (the density underflows to 0), a ball is refused by name.
     table = tmp_path / "table.json"
     NTable(d=700, m=1.5, entries={(0,) * 700: 1.0}, k=0).save(str(table))
@@ -345,9 +355,42 @@ def test_predict_in_700_dimensions(tmp_path, capsys):
     assert cli.main(["predict", "--table", str(table), "--region", box, "--T", "30"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0,30,0,1.0,0.0,0.0"
     ball = json.dumps({"type": "ball", "center": [0.0] * 700, "radius": 1.0})
-    rc = cli.main(["predict", "--table", str(table), "--region", ball, "--T", "30"])
+    rc = _main_without_warnings(["predict", "--table", str(table), "--region", ball, "--T", "30"])
     assert rc == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: region 0: ")
+    assert capsys.readouterr().err == ("error: region 0: a ball's moment of order 0 in 700 "
+                                       "dimensions needs 700 Gamma(350), beyond float64\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "expand"])
+@pytest.mark.parametrize("k, lower", [(2, 1e5), (1, 1e7)], ids=["inf-minus-inf", "minus-inf"])
+def test_overflowing_s_k_exits_2(command, k, lower, tmp_path, capsys):
+    # Entries of 1e300 times the box's moments overflow S_k's terms: at k=2
+    # to +inf and -inf, which fsum refuses, and at k=1 to -inf alone.
+    table = tmp_path / "table.json"
+    NTable(d=1, m=1.5, entries=dict.fromkeys(xp.required_indices(k, 1), 1e300), k=k).save(
+        str(table))
+    box = json.dumps({"type": "box", "lower": [lower], "upper": [lower + 1.0]})
+    rc = _main_without_warnings([command, "--table", str(table), "--region", box, "--T", "30"])
+    assert rc == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.err == (f"error: region 0: S_{k} at T=30.0 overflows float64 "
+                       "(coefficients or moments too large)\n")
+    assert out.out == ""
+
+
+def test_infer_overflowing_right_hand_side_names_the_set(tmp_path, capsys):
+    # (2 pi 25)^100 is finite, and so is the table it would give, but times
+    # a count of 1e100 it overflows: the set is named, not the table.
+    write_regions(tmp_path / "box.json", [rg.Box((0.0,) * 200, (1.0,) * 200)])
+    (tmp_path / "counts.csv").write_text("region_id,count\n0,1e100\n")
+    rc = _main_without_warnings(
+        ["infer", "--counts", str(tmp_path / "counts.csv"), "--sets", str(tmp_path / "box.json"),
+         "--T0", "25", "--k", "0", "--m", "1.5", "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: observation set 0: its normalized count (2 pi T0)^(d/2) count / m^T0 "
+        "is not a finite float (d=200, T0=25.0)\n")
+    assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

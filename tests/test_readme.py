@@ -18,21 +18,19 @@ BLOCKS = [
     for m in re.finditer(r"^```python\n(.*?)^```", _TEXT, flags=re.S | re.M)
 ]
 
-#: Input files the README shows: a line naming `file` and ending in ":",
-#: then a json block.
-FILES = dict(re.findall(r"^`([\w.]+)`[^\n]*:\n\n```json\n(.*?)^```", _TEXT, flags=re.S | re.M))
-
-#: (command, printed lines) for each `$ branchwiener` line of a sh block.
-TRANSCRIPTS = [
+#: (command, printed lines) for each `$ ` line of a sh block.
+SHELL = [
     (command, output.strip("\n").splitlines())
     for block in re.findall(r"^```sh\n(.*?)^```", _TEXT, flags=re.S | re.M)
     for command, _, output in (e.partition("\n") for e in re.split(r"^\$ ", block, flags=re.M))
-    if command.startswith("branchwiener ")
 ]
 
-# infer reads sets.json, which the README does not show, so infer and the
-# predict of the table it writes stay unchecked.
-UNCHECKED = ("sets.json", "inferred.json")
+#: Input files the README shows: a line naming `file` and ending in ":",
+#: then a json block, or `$ cat file` and the lines it prints.
+FILES = dict(re.findall(r"^`([\w.]+)`[^\n]*:\n\n```json\n(.*?)^```", _TEXT, flags=re.S | re.M))
+FILES.update((c.split()[1], "\n".join(out) + "\n") for c, out in SHELL if c.startswith("cat "))
+
+TRANSCRIPTS = [(c, out) for c, out in SHELL if c.startswith("branchwiener ")]
 
 
 def test_readme_has_python_blocks():
@@ -48,10 +46,11 @@ def test_readme_transcripts_print_what_the_readme_shows(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     for name, text in FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    checked = [(c, out) for c, out in TRANSCRIPTS if not any(f in c for f in UNCHECKED)]
-    assert [c.split()[1] for c, _ in checked] == [
-        "simulate", "count", "estimate-n", "predict", "kernel-check", "diagnose"
+    assert [c.split()[1] for c, _ in TRANSCRIPTS] == [
+        "simulate", "count", "estimate-n", "predict", "infer", "predict", "kernel-check",
+        "diagnose"
     ]
-    for command, expected in checked:
+    assert {"config.json", "region.json", "counts.csv", "sets.json"} <= set(FILES)
+    for command, expected in TRANSCRIPTS:
         assert cli.main(shlex.split(command)[1:]) == 0, command
         assert capsys.readouterr().out.splitlines() == expected, command

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -62,9 +63,9 @@ def test_union_accepts_disjoint_and_rejects_overlap():
 
 def test_contains_box_half_open():
     box = Box((0.0, 0.0), (1.0, 1.0))
-    assert rg.contains(box, (0.0, 0.0))
-    assert not rg.contains(box, (1.0, 0.5))
-    assert not rg.contains(box, (0.5, 1.0))
+    assert rg.contains(box, [(0.0, 0.0)]).tolist() == [True]
+    assert rg.contains(box, [(1.0, 0.5)]).tolist() == [False]
+    assert rg.contains(box, [(0.5, 1.0)]).tolist() == [False]
     pts = np.array([[0.5, 0.5], [1.0, 1.0], [-0.1, 0.2]])
     np.testing.assert_array_equal(rg.contains(box, pts), [True, False, False])
     # Each axis is tested against its own bounds: a point on each face.
@@ -77,9 +78,9 @@ def test_contains_box_half_open():
 
 def test_contains_ball_closed():
     ball = Ball((1.0, 0.0), 1.0)
-    assert rg.contains(ball, (2.0, 0.0))  # boundary included
-    assert not rg.contains(ball, (2.0 + 1e-12, 0.0))
-    assert rg.contains(ball, (1.0, -1.0))
+    assert rg.contains(ball, [(2.0, 0.0)]).tolist() == [True]  # boundary included
+    assert rg.contains(ball, [(2.0 + 1e-12, 0.0)]).tolist() == [False]
+    assert rg.contains(ball, [(1.0, -1.0)]).tolist() == [True]
 
 
 def test_contains_union_and_shape_checks():
@@ -88,7 +89,10 @@ def test_contains_union_and_shape_checks():
         rg.contains(u, np.array([[0.5], [1.5], [2.5]])), [True, False, True]
     )
     with pytest.raises(ValidationError):
-        rg.contains(u, np.array([0.5, 1.5]))  # dim mismatch
+        rg.contains(u, np.array([[0.5, 1.5]]))  # dim mismatch
+    with pytest.raises(ValidationError):
+        rg.contains(u, np.array([0.5]))  # one point needs shape (1, d)
+    assert rg.contains(u, np.empty((0, 1))).shape == (0,)
 
 
 # ------------------------------------------------------------------ moments
@@ -119,6 +123,53 @@ def test_centered_ball_moments():
     assert rg.moment(Ball((0.0, 0.0, 0.0), 2.0), (0, 0, 0)) == pytest.approx(
         4 / 3 * math.pi * 8
     )
+
+
+#: sha256 of moment_matrix's bytes for the centred balls of each d below
+#: and a union with a centred member, at every beta in {0..4}^d; recorded
+#: when centred balls still had a path of their own.
+_CENTRED_DIGESTS = {
+    1: "07f2b8ea953ba93ae09f8c1ad722691a0f9d5d629b1f806c51ede9781e1eddd4",
+    2: "d14f143fe48764d2abc149c01797dd0c5612105f47675808f4d9ac1bdf8e952e",
+    3: "e37444847fa5a19903659044a5c3deb75d7951eb23351972a6c1cfa46e85879b",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_centred_ball_moments_keep_their_bits(d):
+    # Centres of 0.0 and -0.0 go through the one binomial fsum: only the
+    # term of shift 0.0 ** 0 = 1 is nonzero, and fsum ignores the zeros.
+    balls = [Ball((0.0,), 1.0), Ball((-0.0,), 0.7), Ball((0.0, -0.0), 1.5),
+             Ball((-0.0, -0.0), 1e-120), Ball((-0.0, 0.0, -0.0), 2.5), Ball((0.0,) * 3, 0.3)]
+    regions = [b for b in balls if b.dim == d]
+    regions.append(UnionRegion((Ball((-0.0,) * d, 0.5), Ball((4.0,) * d, 1.0))))
+    got = rg.moment_matrix(regions, list(itertools.product(range(5), repeat=d)))
+    assert hashlib.sha256(got.tobytes()).hexdigest() == _CENTRED_DIGESTS[d]
+    if d == 1:
+        assert got[:2].tolist() == [[2.0, 0.0, 0.6666666666666667, 0.0, 0.4],
+                                    [1.4, 0.0, 0.22866666666666663, 0.0, 0.06722799999999998]]
+
+
+def test_ball_moments_beyond_gamma_range_name_dimension_and_order():
+    # nd Gamma(nd/2) overflows from nd = 341: the ball's moments of orders 4
+    # and 2 in 340 dimensions need 344 Gamma(172) and 342 Gamma(171), where
+    # 342 Gamma(171) once made the moment 0.0; order 1 needs 340 Gamma(170),
+    # and a box needs no Gamma at all.
+    ball, beta = Ball((0.0,) * 340, 1.0), (4,) + (0,) * 339
+    message = r"^region 0: a ball's moment of order 4 in 340 dimensions needs 344 Gamma\(172\)"
+    with pytest.raises(ValidationError, match=message):
+        rg.moment(ball, beta)
+    with pytest.raises(ValidationError, match=message):
+        rg.moment(UnionRegion((Box((5.0,) * 340, (6.0,) * 340), ball)), beta)
+    with pytest.raises(ValidationError, match=r"order 2 in 340 dimensions needs 342 Gamma\(171\),"):
+        rg.moment(ball, (2,) + (0,) * 339)
+    assert rg.moment(ball, (1,) + (0,) * 339) == 0.0
+    assert 0.0 < rg.moment(ball, (0,) * 340) < math.inf
+    assert rg.moment(Box((0.0,) * 340, (1.0,) * 340), beta) == 0.2
+    # A box whose coordinates overflow is still named for them.
+    big = Box((1e100,) + (0.0,) * 339, (2e100,) + (1.0,) * 339)
+    with pytest.raises(ValidationError, match=r"^region 0: .*\(coordinates too large\)$"):
+        rg.moment_matrix([big, ball], [beta])
 
 
 def test_off_center_ball_first_moment_is_center_times_volume():

@@ -26,7 +26,6 @@ def test_law_validation():
     law = OffspringLaw((0.25, 0.25, 0.5))
     assert law.mean == pytest.approx(1.25)
     assert law.variance == pytest.approx(0.6875)
-    assert law.deterministic_value is None
     with pytest.raises(ValidationError):
         OffspringLaw((0.5, 0.4))  # does not sum to 1
     with pytest.raises(ValidationError):
@@ -37,7 +36,7 @@ def test_law_validation():
         OffspringLaw((0.0, 0.0, 1.0))  # zero variance
     # ... but test mode admits both
     assert OffspringLaw((0.5, 0.5), test_mode=True).mean == pytest.approx(0.5)
-    assert OffspringLaw((0.0, 0.0, 1.0), test_mode=True).deterministic_value == 2
+    assert OffspringLaw((0.0, 0.0, 1.0), test_mode=True).mean == 2.0
 
 
 # ------------------------------------------------------------------- config
@@ -330,6 +329,20 @@ def test_offspring_counts_are_a_binary_search_also_at_the_cut_points(outcomes):
     assert sorted(counts[:outcomes - 1]) == list(range(1, outcomes))
 
 
+@pytest.mark.parametrize("pmf", [(1.0,), (0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+                                 (0.0, 1.0, 0.0, 0.0)])
+def test_point_mass_laws_draw_their_count_through_the_cut_points(pmf):
+    # Cut points 0.0 up to l and 1.0 after it, against uniforms strictly
+    # inside (0, 1): every parent draws l, with no path of its own.
+    ell = pmf.index(1.0)
+    law = OffspringLaw(pmf, test_mode=True)
+    hi, lo = sim._root_ids(19, 2 * B + 5)
+    for seed in (0, 1, 2**64 - 1):
+        assert set(sim._offspring_counts(law, seed, hi, lo).tolist()) == {ell}
+    s = sim.step(Snapshot(0, np.zeros((2 * B + 5, 2)), hi, lo), law, 5)
+    assert s.n == ell * (2 * B + 5)
+
+
 def test_ids_and_draw_keys_of_a_million_children_are_distinct():
     s = _doubling_generations(20, 1, 404)[-1]
     assert s.n == 1 << 20
@@ -577,6 +590,9 @@ def test_count_against_manual_mask():
     assert sim.count(s, box) == manual
     with pytest.raises(ValidationError):
         sim.count(s, rg.Box((-1.0,), (1.0,)))
+    empty = Snapshot(6, np.empty((0, 2)))
+    union = rg.UnionRegion((box, rg.Ball((3.0, 0.0), 1.0)))
+    assert [sim.count(empty, a) for a in (box, rg.Ball((0.0, 0.0), 1.0), union)] == [0, 0, 0]
 
 
 @st.composite

@@ -342,11 +342,8 @@ def cmd_diagnose(args) -> int:
     eps = args.epsilon
     if not (math.isfinite(eps) and eps >= -1.0):
         raise ValidationError(f"--epsilon {eps} must be a finite real >= -1")
-    try:
-        bounds = [float(t) ** (1.0 + eps) for t in range(cfg.t_max + 1)]
-    except OverflowError:
-        raise ValidationError(f"--epsilon {eps}: the bound t^(1+epsilon) overflows "
-                              f"a float at t_max={cfg.t_max}") from None
+    what = f"--epsilon {eps}: the bound t^(1+epsilon) overflows a float at t_max={cfg.t_max}"
+    bounds = [kx._power(float(t), 1.0 + eps, what) for t in range(cfg.t_max + 1)]
     law = cfg.law
     e1 = tuple([1] + [0] * (cfg.d - 1))
     alphas = ((0,) * cfg.d, e1)

@@ -26,6 +26,7 @@ import numpy as np
 from . import multiindex as mi
 from . import regions as rg
 from .errors import ValidationError
+from .kernel_expansion import _fsum, _series_factors
 from .multiindex import MultiIndex
 
 #: Largest expansion order; moments beyond |beta| = 2k hit the region cap.
@@ -58,16 +59,15 @@ def _weight_matrix(regions, T: float, k: int, d: int):
     """(W, gammas) with W[i, t] = (-T)^-n / 2^n / alpha! * C(2 alpha, beta)
     * (-1)^|beta| * M_beta(regions[i]) for term t of S_k, so that
     S_k(regions[i], T) is the sum over t of W[i, t] * N_{gammas[t]}."""
-    if not (T > 0 and math.isfinite(T)):
-        raise ValidationError(f"T must be positive and finite, got {T}")
     if not 0 <= k <= MAX_ORDER:
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
+    factors = _series_factors(T, k)
     terms = mi.expansion_terms(k, d)
     col = {b: j for j, b in enumerate(dict.fromkeys(t[4] for t in terms))}
-    factors = [(-T) ** (-n) / 2.0**n for n in range(k + 1)]
     q = [factors[n] / fact * c * sign for n, fact, c, sign, _, _ in terms]
     moments = rg.moment_matrix(regions, list(col))
-    return moments[:, [col[t[4]] for t in terms]] * q, [t[5] for t in terms]
+    with np.errstate(over="ignore"):  # callers refuse what an inf weight gives
+        return moments[:, [col[t[4]] for t in terms]] * q, [t[5] for t in terms]
 
 
 def expansion_values(regions, T: float, k: int, table) -> list[float]:
@@ -85,16 +85,11 @@ def expansion_values(regions, T: float, k: int, table) -> list[float]:
         raise ValidationError(f"coefficient table is missing index {missing}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (weights * n).tolist()
-    out = []
-    for i, row in enumerate(terms):
-        try:
-            s = math.fsum(row)
-        except (OverflowError, ValueError):  # partials overflow, or inf - inf
-            s = math.nan
+    out = list(map(_fsum, terms))
+    for i, s in enumerate(out):
         if not math.isfinite(s):
             raise ValidationError(f"region {i}: S_{k} at T={T} overflows float64 "
                                   "(coefficients or moments too large)")
-        out.append(s)
     return out
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from . import regions as rg
 from .errors import ConditioningError, ValidationError
 from .expansion import _weight_matrix, expansion_values, required_indices
-from .kernel_expansion import _gauss_factor
-from .martingales import NTable, _growth, _times_power
+from .kernel_expansion import _gauss_factor, _power, _times_power
+from .martingales import NTable
 from .multiindex import MultiIndex
 
 #: solve_n refuses systems whose 2-norm condition number exceeds this.
@@ -67,8 +67,6 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     they can produce a silently rank-deficient solve).
     """
     sets = tuple(sets)
-    if not (T0 > 0 and math.isfinite(T0)):
-        raise ValidationError(f"T0 must be positive and finite, got {T0}")
     cols = tuple(required_indices(k, d))
     if len(sets) < len(cols):
         raise ValidationError(
@@ -82,8 +80,12 @@ def design_matrix(sets, T0: float, k: int, d: int) -> DesignSystem:
     weights, gammas = _weight_matrix(sets, T0, k, d)
     col_pos = {g: j for j, g in enumerate(cols)}
     matrix = np.zeros((len(sets), len(cols)))
-    for t, gamma in enumerate(gammas):  # term order, as in S_k
-        matrix[:, col_pos[gamma]] += weights[:, t]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, gamma in enumerate(gammas):  # term order, as in S_k
+            matrix[:, col_pos[gamma]] += weights[:, t]
+    if not np.isfinite(matrix).all():
+        raise ValidationError(f"observation set {(~np.isfinite(matrix)).any(axis=1).argmax()}: "
+                              f"its row of S_{k} at T0={T0} overflows float64")
     cond = float(np.linalg.cond(matrix, 2))
     return DesignSystem(
         sets=sets,
@@ -108,7 +110,10 @@ def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
         raise ValidationError(
             f"{counts.size} counts for {len(system.sets)} observation sets"
         )
-    growth = _growth(m, system.T0, "T0")
+    what = f"need 0 < m**T0 < inf; got T0={system.T0}, m={m}"
+    growth = _power(m, system.T0, what) if m > 0 else 0.0
+    if growth == 0.0:
+        raise ValidationError(what)
     if system.condition_number > CONDITION_THRESHOLD:
         raise ConditioningError(
             f"design matrix condition number {system.condition_number:.3e} "
@@ -121,21 +126,28 @@ def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
         raise ValidationError(
             f"observation set {(~np.isfinite(b)).argmax()}: its normalized count "
             f"(2 pi T0)^(d/2) count / m^T0 is not a finite float (d={system.d}, T0={system.T0})")
-    col_scale = np.linalg.norm(system.matrix, axis=0)
-    if np.any(col_scale == 0.0):
-        dead = [tuple(system.indices[j]) for j in np.nonzero(col_scale == 0.0)[0]]
-        raise ConditioningError(f"columns {dead} are identically zero")
+    with np.errstate(over="ignore"):
+        col_scale = np.linalg.norm(system.matrix, axis=0)
+    bad = (col_scale == 0.0) | (col_scale == math.inf)
+    if bad.any():
+        cols = [tuple(system.indices[j]) for j in np.nonzero(bad)[0]]
+        raise ConditioningError(f"columns {cols} cannot be scaled: their squared norms are "
+                                "0.0 or beyond float64")
     scaled = system.matrix / col_scale
     solution, residuals, rank, _ = np.linalg.lstsq(scaled, b, rcond=None)
     if rank < len(system.indices):
         raise ConditioningError(
             f"design matrix rank {rank} < {len(system.indices)} unknowns"
         )
-    values = solution / col_scale
-    residual_norm = (
-        float(np.sqrt(residuals[0])) if residuals.size else
-        float(np.linalg.norm(scaled @ solution - b))
-    )
+    with np.errstate(over="ignore"):  # a value beyond float64 is refused by NTable
+        values = solution / col_scale
+        residual_norm = (
+            float(np.sqrt(residuals[0])) if residuals.size else
+            float(np.linalg.norm(scaled @ solution - b))
+        )
+    if residual_norm == math.inf:
+        raise ValidationError(f"the squared residual norm of the fit at T0={system.T0} "
+                              "overflows float64 (counts too large)")
     entries = {g: float(v) for g, v in zip(system.indices, values)}
     meta = {
         "T0": system.T0,
@@ -187,8 +199,11 @@ def predict_all(
     values = expansion_values(regions, T, k, table)
     factors = {d: _gauss_factor(d, T, -1) for d in dims}
     preds = []
-    for region, s_value in zip(regions, values):
+    for i, (region, s_value) in enumerate(zip(regions, values)):
         density = factors[region.dim] * s_value
+        if not math.isfinite(density):
+            raise ValidationError(f"region {i}: the density (2 pi T)^(-d/2) S_{k} at T={T} "
+                                  "overflows a float")
         raw = _times_power(density, table.m, T) if T <= RAW_COUNT_MAX_T else None
         preds.append(Prediction(region=region, T=float(T), k=int(k), s_value=s_value,
                                 normalized_density=density, raw_count=raw))

@@ -9,8 +9,8 @@ Truncating the outer sum at n = k gives an order-k approximation whose
 error decays like T^(-(k+1)) (after scaling out the (2 pi T)^(-d/2)
 prefactor); `truncation_error_scan` measures that decay.
 
-The series converges for t < T but is only numerically useful well inside
-that range, so the scan keeps to T > 2t.
+The series converges for 0 <= t < T but is only numerically useful well
+inside that range, so the scan keeps to T > 2t >= 0.
 """
 
 from __future__ import annotations
@@ -37,18 +37,52 @@ def _as_point(x, what: str, d: int | None = None) -> np.ndarray:
     return x
 
 
+def _times_power(x: float, m: float, t: float) -> float | None:
+    """m**t * x by Python's float **, or None where that is not a finite
+    float: a raw count beyond float is left blank, not refused."""
+    try:
+        value = m**t * x
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _power(base: float, e: float, what: str) -> float:
+    """base ** e, unchanged while that is a finite float (times 1.0 is
+    exact); beyond, ValidationError(what), where ``what`` names the quantity
+    and its operands."""
+    out = _times_power(1.0, base, e)
+    if out is None:
+        raise ValidationError(what)
+    return out
+
+
+def _fsum(terms) -> float:
+    """math.fsum(terms), or nan where its partials overflow or meet inf - inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def _gauss_factor(d: int, T: float, sign: int) -> float:
     """(2 pi T)^(sign d/2): (2.0 * math.pi * T) ** e while 2 pi T is finite,
-    (2 pi)^e T^e beyond.  A factor that overflows a float is refused,
-    naming d and T."""
+    (2 pi)^e T^e beyond, whose product is checked like a power.  A factor
+    that overflows a float is refused, naming d and T."""
     e, two_pi_t = sign * d / 2.0, 2.0 * math.pi * T
-    try:
-        out = two_pi_t**e if two_pi_t < math.inf else (2.0 * math.pi) ** e * T**e
-    except OverflowError:
-        out = math.inf
-    if out == math.inf:
-        raise ValidationError(f"the factor (2 pi T)^{e:g} overflows a float at d={d}, T={T}")
-    return out
+    what = f"the factor (2 pi T)^{e:g} overflows a float at d={d}, T={T}"
+    if two_pi_t < math.inf:
+        return _power(two_pi_t, e, what)
+    return _power(_power(2.0 * math.pi, e, what) * _power(T, e, what), 1.0, what)
+
+
+def _series_factors(T: float, k: int) -> list[float]:
+    """(-T)^(-n) / 2^n for n = 0..k, for a positive finite T; a factor that
+    overflows a float is refused, naming n and T."""
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValidationError(f"T must be a positive finite real, got {T}")
+    return [_power(-T, -n, f"the series factor (-T)^-{n} overflows a float at T={T}")
+            / 2.0**n for n in range(k + 1)]
 
 
 def gauss_kernel(d: int, t: float, x) -> float:
@@ -57,7 +91,8 @@ def gauss_kernel(d: int, t: float, x) -> float:
     if t <= 0:
         raise ValidationError(f"kernel time must be positive, got {t}")
     x = _as_point(x, "point", d)
-    return _gauss_factor(d, t, -1) * math.exp(-float(x @ x) / (2.0 * t))
+    with np.errstate(over="ignore"):  # |x|^2 = inf gives exp(-inf) = 0.0
+        return _gauss_factor(d, t, -1) * math.exp(-float(x @ x) / (2.0 * t))
 
 
 def truncated_kernel(x, T: float, t: float, k: int) -> float:
@@ -70,17 +105,19 @@ def truncated_kernel(x, T: float, t: float, k: int) -> float:
     accumulation lossy.
     """
     x = _as_point(x, "point")
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValidationError(f"T must be a positive finite real, got {T}")
-    if not (0.0 <= t < T):
-        raise ValidationError(f"t={t} outside [0, T={T})")
     if not (0 <= k <= MAX_ORDER):
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
+    factors = _series_factors(T, k)
+    if not (0.0 <= t < T):
+        raise ValidationError(f"t={t} outside [0, T={T})")
     alphas = [a for n in range(k + 1) for a in mi.enumerate_order(len(x), n)]
-    hs = hermite_products(x[None, :], t, [[2 * c for c in a] for a in alphas])
-    terms = [(-T) ** (-a.order) / 2.0**a.order * float(h[0]) / mi.factorial(a)
-             for a, h in zip(alphas, hs)]
-    return _gauss_factor(len(x), T, -1) * math.fsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        hs = hermite_products(x[None, :], t, [[2 * c for c in a] for a in alphas])
+        terms = [factors[a.order] * float(h[0]) / mi.factorial(a) for a, h in zip(alphas, hs)]
+    out = _gauss_factor(len(x), T, -1) * _fsum(terms)
+    if not math.isfinite(out):
+        raise ValidationError(f"the order-{k} truncation at T={T}, t={t} overflows float64")
+    return out
 
 
 def fit_loglog_slope(T_values, errors) -> float:
@@ -140,8 +177,8 @@ def truncation_error_scan(
         raise ValidationError("empty T list")
     scales, exacts = [], []
     for T in T_arr:
-        if not T > 2 * t:
-            raise ValidationError(f"scan requires T > 2t, got T={T}, t={t}")
+        if not T > 2 * t >= 0.0:
+            raise ValidationError(f"scan requires T > 2t >= 0, got T={T}, t={t}")
         scales.append(_gauss_factor(d, T, 1) if scaled else 1.0)
         exacts.append(gauss_kernel(d, T - t, offset))
         if exacts[-1] == 0.0:

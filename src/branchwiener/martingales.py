@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermite import hermite_products
+from .kernel_expansion import _power
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import _read_json, _real
 from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, SimConfig, Snapshot,
@@ -51,24 +52,6 @@ def _pairwise_v(x, t: float, alphas) -> np.ndarray:
         return np.array([np.sum(w) for w in hermite_products(x, t, alphas)])
     half = n // 2 - (n // 2) % 8
     return _pairwise_v(x[:half], t, alphas) + _pairwise_v(x[half:], t, alphas)
-
-
-def _times_power(x: float, m: float, t: float) -> float | None:
-    """m**t * x, or None where that is not a finite float."""
-    try:
-        value = m**t * x
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _growth(m: float, t: float, name: str = "t") -> float:
-    """m**t, refused unless it is a positive finite float; ``name`` is what
-    the error calls t."""
-    growth = _times_power(1.0, m, t) if m > 0 else None
-    if not growth:
-        raise ValidationError(f"need 0 < m**{name} < inf; got {name}={t}, m={m}")
-    return growth
 
 
 @dataclass
@@ -182,7 +165,7 @@ def estimate_n(s: Snapshot, alphas: Sequence, law: OffspringLaw, *,
     m = law.mean
     if not m > 1.0:
         raise ValidationError(f"estimate_n needs a supercritical law; got m={m}")
-    growth = _growth(m, s.t)
+    growth = _power(m, s.t, f"need 0 < m**t < inf; got t={s.t}, m={m}")
     alphas = [as_multiindex(a) for a in alphas]
     errors = {a: l2_remainder(a, s.t, law) for a in alphas}
     values = v_alpha_many(s, alphas)

@@ -325,10 +325,12 @@ def _d300_files(tmp_path):
       "--T", "0.001"], "d=300, T=0.001"),
     (["kernel-check", "--d", "700", "--t", "0", "--T", "0.01,0.02", "--k", "0", "--raw"],
      "d=700, T=0.01"),
-], ids=["infer", "predict", "kernel-check-raw"])
+    (["kernel-check", "--d", "2", "--T", "1e308,1.5e308", "--k", "0"], "d=2, T=1e+308"),
+], ids=["infer", "predict", "kernel-check-raw", "kernel-check-split"])
 def test_overflowing_gauss_factor_exits_2(argv, named, tmp_path, capsys):
     # (2 pi T)^(d/2) at d=300, T0=25 and (2 pi T)^(-d/2) at d=300,
-    # T=0.001 or d=700, T=0.01 are beyond float range.
+    # T=0.001 or d=700, T=0.01 are beyond float range; at T=1e308 2 pi T
+    # is, and of the split form (2 pi)^1 T^1 only the product overflows.
     _d300_files(tmp_path)
     rc = cli.main([a.format(dir=tmp_path) for a in argv])
     assert rc == cli.EXIT_VALIDATION
@@ -390,6 +392,103 @@ def test_infer_overflowing_right_hand_side_names_the_set(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: observation set 0: its normalized count (2 pi T0)^(d/2) count / m^T0 "
         "is not a finite float (d=200, T0=25.0)\n")
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--region", "{unit}", "--T", "1e-200"],
+     "the series factor (-T)^-2 overflows a float at T=1e-200"),
+    (["expand", "--region", "{unit}", "--T", "1e-200"],
+     "the series factor (-T)^-2 overflows a float at T=1e-200"),
+    (["predict", "--region", "{far}", "--T", "1e-150"],
+     "region 0: the density (2 pi T)^(-d/2) S_2 at T=1e-150 overflows a float"),
+    (["predict", "--region", "{wide}", "--T", "1e-100"],
+     "region 0: S_2 at T=1e-100 overflows float64 (coefficients or moments too large)"),
+    (["predict", "--region", "{far}", "--T", "1e-150", "--format", "json"],
+     "region 0: the density (2 pi T)^(-d/2) S_2 at T=1e-150 overflows a float"),
+    (["infer", "--counts", "{dir}/counts.csv", "--sets", "{dir}/sets.json", "--T0", "1e-320",
+      "--k", "1", "--m", "2", "--out", "{dir}/t.json"],
+     "the series factor (-T)^-1 overflows a float at T=1e-320"),
+    (["kernel-check", "--d", "1", "--t", "0", "--k", "2", "--T", "1e-200,2e-200",
+      "--offset", "0"], "the series factor (-T)^-2 overflows a float at T=1e-200"),
+    (["kernel-check", "--d", "3", "--t", "0", "--k", "0", "--T", "1e-20,1e20,1e300",
+      "--offset=1e300,-0.0,-1.0", "--raw"],
+     "the Gaussian kernel is 0.0 in floating point at d=3, T=1e-20, so the scan would "
+     "measure nothing"),
+    (["kernel-check", "--d", "1", "--t", "1e218", "--k", "2", "--T", "1e225,1e242",
+      "--offset", "1", "--raw"],
+     "the order-2 truncation at T=1e+225, t=1e+218 overflows float64"),
+], ids=["predict-series", "expand-series", "density-csv", "weights", "density-json",
+        "infer-series",
+        "kernel-check-series", "kernel-check-matmul", "kernel-check-hermite"])
+def test_forecast_and_scan_overflows_exit_2(argv, message, tmp_path, capsys):
+    # At T = 1e-200 (-T)^-2 is beyond float; at T = 1e-150 S_2 on [10, 11)
+    # is finite but (2 pi T)^(-1/2) S_2 is not; on [0, 1e60) at T = 1e-100
+    # a weight of S_2 overflows before S_2 does; |x|^2 = inf makes the
+    # kernel 0.0 without numpy's overflow warning; H_4(x, t) holds t^2, and
+    # at t = 1e218 the order-2 scan printed nan errors after a warning.
+    table = tmp_path / "table.json"
+    NTable(d=1, m=1.5, entries=dict.fromkeys(xp.required_indices(2, 1), 1.0), k=2).save(
+        str(table))
+    write_regions(tmp_path / "sets.json", [rg.Box((i,), (i + 1.0,)) for i in range(3)])
+    (tmp_path / "counts.csv").write_text("region_id,count\n0,1\n1,2\n2,3\n")
+    argv = [a.format(dir=tmp_path, unit='{"type": "box", "lower": [0.0], "upper": [1.0]}',
+                     far='{"type": "box", "lower": [10.0], "upper": [11.0]}',
+                     wide='{"type": "box", "lower": [0.0], "upper": [1e60]}') for a in argv]
+    if argv[0] in ("predict", "expand"):
+        argv[1:1] = ["--table", str(table)]
+    assert _main_without_warnings(argv) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("sets, counts, T0, k, message", [
+    ([(0.0, 1e10), (1e10, 2e10), (2e10, 3e10)], [1, 2, 3], "1e-300", "1",
+     "error: observation set 0: its row of S_1 at T0=1e-300 overflows float64"),
+    ([(-1e155, -1.0)], [-1], "1", "0",
+     "numeric failure: columns [(0,)] cannot be scaled: their squared norms are 0.0 or "
+     "beyond float64"),
+    ([(0.0, 1.0), (1.0, 2.0)], [1e300, -1e300], "1", "0",
+     "error: the squared residual norm of the fit at T0=1.0 overflows float64 "
+     "(counts too large)"),
+    ([(0.0, 1e-150)], [1e160], "1", "0",
+     "error: N-table value inf for index (0,) is not finite"),
+    ([(0.0, 1e-170)], [1e100], "1", "0",
+     "numeric failure: columns [(0,)] cannot be scaled: their squared norms are 0.0 or "
+     "beyond float64"),
+], ids=["row", "column-norm", "residual-norm", "coefficient", "column-underflow"])
+def test_infer_refuses_a_system_beyond_float64(sets, counts, T0, k, message, tmp_path,
+                                               capsys):
+    # Without these refusals the row case printed LAPACK's complaints and
+    # exited 3, the column norm case warned and exited 3 calling the matrix
+    # rank deficient, the residual case wrote "residual_norm": Infinity,
+    # which is not JSON, and the coefficient case warned before refusing.
+    # A column whose squared norm is beyond float64 cannot be scaled, as
+    # one whose squared norm underflows to 0.0 (then called "identically
+    # zero"): a numeric failure.
+    sets_path = write_regions(tmp_path / "sets.json", [rg.Box((a,), (b,)) for a, b in sets])
+    (tmp_path / "counts.csv").write_text(
+        "region_id,count\n" + "".join(f"{i},{c!r}\n" for i, c in enumerate(counts)))
+    rc = _main_without_warnings(["infer", "--counts", str(tmp_path / "counts.csv"), "--sets",
+                                 sets_path, "--T0", T0, "--k", k, "--m", "1",
+                                 "--out", str(tmp_path / "t.json")])
+    assert rc == (cli.EXIT_NUMERIC if message.startswith("numeric") else cli.EXIT_VALIDATION)
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("m", ["-1.5", "0", "1e-10", "nan"])
+def test_infer_refuses_an_m_whose_m_pow_T0_is_not_positive_and_finite(m, tmp_path, capsys):
+    # A non-positive or NaN m, and an m whose m^T0 underflows to 0.
+    sets_path = write_regions(tmp_path / "sets.json", inf.default_sets(0, 1, 2.0))
+    (tmp_path / "counts.csv").write_text("region_id,count\n0,5.0\n")
+    rc = _main_without_warnings(["infer", "--counts", str(tmp_path / "counts.csv"), "--sets",
+                                 sets_path, "--T0", "100", "--k", "0", "--m", m,
+                                 "--out", str(tmp_path / "t.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: need 0 < m**T0 < inf; "
+                                       f"got T0=100.0, m={float(m)}\n")
     assert not (tmp_path / "t.json").exists()
 
 

@@ -13,7 +13,11 @@ tracer wraps.  Only ``cli._run_tasks`` runs anything in parallel, on
 processes, and no command imports ``concurrent.futures`` at start-up.
 Every Hermite product the package takes comes from
 ``hermite.hermite_products``, and every Gaussian factor (2 pi T)^(+-d/2)
-from ``kernel_expansion._gauss_factor``.
+from ``kernel_expansion._gauss_factor``.  Only ``kernel_expansion`` catches
+an `OverflowError` from a scalar ``**`` or from ``math.fsum``'s partials: in
+``_times_power``, on which ``_power`` builds its refusal, and in ``_fsum``;
+``regions`` catches a float's parse and the region moments'.  The series
+factors (-T)^(-n) are taken in one function.
 """
 
 import ast
@@ -113,6 +117,26 @@ def test_one_routine_takes_the_gauss_factor():
         if "pi" in _names_used(node)
     ]
     assert where == ["kernel_expansion._gauss_factor"]
+
+
+def test_one_module_catches_a_power_that_overflows():
+    assert sorted(users_of("OverflowError")) == [
+        "kernel_expansion._fsum",
+        "kernel_expansion._times_power",
+        "regions._real",  # float() of a big int
+        "regions.moment_matrix",  # one region at a time, to name it
+    ]
+
+
+def test_one_routine_takes_the_series_factors():
+    where = [
+        f"{module}.{getattr(node, 'name', f'line {node.lineno}')}"
+        for module, node in _top_level(PACKAGE)
+        for n in ast.walk(node)
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+        and isinstance(n.operand, ast.Name) and n.operand.id == "T"
+    ]
+    assert where == ["kernel_expansion._series_factors"]
 
 
 CONCURRENCY = {"ThreadPoolExecutor", "ProcessPoolExecutor", "threading", "multiprocessing"}

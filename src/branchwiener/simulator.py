@@ -70,19 +70,19 @@ BLOCK = 1 << 13
 _RUN_CHUNK = 4 * BLOCK
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise and in place on a uint64 array
-    (callers pass a temporary of their own); returns x.
+def _mix(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on a uint64 array, into ``out`` or
+    else in place (callers pass a temporary of their own); returns it.
 
     Scalar keys go through :func:`_mix_int` instead — numpy warns on scalar
     uint64 wraparound but is silent (and correct) for arrays.
     """
-    x ^= x >> _U64(30)
-    x *= _M1
-    x ^= x >> _U64(27)
-    x *= _M2
-    x ^= x >> _U64(31)
-    return x
+    out = np.bitwise_xor(x, x >> _U64(30), out=x if out is None else out)
+    out *= _M1
+    out ^= out >> _U64(27)
+    out *= _M2
+    out ^= out >> _U64(31)
+    return out
 
 
 def _mix_int(x: int) -> int:
@@ -231,17 +231,27 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _child_ids(parent_hi, parent_lo, rank):
-    """128-bit ids of children, one mix per word; rank is a uint64 array
-    counting from 1 among siblings, and each word depends on both parent
-    words and the rank."""
-    hi = rank * _U64(_SALT)
-    hi ^= parent_hi
-    hi += parent_lo
-    lo = rank * _U64(_GOLDEN)
-    lo ^= parent_lo
-    lo += parent_hi
-    return _mix(hi), _mix(lo)
+def _children(c, positions, id_hi, id_lo, pos, hi, lo) -> None:
+    """Write the children of a block of parents, whose offspring counts are
+    c, into the rows pos, hi and lo: each child's parent position and id,
+    gathered with one parent index, then in place its own 128-bit id, one
+    mix per word of both parent words and its birth rank (counting from 1
+    among siblings)."""
+    parent = np.repeat(np.arange(c.shape[0]), c)
+    # mode="clip" lets take write into out unbuffered (every row is valid).
+    np.take(positions, parent, axis=0, out=pos, mode="clip")
+    np.take(id_hi, parent, out=hi, mode="clip")
+    np.take(id_lo, parent, out=lo, mode="clip")
+    rank = np.arange(1, hi.shape[0] + 1, dtype=np.uint64)
+    rank -= np.take((np.cumsum(c) - c).astype(np.uint64), parent, mode="clip")
+    x = rank * _U64(_GOLDEN)
+    x ^= lo
+    x += hi
+    rank *= _U64(_SALT)
+    hi ^= rank
+    hi += lo
+    _mix(hi)
+    _mix(x, out=lo)
 
 
 def _root_ids(seed: int, n: int):
@@ -453,9 +463,10 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
 
 def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
     """(positions, id_hi, id_lo) of all children, in parent order, written
-    BLOCK parents at a time into arrays made once, so that the scratch is
-    one block's.  Coordinate j of a child's displacement is drawn from its
-    id folded to one word, XOR the key of axis j."""
+    BLOCK parents at a time into arrays made once (see `_children`), so
+    that the scratch is one block's.  Coordinate j of a child's
+    displacement is drawn from its id folded to one word, XOR the key of
+    axis j."""
     axis_keys = np.array([_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(d)])
     pos = np.empty((int(counts.sum()), d), dtype=np.float64)
     hi = np.empty(pos.shape[0], dtype=np.uint64)
@@ -464,12 +475,9 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
     for a in range(0, counts.shape[0], BLOCK):
         c = counts[a:a + BLOCK]
         start, end = end, end + int(c.sum())
-        rank = np.arange(1, end - start + 1, dtype=np.uint64)
-        rank -= np.repeat((np.cumsum(c) - c).astype(np.uint64), c)
         chi, clo, p = hi[start:end], lo[start:end], pos[start:end]
-        chi[:], clo[:] = _child_ids(np.repeat(id_hi[a:a + BLOCK], c),
-                                    np.repeat(id_lo[a:a + BLOCK], c), rank)
-        p[:] = np.repeat(positions[a:a + BLOCK], c, axis=0)
+        _children(c, positions[a:a + BLOCK], id_hi[a:a + BLOCK], id_lo[a:a + BLOCK],
+                  p, chi, clo)
         p += _ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
     return pos, hi, lo
 
@@ -506,12 +514,15 @@ def _generations(cfg: SimConfig, chunk: int,
     generations now complete, those that no parent waiting on the stack can
     add to.  Generation 0 is ``start`` (one row per root, the roots of
     independent runs of cfg's law and seed) or else `initial_snapshot`.  A
-    part holds the children of at most ``chunk`` parents, so the walk holds
-    one step's children per generation, and it advances no empty part.  The
-    parts of a generation come in the order of its rows made whole.  The cap
-    applies to each generation's total; an abort names a generation over it
-    and the count made by then, which can be below that total (and the
-    generation later than the first over the cap).
+    part holds the children of at most ``chunk`` parents.  The stack holds
+    only rows still to step: each entry's first ``chunk`` rows are stepped
+    and a copy of the rest goes back, so an entry is freed once its first
+    chunk is stepped, and the walk holds about one chunk of rows per
+    generation.  It advances no empty
+    part.  The parts of a generation come in the order of its rows made
+    whole.  The cap applies to each generation's total; an abort names a
+    generation over it and the count made by then, which can be below that
+    total (and the generation later than the first over the cap).
 
     Every generation is made by the public `step`, so that wrapping `step`
     (as a profiler or tracer does) sees every one.
@@ -520,25 +531,29 @@ def _generations(cfg: SimConfig, chunk: int,
     made = [0] * (cfg.t_max + 1)
     s = initial_snapshot(cfg) if start is None else start
     yield s, 1
-    todo = [(s, 0)] if cfg.t_max else []
+    todo = [s] if cfg.t_max else []
     while todo:
-        s, a = todo.pop()
-        b = a + chunk
-        if b < s.n:
-            todo.append((s, b))
-        part = Snapshot(s.t, s.positions[a:b], s.id_hi[a:b], s.id_lo[a:b],
-                        None if s.root is None else s.root[a:b])
+        part = todo.pop()
+        if part.n > chunk:
+            todo.append(_rows(part, slice(chunk, None), copy=True))
+            part = _rows(part, slice(chunk))
         try:
-            s = step(part, law, cfg.seed, population_cap=cap - made[s.t + 1])
+            s = step(part, law, cfg.seed, population_cap=cap - made[part.t + 1])
         except PopulationCapError as exc:
             raise PopulationCapError(exc.t, made[exc.t] + exc.population, cap) from None
         made[s.t] += s.n
         if s.t < cfg.t_max and s.n:
-            todo.append((s, 0))
+            todo.append(s)
         # Remainders and children go on top of their parents, so t never
         # falls up the stack: the bottom entry's generation, and every one
         # before it, can gain no more parts.
-        yield s, todo[0][0].t + 1 if todo else cfg.t_max + 1
+        yield s, todo[0].t + 1 if todo else cfg.t_max + 1
+
+
+def _rows(s: Snapshot, rows: slice, copy: bool = False) -> Snapshot:
+    """The given rows of s, as views or, with ``copy``, as copies."""
+    return Snapshot(s.t, *(None if a is None else np.array(a[rows], copy=copy)
+                           for a in (s.positions, s.id_hi, s.id_lo, s.root)))
 
 
 def _append(arrays: tuple[np.ndarray, ...], s: Snapshot) -> None:

@@ -817,6 +817,19 @@ def test_radius_profile_memory_is_bounded_in_chunks(monkeypatch):
     assert peak(runs[19]) > 28 * chunk
 
 
+def test_radius_profile_memory_grows_one_chunk_per_doubling():
+    # Only rows still to step wait on the stack: a step's children less the
+    # chunk stepped first, so at most one chunk per generation.  A doubling
+    # run's peak then grows by about one chunk each time its last generation
+    # doubles (by two when a stepped part stayed on the stack whole).
+    chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
+    peaks = [_traced_peak(lambda: sim.radius_profile(
+        SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=t, test_mode=True)))
+        for t in (18, 19, 20, 21)]  # last generation of 8 to 64 chunks
+    growth = [(b - a) / chunk for a, b in zip(peaks, peaks[1:])]
+    assert all(g <= 1.2 for g in growth), growth
+
+
 def test_run_to_a_file_memory_is_bounded_in_chunks(monkeypatch, tmp_path):
     # Writing each part as it is made, a doubling run holds one step's
     # children per generation, so its peak grows by about two chunks each

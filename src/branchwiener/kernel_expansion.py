@@ -39,10 +39,11 @@ def _as_point(x, what: str, d: int | None = None) -> np.ndarray:
 
 def _times_power(x: float, m: float, t: float) -> float | None:
     """m**t * x by Python's float **, or None where that is not a finite
-    float: a raw count beyond float is left blank, not refused."""
+    float (0.0 to a negative power included): a raw count beyond float is
+    left blank, not refused."""
     try:
         value = m**t * x
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return None
     return value if math.isfinite(value) else None
 

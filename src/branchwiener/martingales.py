@@ -318,6 +318,9 @@ def l2_increment_diagnostic(
     if not alphas:
         raise ValidationError("need at least one index")
     m, var = law.mean, law.variance
+    # The largest scale below, checked first: m^-(t+1) grows with t for m < 1.
+    _power(m, -(t_max + 1), f"the increment scale m^-(t+1) overflows a float at "
+           f"offspring mean m={m!r}, t={t_max}")
     mats = ensemble_v_matrix(law, alphas[0].dim, alphas, t_max, replicas, seed,
                              population_cap=population_cap)
     scale = m ** (-np.arange(t_max + 1, dtype=np.float64))

@@ -8,22 +8,24 @@ Snapshots are taken after displacement, so siblings are conditionally
 independent given the parent's position.
 
 Randomness is counter-based rather than sequential: every draw is a pure
-hash of (seed, particle lineage id, purpose tag), where a child's 128-bit
-lineage id is itself a hash of (parent id, birth rank).  Two consequences:
+function of (seed, particle lineage id, purpose), where a child's 128-bit
+lineage id is itself a hash of (seed, parent id, birth rank).  Two
+consequences:
 
 * runs are bitwise reproducible for a fixed seed regardless of how the
   particles are split into blocks, parts or processes, or of their order, and
 * a stored snapshot can be continued under a fresh seed with randomness
-  independent of the original run.
+  independent of the original run: its children get fresh ids.
 
-The hash is the splitmix64 finalizer, one mix per draw: each word of a
-child's id is one mix of both parent words and the rank, and each draw is
-one mix of the id folded to one word (hi ^ lo) XOR a scalar key of (seed,
-purpose).  Uniforms feed the inverse Gaussian CDF `_ndtri`, Wichura's
-AS241 in numpy: within 2e-15 relative of the exact quantile, and built from
-+, -, *, / and sqrt alone, so its bits depend on neither libm nor numpy's
-SIMD paths.  The sampler name recorded in snapshot file headers is
-``splitmix64-as241-v3``.
+The hash is the splitmix64 finalizer: each word of a child's id is one mix
+of both parent words and the rank plus a key of the seed.  The id words
+themselves are the uniforms of the displacement along axes 0 and 1; every
+other draw (the offspring count, axes 2 and up) is one mix of the id folded
+to one word (hi ^ lo) XOR a scalar key of (seed, purpose).  Uniforms feed
+the inverse Gaussian CDF `_ndtri`, Wichura's AS241 in numpy: within 2e-15
+relative of the exact quantile, and built from +, -, *, / and sqrt alone,
+so its bits depend on neither libm nor numpy's SIMD paths.  The sampler
+name recorded in snapshot file headers is ``splitmix64-as241-v4``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import PopulationCapError, ValidationError
 from . import regions as _regions
 
-SAMPLER_NAME = "splitmix64-as241-v3"
+SAMPLER_NAME = "splitmix64-as241-v4"
 DEFAULT_POPULATION_CAP = 10**8
 SNAPSHOT_FORMAT_VERSION = 3
 # Longest header or record line the reader accepts (records are ~100 bytes).
@@ -54,6 +56,7 @@ _M2 = _U64(0x94D049BB133111EB)
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT = 0xC2B2AE3D27D4EB4F
 _TAG_OFFSPRING = 0x01D306AA5F35F1D1
+_TAG_ID = 0x5EED1D5EED1D0001
 _TAG_POSITION = 0x7C15E4D5B9A30001
 _TAG_STRIDE = 0x636F6F7264313375
 
@@ -231,19 +234,21 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _children(c, positions, id_hi, id_lo, pos, hi, lo) -> None:
+def _children(c, positions, id_hi, id_lo, key, pos, hi, lo) -> None:
     """Write the children of a block of parents, whose offspring counts are
     c, into the rows pos, hi and lo: each child's parent position and id,
     gathered with one parent index, then in place its own 128-bit id, one
     mix per word of both parent words and its birth rank (counting from 1
-    among siblings)."""
+    among siblings) plus the seed's id key."""
     parent = np.repeat(np.arange(c.shape[0]), c)
     # mode="clip" lets take write into out unbuffered (every row is valid).
     np.take(positions, parent, axis=0, out=pos, mode="clip")
     np.take(id_hi, parent, out=hi, mode="clip")
     np.take(id_lo, parent, out=lo, mode="clip")
+    first = (np.cumsum(c) - c).astype(np.uint64)
+    first -= key  # wraps, so that rank becomes rank + key
     rank = np.arange(1, hi.shape[0] + 1, dtype=np.uint64)
-    rank -= np.take((np.cumsum(c) - c).astype(np.uint64), parent, mode="clip")
+    rank -= np.take(first, parent, mode="clip")
     x = rank * _U64(_GOLDEN)
     x ^= lo
     x += hi
@@ -464,10 +469,13 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
 def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
     """(positions, id_hi, id_lo) of all children, in parent order, written
     BLOCK parents at a time into arrays made once (see `_children`), so
-    that the scratch is one block's.  Coordinate j of a child's
-    displacement is drawn from its id folded to one word, XOR the key of
+    that the scratch is one block's.  The uniforms of a child's
+    displacement along axes 0 and 1 are its id words themselves; along
+    axis j >= 2, one mix of its id folded to one word, XOR the key of
     axis j."""
-    axis_keys = np.array([_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(d)])
+    id_key = _key(seed, _TAG_ID)
+    axis_keys = np.array([_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(2, d)],
+                         dtype=np.uint64)
     pos = np.empty((int(counts.sum()), d), dtype=np.float64)
     hi = np.empty(pos.shape[0], dtype=np.uint64)
     lo = np.empty(pos.shape[0], dtype=np.uint64)
@@ -477,8 +485,12 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
         start, end = end, end + int(c.sum())
         chi, clo, p = hi[start:end], lo[start:end], pos[start:end]
         _children(c, positions[a:a + BLOCK], id_hi[a:a + BLOCK], id_lo[a:a + BLOCK],
-                  p, chi, clo)
-        p += _ndtri(_u01(_mix(axis_keys[:, None] ^ (chi ^ clo)))).T
+                  id_key, p, chi, clo)
+        w = np.empty((d, end - start), dtype=np.uint64)
+        w[:2] = (chi, clo)[:d]
+        if d > 2:
+            _mix(np.bitwise_xor(axis_keys[:, None], chi ^ clo, out=w[2:]))
+        p += _ndtri(_u01(w)).T
     return pos, hi, lo
 
 
@@ -515,14 +527,14 @@ def _generations(cfg: SimConfig, chunk: int,
     add to.  Generation 0 is ``start`` (one row per root, the roots of
     independent runs of cfg's law and seed) or else `initial_snapshot`.  A
     part holds the children of at most ``chunk`` parents.  The stack holds
-    only rows still to step: each entry's first ``chunk`` rows are stepped
-    and a copy of the rest goes back, so an entry is freed once its first
-    chunk is stepped, and the walk holds about one chunk of rows per
-    generation.  It advances no empty
-    part.  The parts of a generation come in the order of its rows made
-    whole.  The cap applies to each generation's total; an abort names a
-    generation over it and the count made by then, which can be below that
-    total (and the generation later than the first over the cap).
+    only rows still to step: an entry's first ``chunk`` rows are stepped and
+    a copy of the rest goes back, so an entry is freed once its first chunk
+    is stepped and the walk holds about one chunk of rows per generation.
+    It advances no empty part.  The parts of a generation come in the order
+    of its rows made whole.  The cap applies to each generation's total; an
+    abort names a generation over it and the count made by then, which can
+    be below that total (and the generation later than the first over the
+    cap).
 
     Every generation is made by the public `step`, so that wrapping `step`
     (as a profiler or tracer does) sees every one.

@@ -1127,6 +1127,47 @@ def test_diagnose_refuses_negative_runs(doubling_config, tmp_path, capsys):
     assert not list(tmp_path.glob("diag*"))
 
 
+@pytest.mark.parametrize("d, pmf, t_max, m", [
+    (2, [1.0], 3, "0.0"),  # 0.0 ** -4 raises ZeroDivisionError
+    (1, [1 - 1e-40, 1e-40], 8, "1e-40"),  # 1e-40 ** -9 raises OverflowError
+], ids=["mean-0", "mean-1e-40"])
+def test_diagnose_refuses_a_mean_whose_increment_scale_overflows(d, pmf, t_max, m,
+                                                                 tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": d, "pmf": pmf, "seed": 3, "t_max": t_max,
+                               "test_mode": True}))
+    rc = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "diag"),
+                   "--runs", "2", "--replicas", "10"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION, err
+    assert f"m^-(t+1) overflows a float at offspring mean m={m}, t={t_max}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("diag*"))
+
+
+def test_diagnose_of_a_subcritical_law_keeps_its_increment_rows(tmp_path, capsys):
+    # m = 0.1, whose scale m^-(t+1) is at most 1e9: the rows are those of
+    # the increment law and of the ensemble, scaled by numpy's power.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": 1, "pmf": [0.9, 0.1], "seed": 3, "t_max": 8,
+                               "test_mode": True}))
+    rc = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "diag"),
+                   "--runs", "2", "--replicas", "10"])
+    assert rc == 0, capsys.readouterr().err
+    law = sim.OffspringLaw((0.9, 0.1), test_mode=True)
+    m, var = law.mean, law.variance
+    v = oracles.whole_batch_v_matrix(law, 1, [(0,), (1,)], 8, 10, seed=3)
+    want = ["alpha,p,t,empirical_norm,exact_norm"]
+    for a, q in ((0,), 0), ((1,), 1):
+        x = v[a] * m ** (-np.arange(9, dtype=np.float64))
+        for t in range(1, 9):
+            diff = x[:, t] - x[:, t - 1]
+            exact = math.sqrt(m ** (-t - 1) * (m * (t**q - (t - 1) ** q) + var * (t - 1) ** q))
+            want.append(f"{q},2,{t},{float(np.mean(diff * diff) ** 0.5)!r},{exact!r}")
+    text = (tmp_path / "diag.increments.csv").read_text()
+    assert [ln for ln in text.splitlines() if not ln.startswith("#")] == want
+
+
 # --------------------------------------------------------------- cold start
 
 # The test modules import scipy themselves, so each check runs in a fresh

@@ -97,25 +97,31 @@ def test_initial_position_offsets_everything():
 
 def _whole_population_step(s, law, seed):
     """The children of every parent built in one pass, as one array per
-    field, with the draws written out: the reference the block kernel must
-    match bit for bit."""
+    field, with the draws of sampler v4 written out: the reference the
+    block kernel must match bit for bit."""
+
+    def key(tag):
+        return np.uint64(sim._mix_int(seed * sim._GOLDEN + tag))
+
+    def uniform(h):
+        return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
     def draw(fold, tag):
-        key = np.uint64(sim._mix_int(seed * sim._GOLDEN + tag))
-        h = sim._mix(fold ^ key)
-        return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        return uniform(sim._mix(fold ^ key(tag)))
 
     counts = np.searchsorted(law._cumulative, draw(s.id_hi ^ s.id_lo, sim._TAG_OFFSPRING),
                              side="right")
     parents = np.repeat(np.arange(s.n), counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    rank = (np.arange(1, parents.shape[0] + 1) - offsets).astype(np.uint64)
+    # the birth rank, counting from 1 among siblings, plus the seed's id key
+    rank = (np.arange(1, parents.shape[0] + 1) - offsets).astype(np.uint64) + key(sim._TAG_ID)
     phi, plo = s.id_hi[parents], s.id_lo[parents]
     hi = sim._mix((phi ^ (rank * np.uint64(sim._SALT))) + plo)
     lo = sim._mix((plo ^ (rank * np.uint64(sim._GOLDEN))) + phi)
     pos = s.positions[parents].copy()
     for j in range(s.d):
-        pos[:, j] += sim._ndtri(draw(hi ^ lo, sim._TAG_POSITION + j * sim._TAG_STRIDE))
+        u = uniform((hi, lo)[j]) if j < 2 else draw(hi ^ lo, sim._TAG_POSITION + j * sim._TAG_STRIDE)
+        pos[:, j] += sim._ndtri(u)
     return pos, hi, lo
 
 
@@ -138,6 +144,32 @@ def test_block_kernel_matches_whole_population_build(n):
     np.testing.assert_array_equal(got.positions, pos)
     np.testing.assert_array_equal(got.id_hi, hi)
     np.testing.assert_array_equal(got.id_lo, lo)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_block_kernel_matches_whole_population_build_in_other_dimensions(d):
+    # d=1 draws from id_hi alone; d=3 also draws axis 2 from the folded id.
+    law = OffspringLaw((0.3, 0.2, 0.3, 0.2), test_mode=True)
+    s = _parents(B + 1, d)
+    pos, hi, lo = _whole_population_step(s, law, 78)
+    got = sim.step(s, law, 78)
+    for field, want in (("positions", pos), ("id_hi", hi), ("id_lo", lo)):
+        assert getattr(got, field).tobytes() == want.tobytes(), field
+
+
+def test_a_fresh_seed_gives_fresh_ids_and_displacements():
+    # One snapshot stepped under two seeds: the ids mix in the seed, so the
+    # children's ids differ, and so do the displacements that axes 0 and 1
+    # read from the id words.  Doubling, so child i has parent i // 2 under
+    # both seeds.
+    law = OffspringLaw((0.0, 0.0, 1.0), test_mode=True)
+    s = _parents(50_000, 3)
+    a, b = (sim.step(s, law, seed) for seed in (41, 42))
+    assert not np.any(a.id_hi == b.id_hi) and not np.any(a.id_lo == b.id_lo)
+    start = np.repeat(s.positions, 2, axis=0)
+    za, zb = a.positions - start, b.positions - start
+    for j in range(3):
+        _assert_uncorrelated(za[:, j], zb[:, j])
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
@@ -419,7 +451,7 @@ def test_snapshot_file_round_trip(tmp_path):
     assert header["d"] == 3
     assert header["pmf"] == [0.25, 0.25, 0.5]
     assert header["seed"] == 5150
-    assert header["sampler"] == sim.SAMPLER_NAME == "splitmix64-as241-v3"
+    assert header["sampler"] == sim.SAMPLER_NAME == "splitmix64-as241-v4"
     assert [s.t for s in snaps] == [0, 2, 4]
     for mem, disk in zip(kept, snaps):
         # raw little-endian bytes are exactly round-trippable
@@ -651,11 +683,11 @@ def test_ensemble_population_cap():
 
 # ---------------------------------------------------- one generation path
 
-# Seed 17 survives to t=10 under the branching law; seed 4 dies out at t=3.
+# Seed 18 survives to t=10 under the branching law; seed 5 dies out at t=3.
 RUNS = {
-    "branching": SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=17, t_max=10,
+    "branching": SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=18, t_max=10,
                            snapshot_times=tuple(range(11))),
-    "branching-extinct": SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=4, t_max=10,
+    "branching-extinct": SimConfig(d=2, pmf=(0.25, 0.25, 0.5), seed=5, t_max=10,
                                    snapshot_times=tuple(range(11))),
     "doubling": SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=17, t_max=8,
                           snapshot_times=tuple(range(9)), test_mode=True),
@@ -681,8 +713,8 @@ def test_one_replica_ensemble_is_the_run(name):
 
 # Runs whose generations span 3 or more chunks, as (config, parents per
 # chunk, or None for the package's): the last generations of the wide run
-# span 3, 4 and 5 chunks, and the critical run grows to 26 particles (9
-# chunks of 3) and dies out at t=28.
+# span 3, 4 and 5 chunks, and the critical run grows to 14 particles (5
+# chunks of 3) and dies out at t=26.
 CHUNKED_RUNS = {
     "wide-in-chunks": (SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=1, t_max=30), None),
     "extinct-in-chunks": (SimConfig(d=2, pmf=(0.5, 0.0, 0.5), seed=297, t_max=40,
@@ -800,10 +832,10 @@ def _traced_peak(build) -> int:
 
 
 def test_radius_profile_memory_is_bounded_in_chunks(monkeypatch):
-    # Depth first, a doubling run holds one step's children (two chunks)
-    # per generation past its first full chunk, so its peak grows by two
-    # chunks each time the last generation doubles; whole generations hold
-    # the last two, and their peak doubles.
+    # Depth first, a doubling run holds about one chunk per generation past
+    # its first full chunk, so its peak grows by about one chunk each time
+    # the last generation doubles; whole generations hold the last two, and
+    # their peak doubles.
     chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
 
     def peak(cfg):
@@ -821,7 +853,7 @@ def test_radius_profile_memory_grows_one_chunk_per_doubling():
     # Only rows still to step wait on the stack: a step's children less the
     # chunk stepped first, so at most one chunk per generation.  A doubling
     # run's peak then grows by about one chunk each time its last generation
-    # doubles (by two when a stepped part stayed on the stack whole).
+    # doubles.
     chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
     peaks = [_traced_peak(lambda: sim.radius_profile(
         SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=t, test_mode=True)))
@@ -831,9 +863,9 @@ def test_radius_profile_memory_grows_one_chunk_per_doubling():
 
 
 def test_run_to_a_file_memory_is_bounded_in_chunks(monkeypatch, tmp_path):
-    # Writing each part as it is made, a doubling run holds one step's
-    # children per generation, so its peak grows by about two chunks each
-    # time the last generation doubles; whole generations double it.
+    # Writing each part as it is made, a doubling run holds about one chunk
+    # per generation, so its peak grows by about one chunk each time the
+    # last generation doubles; whole generations double it.
     chunk = sim._RUN_CHUNK * (8 + 16)  # bytes of one chunk of particles at d=1
     out = str(tmp_path / "run.snap")
     runs = {t: SimConfig(d=1, pmf=(0.0, 0.0, 1.0), seed=5, t_max=t, test_mode=True)
@@ -877,16 +909,16 @@ def test_run_in_memory_holds_the_generation_once(monkeypatch):
 # ------------------------------------------------------------ golden streams
 
 # sha256 of the positions, id_hi and id_lo bytes of each snapshot of a run,
-# in order, under SAMPLER_NAME splitmix64-as241-v3, as (config, parents per
+# in order, under SAMPLER_NAME splitmix64-as241-v4, as (config, parents per
 # part or None, digest).  A stream change without a SAMPLER_NAME bump fails
-# here.  The d=3 run's last generations span 4 to 8 parts of 5 parents.
+# here.  The d=3 run's last generations span 9 to 19 parts of 5 parents.
 GOLDEN = {
     "d2": (SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=2024, t_max=12,
                      snapshot_times=(0, 6, 12)), None,
-           "1be09a6d505a31fbf940f85b47f9103f9b6dbe3cd68337f361585b11aa9ad171"),
+           "64884c9ad41bdc4c42a9e401e84e1fd92cb0389bf92b425567aec3e5254a150d"),
     "d3-in-parts": (SimConfig(d=3, pmf=(0.0, 0.5, 0.5), seed=77, t_max=11,
                               snapshot_times=(4, 9, 10, 11)), 5,
-                    "8812dbc51abf026c45d7c7e735e2abbe844ad2a9359c7b82a4d38361a5d2b632"),
+                    "9228adeafeedce5db486157bfcece3a39c3ca3be3a2a91060fcc912d663aca48"),
 }
 
 
@@ -895,7 +927,7 @@ def test_golden_streams(name, monkeypatch, tmp_path):
     cfg, chunk, digest = GOLDEN[name]
     if chunk is not None:
         monkeypatch.setattr(sim, "_RUN_CHUNK", chunk)
-    assert sim.SAMPLER_NAME == "splitmix64-as241-v3"
+    assert sim.SAMPLER_NAME == "splitmix64-as241-v4"
     out = str(tmp_path / "run.snap")
     sim.run(cfg, out=out)
     for snaps in (sim.run(cfg), sim.read_snapshot_file(out)[1]):

@@ -175,7 +175,7 @@ def test_a_fresh_seed_gives_fresh_ids_and_displacements():
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_step_scratch_memory_is_bounded_by_blocks(chunks):
     # Besides its outputs and the counts, a step holds one block's scratch,
-    # a constant times BLOCK (about 105, 160 and 227 bytes per parent of a
+    # a constant times BLOCK (about 89, 135 and 203 bytes per parent of a
     # doubling law at d = 1, 2 and 3); building all children at once held
     # about 1000 at d = 1. The bound does not grow with the parents: a
     # step of one run chunk (what the depth-first walk hands to step) and

@@ -31,8 +31,9 @@ from .hermite import hermite_products
 from .kernel_expansion import _power
 from .multiindex import MultiIndex, as_multiindex, factorial
 from .regions import _read_json, _real
+from .sampler import root_ids
 from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, SimConfig, Snapshot,
-                        _check_int, _generations, _root_ids)
+                        _check_int, _generations)
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:
@@ -263,7 +264,7 @@ def ensemble_v_matrix(
             raise ValidationError(f"index dim {a.dim} != d={d}")
     cfg = SimConfig(d, law.pmf, seed, t_max, population_cap, test_mode=law.test_mode)
     n_replicas = _check_int(n_replicas, "number of replicas", 1)
-    hi, lo = _root_ids(cfg.seed, n_replicas)
+    hi, lo = root_ids(cfg.seed, n_replicas)
     roots = Snapshot(0, np.zeros((n_replicas, d)), hi, lo, np.arange(n_replicas))
     out = {a: np.zeros((n_replicas, t_max + 1)) for a in alphas}
     for part, _ in _generations(cfg, BLOCK, roots):

@@ -1,25 +1,24 @@
-"""The counter-based sampler: splitmix64 hashes, their uniforms, and the
-standard normal quantile.
+"""The counter-based sampler: the stream's keys, root and child ids,
+offspring uniforms and displacements, from splitmix64 hashes, their
+uniforms and AS241's normal quantile.
 
-Randomness is counter-based rather than sequential: every draw is a pure
-function of (seed, particle lineage id, purpose), where a child's 128-bit
-lineage id is itself a hash of (seed, parent id, birth rank), made by
-`simulator.step`.  Two consequences:
+Every draw is a pure function of (seed, particle lineage id, purpose), and
+a child's 128-bit lineage id is a hash of (seed, parent id, birth rank).
+So runs are bitwise reproducible for a fixed seed, however the particles
+are split into blocks, parts or processes and in whatever order, and a
+stored snapshot continued under a fresh seed draws independently of the
+original run: its children get fresh ids.
 
-* runs are bitwise reproducible for a fixed seed regardless of how the
-  particles are split into blocks, parts or processes, or of their order, and
-* a stored snapshot can be continued under a fresh seed with randomness
-  independent of the original run: its children get fresh ids.
-
-The hash is the splitmix64 finalizer: each word of a child's id is one mix
-of both parent words and the rank plus a key of the seed.  The id words
-themselves are the uniforms of the displacement along axes 0 and 1; every
-other draw (the offspring count, axes 2 and up) is one mix of the id folded
-to one word (hi ^ lo) XOR a scalar key of (seed, purpose).  Uniforms feed
-the inverse Gaussian CDF `_ndtri`, Wichura's AS241 in numpy: within 2e-15
-relative of the exact quantile, and built from +, -, *, / and sqrt alone,
-so its bits depend on neither libm nor numpy's SIMD paths.  The sampler
-name recorded in snapshot file headers is ``splitmix64-as241-v4``.
+The hash is the splitmix64 finalizer, and each key one scalar mix of
+(seed, purpose).  Each word of a child's id (`child_ids`) is one mix of
+both parent words and the birth rank plus the seed's id key.  The id words
+are the uniforms of the displacement along axes 0 and 1 (`displace`); each
+other draw (`offspring_uniforms`, axes 2 and up) is one mix of the id
+folded to one word (hi ^ lo) XOR its key.  Uniforms feed the inverse
+Gaussian CDF `_ndtri`, Wichura's AS241 in numpy: within 2e-15 relative of
+the exact quantile, and built from +, -, *, / and sqrt alone, so its bits
+depend on neither libm nor numpy's SIMD paths.  Snapshot file headers
+record the sampler as ``splitmix64-as241-v4``.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def _mix_int(x: int) -> int:
 
 
 def _key(seed: int, tag: int) -> np.uint64:
-    """Scalar key of one purpose (the offspring draw, or one axis) under seed."""
+    """Scalar key of one purpose (ids, offspring, or one axis) under seed."""
     return _U64(_mix_int(seed * _GOLDEN + tag))
 
 
@@ -80,6 +79,13 @@ def _u01(h: np.ndarray) -> np.ndarray:
     u = h.view(np.float64)
     u -= 1.0 - 2.0**-53
     return u
+
+
+def _fold_hash(hi, lo, key, out=None) -> np.ndarray:
+    """The keyed fold hash of each id, into ``out`` or else in place of the
+    fold: key is a scalar, or one per column of out."""
+    fold = hi ^ lo
+    return _mix(np.bitwise_xor(fold, key, out=fold if out is None else out))
 
 
 # Wichura, "Algorithm AS 241" (Applied Statistics 37, 1988), PPND16:
@@ -118,8 +124,7 @@ _MANTISSA = _U64((1 << 52) - 1)
 
 
 def _ratio(coefs, x):
-    """num(x) / den(x) for coefs = (num, den), by Horner's rule in two new
-    arrays."""
+    """num(x) / den(x) for coefs = (num, den), by Horner's rule in two new arrays."""
     num, den = coefs
     p = x * num[-1]
     q = x * den[-1]
@@ -202,3 +207,43 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
             x[far] = _ratio(_AS241_FAR, s[far] - 5.0)
         np.put(z, tail, np.copysign(x, np.take(q, tail)))
     return z
+
+
+def root_ids(seed: int, n: int):
+    """The 128-bit ids (hi, lo) of the first n roots under seed; a run has the first."""
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    return _mix(_key(seed, 1) ^ (idx * _M1)), _mix(_U64(_mix_int(seed * _SALT + 2)) ^ (idx * _M2))
+
+
+def offspring_uniforms(seed: int, hi, lo) -> np.ndarray:
+    """The uniform of each parent's offspring draw, from its id words."""
+    return _u01(_fold_hash(hi, lo, _key(seed, _TAG_OFFSPRING)))
+
+
+def child_ids(seed: int, counts, parent, hi, lo) -> None:
+    """Overwrite the parent id words hi and lo of a block's children, given its
+    offspring counts and each child's parent row, with their own ids."""
+    first = (np.cumsum(counts) - counts).astype(np.uint64) - _key(seed, _TAG_ID)
+    rank = np.arange(1, hi.shape[0] + 1, dtype=np.uint64)
+    rank -= np.take(first, parent, mode="clip")  # wraps: rank from 1, plus the key
+    x = rank * _U64(_GOLDEN)
+    x ^= lo
+    x += hi
+    rank *= _U64(_SALT)
+    hi ^= rank
+    hi += lo
+    _mix(hi)
+    _mix(x, out=lo)
+
+
+def displace(seed: int, p, hi, lo) -> None:
+    """Add to each row of p its standard Gaussian step, drawn from its id hi, lo."""
+    d = p.shape[1]
+    # One row per child, as in p: numpy would buffer a transpose, 3x slower.
+    w = np.empty_like(p, dtype=np.uint64)
+    for j, word in enumerate((hi, lo)[:d]):
+        w[:, j] = word
+    if d > 2:
+        keys = [_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(2, d)]
+        _fold_hash(hi[:, None], lo[:, None], np.array(keys, dtype=np.uint64), out=w[:, 2:])
+    p += _ndtri(_u01(w))

@@ -7,8 +7,7 @@ parent's death position plus an independent standard d-dimensional Gaussian.
 Snapshots are taken after displacement, so siblings are conditionally
 independent given the parent's position.
 
-Every draw comes from the counter-based stream of `sampler`, keyed by the
-lineage ids that `step` gives the children.
+Every draw comes from the counter-based stream of `sampler`.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ import numpy as np
 
 from .errors import PopulationCapError, ValidationError
 from . import regions as _regions
-from .sampler import (SAMPLER_NAME, _GOLDEN, _M1, _M2, _SALT, _TAG_ID, _TAG_OFFSPRING,
-                      _TAG_POSITION, _TAG_STRIDE, _U64, _key, _mix, _mix_int, _ndtri, _u01)
+from . import sampler
+from .sampler import SAMPLER_NAME
 
 DEFAULT_POPULATION_CAP = 10**8
 SNAPSHOT_FORMAT_VERSION = 3
@@ -41,38 +40,6 @@ BLOCK = 1 << 13
 #: first; `martingales.ensemble_v_matrix`, whose generations are all wide,
 #: walks its replicas in parts of BLOCK parents.
 _RUN_CHUNK = 4 * BLOCK
-
-
-def _children(c, positions, id_hi, id_lo, key, pos, hi, lo) -> None:
-    """Write the children of a block of parents, whose offspring counts are
-    c, into the rows pos, hi and lo: each child's parent position and id,
-    gathered with one parent index, then in place its own 128-bit id, one
-    mix per word of both parent words and its birth rank (counting from 1
-    among siblings) plus the seed's id key."""
-    parent = np.repeat(np.arange(c.shape[0]), c)
-    # mode="clip" lets take write into out unbuffered (every row is valid).
-    np.take(positions, parent, axis=0, out=pos, mode="clip")
-    np.take(id_hi, parent, out=hi, mode="clip")
-    np.take(id_lo, parent, out=lo, mode="clip")
-    first = (np.cumsum(c) - c).astype(np.uint64) - key  # wraps: rank + key below
-    rank = np.arange(1, hi.shape[0] + 1, dtype=np.uint64)
-    rank -= np.take(first, parent, mode="clip")
-    x = rank * _U64(_GOLDEN)
-    x ^= lo
-    x += hi
-    rank *= _U64(_SALT)
-    hi ^= rank
-    hi += lo
-    _mix(hi)
-    _mix(x, out=lo)
-
-
-def _root_ids(seed: int, n: int):
-    """The 128-bit ids of the first n roots under seed; `run` has the first."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    s0 = _U64(_mix_int(seed * _GOLDEN + 1))
-    s1 = _U64(_mix_int(seed * _SALT + 2))
-    return _mix(s0 ^ (idx * _M1)), _mix(s1 ^ (idx * _M2))
 
 
 def _check_int(value, what: str, low: int, high: int | None = None) -> int:
@@ -250,7 +217,7 @@ class SimConfig:
 
 
 def initial_snapshot(cfg: SimConfig) -> Snapshot:
-    hi, lo = _root_ids(cfg.seed, 1)
+    hi, lo = sampler.root_ids(cfg.seed, 1)
     pos = np.asarray([cfg.initial_position], dtype=np.float64)
     return Snapshot(t=0, positions=pos, id_hi=hi, id_lo=lo)
 
@@ -261,29 +228,20 @@ def _offspring_counts(law: OffspringLaw, seed: int, hi, lo) -> np.ndarray:
     (as ``searchsorted(cum, u, "right")``, since u < 1 = cum[-1]).  A
     point mass at l has cut points 0.0 up to l and 1.0 after, so every
     parent draws l: the uniforms lie strictly inside (0, 1)."""
-    key = _key(seed, _TAG_OFFSPRING)
-    cum = law._cumulative
     counts = np.zeros(hi.shape[0], dtype=np.int64)
     for a in range(0, hi.shape[0], BLOCK):
-        h = hi[a:a + BLOCK] ^ lo[a:a + BLOCK]
-        h ^= key
-        u = _u01(_mix(h))
+        u = sampler.offspring_uniforms(seed, hi[a:a + BLOCK], lo[a:a + BLOCK])
         c = counts[a:a + BLOCK]
-        for cut in cum[:-1]:
+        for cut in law._cumulative[:-1]:
             c += u >= cut
     return counts
 
 
 def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
     """(positions, id_hi, id_lo) of all children, in parent order, written
-    BLOCK parents at a time into arrays made once (see `_children`), so
-    that the scratch is one block's.  The uniforms of a child's
-    displacement along axes 0 and 1 are its id words themselves; along
-    axis j >= 2, one mix of its id folded to one word, XOR the key of
-    axis j."""
-    id_key = _key(seed, _TAG_ID)
-    axis_keys = np.array([_key(seed, _TAG_POSITION + j * _TAG_STRIDE) for j in range(2, d)],
-                         dtype=np.uint64)
+    BLOCK parents at a time into arrays made once, so that the scratch is
+    one block's: each child's parent position and id words, gathered with
+    one parent index, then in place its own id and displacement."""
     pos = np.empty((int(counts.sum()), d), dtype=np.float64)
     hi = np.empty(pos.shape[0], dtype=np.uint64)
     lo = np.empty(pos.shape[0], dtype=np.uint64)
@@ -292,16 +250,13 @@ def _branch(positions, id_hi, id_lo, counts, seed: int, d: int):
         c = counts[a:a + BLOCK]
         start, end = end, end + int(c.sum())
         chi, clo, p = hi[start:end], lo[start:end], pos[start:end]
-        _children(c, positions[a:a + BLOCK], id_hi[a:a + BLOCK], id_lo[a:a + BLOCK],
-                  id_key, p, chi, clo)
-        # One row per child, as in p: adding through a transpose would make
-        # numpy buffer it, three times slower.
-        w = np.empty_like(p, dtype=np.uint64)
-        for j, word in enumerate((chi, clo)[:d]):
-            w[:, j] = word
-        if d > 2:
-            _mix(np.bitwise_xor(axis_keys, (chi ^ clo)[:, None], out=w[:, 2:]))
-        p += _ndtri(_u01(w))
+        parent = np.repeat(np.arange(c.shape[0]), c)
+        # mode="clip" lets take write into out unbuffered (every row is valid).
+        np.take(positions[a:a + BLOCK], parent, axis=0, out=p, mode="clip")
+        np.take(id_hi[a:a + BLOCK], parent, out=chi, mode="clip")
+        np.take(id_lo[a:a + BLOCK], parent, out=clo, mode="clip")
+        sampler.child_ids(seed, c, parent, chi, clo)
+        sampler.displace(seed, p, chi, clo)
     return pos, hi, lo
 
 
@@ -590,7 +545,7 @@ def run(cfg: SimConfig, out=None) -> list:
     snapshots completed so far remain in the file as a valid partial result.
     """
     wanted = list(cfg.snapshot_times)
-    kept = {t: (np.empty((0, cfg.d)), np.empty(0, _U64), np.empty(0, _U64)) for t in wanted}
+    kept = {t: (np.empty((0, cfg.d)), np.empty(0, "u8"), np.empty(0, "u8")) for t in wanted}
     result = []
     with (contextlib.nullcontext() if out is None
           else SnapshotWriter(out, d=cfg.d, pmf=cfg.pmf, seed=cfg.seed)) as writer:

@@ -18,6 +18,7 @@ from scipy.special import chndtr, ndtr
 from branchwiener import hermite as hm
 from branchwiener import multiindex as mi
 from branchwiener import regions as rg
+from branchwiener import sampler
 from branchwiener import simulator as sim
 from branchwiener.errors import ValidationError
 
@@ -151,7 +152,7 @@ def whole_batch(law, d, n_replicas, t_max, seed, population_cap=sim.DEFAULT_POPU
     on the whole batch: the batch that ``martingales.ensemble_v_matrix``
     walks depth first in parts.  Replica r has the r-th root id of the seed,
     so replica 0 has the root of `simulator.run`."""
-    hi, lo = sim._root_ids(seed, n_replicas)
+    hi, lo = sampler.root_ids(seed, n_replicas)
     s = sim.Snapshot(0, np.zeros((n_replicas, d)), hi, lo, np.arange(n_replicas))
     yield s
     while s.t < t_max:

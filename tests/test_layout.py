@@ -17,7 +17,9 @@ from ``kernel_expansion._gauss_factor``.  Only ``kernel_expansion`` catches
 an `OverflowError` from a scalar ``**`` or from ``math.fsum``'s partials: in
 ``_times_power``, on which ``_power`` builds its refusal, and in ``_fsum``;
 ``regions`` catches a float's parse and the region moments'.  The series
-factors (-T)^(-n) are taken in one function.
+factors (-T)^(-n) are taken in one function.  Only ``sampler`` names the
+stream's hash, keys, tags, uniforms and normal quantile, and no module
+imports a private name from it.
 """
 
 import ast
@@ -95,9 +97,33 @@ def test_every_name_in_all_exists():
     ("_branch", "simulator.step"),
     ("initial_snapshot", "simulator._generations"),
     ("step", "simulator._generations"),
+    ("offspring_uniforms", "simulator._offspring_counts"),
+    ("child_ids", "simulator._branch"),
+    ("displace", "simulator._branch"),
 ])
 def test_one_place_makes_a_generation(name, user):
     assert users_of(name) == [user]
+
+
+STREAM = {"_mix", "_mix_int", "_key", "_u01", "_ndtri", "_GOLDEN", "_SALT", "_M1", "_M2"}
+
+
+def test_one_module_owns_the_sampler_stream():
+    tops = [(module, node) for module, node in _top_level(PACKAGE) if module != "sampler"]
+    where = [
+        f"{module}.{node.name}"
+        for module, node in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any(n in STREAM or n.startswith("_TAG_") for n in _names_used(node))
+    ]
+    imported = [
+        f"{module}: {alias.name}"
+        for module, node in tops
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "sampler"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert where == [] and imported == []
 
 
 def test_one_routine_takes_hermite_products():

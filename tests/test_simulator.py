@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from branchwiener.errors import PopulationCapError, ValidationError
 from branchwiener import martingales as mg
 from branchwiener import regions as rg
+from branchwiener import sampler
 from branchwiener import simulator as sim
 from branchwiener.simulator import OffspringLaw, SimConfig, Snapshot
 
@@ -101,32 +102,33 @@ def _whole_population_step(s, law, seed):
     block kernel must match bit for bit."""
 
     def key(tag):
-        return np.uint64(sim._mix_int(seed * sim._GOLDEN + tag))
+        return np.uint64(sampler._mix_int(seed * sampler._GOLDEN + tag))
 
     def uniform(h):
         return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
     def draw(fold, tag):
-        return uniform(sim._mix(fold ^ key(tag)))
+        return uniform(sampler._mix(fold ^ key(tag)))
 
-    counts = np.searchsorted(law._cumulative, draw(s.id_hi ^ s.id_lo, sim._TAG_OFFSPRING),
+    counts = np.searchsorted(law._cumulative, draw(s.id_hi ^ s.id_lo, sampler._TAG_OFFSPRING),
                              side="right")
     parents = np.repeat(np.arange(s.n), counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     # the birth rank, counting from 1 among siblings, plus the seed's id key
-    rank = (np.arange(1, parents.shape[0] + 1) - offsets).astype(np.uint64) + key(sim._TAG_ID)
+    rank = (np.arange(1, parents.shape[0] + 1) - offsets).astype(np.uint64) + key(sampler._TAG_ID)
     phi, plo = s.id_hi[parents], s.id_lo[parents]
-    hi = sim._mix((phi ^ (rank * np.uint64(sim._SALT))) + plo)
-    lo = sim._mix((plo ^ (rank * np.uint64(sim._GOLDEN))) + phi)
+    hi = sampler._mix((phi ^ (rank * np.uint64(sampler._SALT))) + plo)
+    lo = sampler._mix((plo ^ (rank * np.uint64(sampler._GOLDEN))) + phi)
     pos = s.positions[parents].copy()
     for j in range(s.d):
-        u = uniform((hi, lo)[j]) if j < 2 else draw(hi ^ lo, sim._TAG_POSITION + j * sim._TAG_STRIDE)
-        pos[:, j] += sim._ndtri(u)
+        tag = sampler._TAG_POSITION + j * sampler._TAG_STRIDE
+        u = uniform((hi, lo)[j]) if j < 2 else draw(hi ^ lo, tag)
+        pos[:, j] += sampler._ndtri(u)
     return pos, hi, lo
 
 
 def _parents(n, d, seed=5):
-    hi, lo = sim._root_ids(seed, n)
+    hi, lo = sampler.root_ids(seed, n)
     pos = np.random.default_rng(n).normal(size=(n, d))
     return Snapshot(t=3, positions=pos, id_hi=hi, id_lo=lo)
 
@@ -322,8 +324,8 @@ def test_draws_are_uniform_and_uncorrelated_across_purposes():
     z = child.positions - np.repeat(parent.positions, 2, axis=0)
     # The offspring uniforms of the children, and the counts they give
     # under a law of eight equally likely outcomes.
-    key = sim._key(seed, sim._TAG_OFFSPRING)
-    _assert_uniform(sim._u01(sim._mix(child.id_hi ^ child.id_lo ^ key)), "offspring")
+    key = sampler._key(seed, sampler._TAG_OFFSPRING)
+    _assert_uniform(sampler._u01(sampler._mix(child.id_hi ^ child.id_lo ^ key)), "offspring")
     law = OffspringLaw((0.125,) * 8, test_mode=True)
     draws = [sim._offspring_counts(law, seed, child.id_hi, child.id_lo)]
     for j in range(3):
@@ -349,8 +351,8 @@ def test_displacements_of_siblings_and_of_parent_and_child_are_uncorrelated(powe
 @pytest.mark.parametrize("outcomes", [2, 3, 9, 33])
 def test_offspring_counts_are_a_binary_search_also_at_the_cut_points(outcomes):
     seed = 31
-    hi, lo = sim._root_ids(7, 2 * B + 5)
-    u = sim._u01(sim._mix(hi ^ lo ^ sim._key(seed, sim._TAG_OFFSPRING)))
+    hi, lo = sampler.root_ids(7, 2 * B + 5)
+    u = sampler._u01(sampler._mix(hi ^ lo ^ sampler._key(seed, sampler._TAG_OFFSPRING)))
     # Cut points at the first uniforms: multiples of 2^-53, so the pmf
     # entries and their running sums are exact.
     cuts = np.sort(u[:outcomes - 1])
@@ -368,7 +370,7 @@ def test_point_mass_laws_draw_their_count_through_the_cut_points(pmf):
     # inside (0, 1): every parent draws l, with no path of its own.
     ell = pmf.index(1.0)
     law = OffspringLaw(pmf, test_mode=True)
-    hi, lo = sim._root_ids(19, 2 * B + 5)
+    hi, lo = sampler.root_ids(19, 2 * B + 5)
     for seed in (0, 1, 2**64 - 1):
         assert set(sim._offspring_counts(law, seed, hi, lo).tolist()) == {ell}
     s = sim.step(Snapshot(0, np.zeros((2 * B + 5, 2)), hi, lo), law, 5)
@@ -404,7 +406,7 @@ def test_ndtri_is_within_2e_15_of_scipy():
     k = np.random.default_rng(14).integers(0, 1 << 52, size=1 << 20, dtype=np.uint64)
     u = np.concatenate([_midpoints(k), _ENDS])
     with np.errstate(all="raise"):
-        got = sim._ndtri(u.copy())
+        got = sampler._ndtri(u.copy())
     want = ndtri(u)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
 
@@ -412,8 +414,8 @@ def test_ndtri_is_within_2e_15_of_scipy():
 def test_ndtri_is_antisymmetric_bit_for_bit():
     k = np.random.default_rng(15).integers(0, 1 << 52, size=1 << 16, dtype=np.uint64)
     u = np.concatenate([_midpoints(k), _ENDS]).reshape(2, -1)
-    np.testing.assert_array_equal(sim._ndtri(1.0 - u).view(np.uint64),
-                                  (-sim._ndtri(u)).view(np.uint64))
+    np.testing.assert_array_equal(sampler._ndtri(1.0 - u).view(np.uint64),
+                                  (-sampler._ndtri(u)).view(np.uint64))
 
 
 # Pins the stream: k of the midpoint, and the float's bits.  Both tail
@@ -434,7 +436,7 @@ _NDTRI_PINS = [
 
 def test_ndtri_pinned_bits():
     k, bits = zip(*_NDTRI_PINS)
-    assert [float(z).hex() for z in sim._ndtri(_midpoints(k))] == list(bits)
+    assert [float(z).hex() for z in sampler._ndtri(_midpoints(k))] == list(bits)
 
 
 # ------------------------------------------------------------------ file IO

@@ -102,7 +102,7 @@ def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
     """Recover the N_gamma from counts observed at T0.
 
     Right-hand side: b_A = (2 pi T0)^(d/2) count_A / m^T0.  Solves by
-    column-normalized least squares.  Counts are real particle counts in
+    least squares, each column scaled by its largest |entry|.  Counts are real particle counts in
     production; synthetic/validation callers may pass floats.
     """
     counts = np.asarray(observed_counts, dtype=np.float64)
@@ -126,13 +126,10 @@ def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
         raise ValidationError(
             f"observation set {(~np.isfinite(b)).argmax()}: its normalized count "
             f"(2 pi T0)^(d/2) count / m^T0 is not a finite float (d={system.d}, T0={system.T0})")
-    with np.errstate(over="ignore"):
-        col_scale = np.linalg.norm(system.matrix, axis=0)
-    bad = (col_scale == 0.0) | (col_scale == math.inf)
-    if bad.any():
-        cols = [tuple(system.indices[j]) for j in np.nonzero(bad)[0]]
-        raise ConditioningError(f"columns {cols} cannot be scaled: their squared norms are "
-                                "0.0 or beyond float64")
+    col_scale = np.abs(system.matrix).max(axis=0)  # no square to under- or overflow
+    if not col_scale.all():
+        cols = [tuple(system.indices[j]) for j in np.flatnonzero(col_scale == 0.0)]
+        raise ConditioningError(f"columns {cols} are identically zero")
     scaled = system.matrix / col_scale
     solution, residuals, rank, _ = np.linalg.lstsq(scaled, b, rcond=None)
     if rank < len(system.indices):

@@ -446,27 +446,17 @@ def test_forecast_and_scan_overflows_exit_2(argv, message, tmp_path, capsys):
 @pytest.mark.parametrize("sets, counts, T0, k, message", [
     ([(0.0, 1e10), (1e10, 2e10), (2e10, 3e10)], [1, 2, 3], "1e-300", "1",
      "error: observation set 0: its row of S_1 at T0=1e-300 overflows float64"),
-    ([(-1e155, -1.0)], [-1], "1", "0",
-     "numeric failure: columns [(0,)] cannot be scaled: their squared norms are 0.0 or "
-     "beyond float64"),
     ([(0.0, 1.0), (1.0, 2.0)], [1e300, -1e300], "1", "0",
      "error: the squared residual norm of the fit at T0=1.0 overflows float64 "
      "(counts too large)"),
     ([(0.0, 1e-150)], [1e160], "1", "0",
      "error: N-table value inf for index (0,) is not finite"),
-    ([(0.0, 1e-170)], [1e100], "1", "0",
-     "numeric failure: columns [(0,)] cannot be scaled: their squared norms are 0.0 or "
-     "beyond float64"),
-], ids=["row", "column-norm", "residual-norm", "coefficient", "column-underflow"])
+], ids=["row", "residual-norm", "coefficient"])
 def test_infer_refuses_a_system_beyond_float64(sets, counts, T0, k, message, tmp_path,
                                                capsys):
     # Without these refusals the row case printed LAPACK's complaints and
-    # exited 3, the column norm case warned and exited 3 calling the matrix
-    # rank deficient, the residual case wrote "residual_norm": Infinity,
-    # which is not JSON, and the coefficient case warned before refusing.
-    # A column whose squared norm is beyond float64 cannot be scaled, as
-    # one whose squared norm underflows to 0.0 (then called "identically
-    # zero"): a numeric failure.
+    # exited 3, the residual case wrote "residual_norm": Infinity, which is
+    # not JSON, and the coefficient case warned before refusing.
     sets_path = write_regions(tmp_path / "sets.json", [rg.Box((a,), (b,)) for a, b in sets])
     (tmp_path / "counts.csv").write_text(
         "region_id,count\n" + "".join(f"{i},{c!r}\n" for i, c in enumerate(counts)))
@@ -476,6 +466,27 @@ def test_infer_refuses_a_system_beyond_float64(sets, counts, T0, k, message, tmp
     assert rc == (cli.EXIT_NUMERIC if message.startswith("numeric") else cli.EXIT_VALIDATION)
     assert capsys.readouterr().err == f"{message}\n"
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("lower, upper, count", [
+    (-1e155, -1.0, -1.0),
+    (0.0, 1e-170, 1e100),
+], ids=["column-norm", "column-underflow"])
+def test_infer_solves_a_system_whose_column_norm_squares_beyond_float64(lower, upper, count,
+                                                                        tmp_path):
+    # Each column is scaled by its largest |entry|, which takes no square:
+    # scaled by its 2-norm, the wide set's column overflowed and the narrow
+    # one's underflowed to 0.0, and both exact 1x1 systems exited 3.
+    sets_path = write_regions(tmp_path / "sets.json", [rg.Box((lower,), (upper,))])
+    (tmp_path / "counts.csv").write_text(f"region_id,count\n0,{count!r}\n")
+    rc = _main_without_warnings(["infer", "--counts", str(tmp_path / "counts.csv"), "--sets",
+                                 sets_path, "--T0", "1", "--k", "0", "--m", "1",
+                                 "--out", str(tmp_path / "t.json")])
+    assert rc == 0
+    table = NTable.load(str(tmp_path / "t.json"))
+    assert table.entries[(0,)] == pytest.approx(math.sqrt(2 * math.pi) * count / (upper - lower),
+                                                rel=1e-15)
+    assert table.meta["residual_norm"] == 0.0 and table.meta["condition_number"] == 1.0
 
 
 @pytest.mark.parametrize("m", ["-1.5", "0", "1e-10", "nan"])

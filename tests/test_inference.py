@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,17 @@ def test_solve_count_shape_check():
     system = inf.design_matrix(unit_boxes_1d(3), 25.0, 1, 1)
     with pytest.raises(ValidationError):
         inf.solve_n([1.0, 2.0], system, 1.5)
+
+
+def test_solve_names_an_identically_zero_column():
+    # design_matrix's condition number is inf for such a column, so only a
+    # system built by hand reaches the scaling with one.
+    system = inf.design_matrix(unit_boxes_1d(3), 25.0, 1, 1)
+    matrix = system.matrix.copy()
+    matrix[:, 1] = 0.0
+    system = dataclasses.replace(system, matrix=matrix, condition_number=1.0)
+    with pytest.raises(ConditioningError, match=r"^columns \[\(1,\)\] are identically zero$"):
+        inf.solve_n([1.0, 2.0, 3.0], system, 1.5)
 
 
 def test_clustered_tiny_sets_are_ill_conditioned():

@@ -170,8 +170,10 @@ def cmd_kernel_check(args) -> int:
     scan = kx.truncation_error_scan(
         args.d, args.t, offset, args.k, T_list, scaled=not args.raw
     )
-    # One row per grid point; the slope column repeats the per-k fit.
-    rows = [f"{r.k},{r.T:g},{r.error!r},{scan.slopes[r.k]!r}" for r in scan.rows]
+    # One row per grid point; the slope column repeats the per-k fit, or is
+    # empty where the errors at the float floor leave fewer than two T.
+    slope = {k: "" if s is None else repr(s) for k, s in scan.slopes.items()}
+    rows = [f"{r.k},{r.T:g},{r.error!r},{slope[r.k]}" for r in scan.rows]
     manifest = _manifest(args, [], [])
     _emit(args.out, manifest,
           _csv_text(manifest, "k,T,error,fitted_slope", rows))

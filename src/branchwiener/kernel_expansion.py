@@ -27,6 +27,8 @@ from .hermite import hermite_products
 
 #: Largest truncation order accepted (the long closed-form checks need 60).
 MAX_ORDER = 64
+#: A scan row's error enters its k's slope fit only above this many floors.
+FLOOR_MULTIPLE = 16.0
 
 
 def _as_point(x, what: str, d: int | None = None) -> np.ndarray:
@@ -105,6 +107,12 @@ def truncated_kernel(x, T: float, t: float, k: int) -> float:
     summation (math.fsum); the alternating (-T)^(-n) signs make naive
     accumulation lossy.
     """
+    return _truncation(x, T, t, k)[0]
+
+
+def _truncation(x, T: float, t: float, k: int) -> tuple[float, float, list[float]]:
+    """(value, factor, terms) of `truncated_kernel`: the value is the
+    Gaussian factor (2 pi T)^(-d/2) times the math.fsum of the terms."""
     x = _as_point(x, "point")
     if not (0 <= k <= MAX_ORDER):
         raise ValidationError(f"order k={k} outside [0, {MAX_ORDER}]")
@@ -115,43 +123,45 @@ def truncated_kernel(x, T: float, t: float, k: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         hs = hermite_products(x[None, :], t, [[2 * c for c in a] for a in alphas])
         terms = [factors[a.order] * float(h[0]) / mi.factorial(a) for a, h in zip(alphas, hs)]
-    out = _gauss_factor(len(x), T, -1) * _fsum(terms)
+    factor = _gauss_factor(len(x), T, -1)
+    out = factor * _fsum(terms)
     if not math.isfinite(out):
         raise ValidationError(f"the order-{k} truncation at T={T}, t={t} overflows float64")
-    return out
+    return out, factor, terms
 
 
 def fit_loglog_slope(T_values, errors) -> float:
-    """Least-squares slope of log(error) against log(T).
-
-    Zero errors are clipped to the smallest positive entry to keep the fit
-    defined when a truncation happens to be exact.
-    """
+    """Least-squares slope of log(error) against log(T), for positive errors."""
     T_values = np.asarray(T_values, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if T_values.shape != errors.shape or np.unique(T_values).size < 2:
         raise ValidationError("need matching T/error arrays with >= 2 distinct T values")
-    positive = errors[errors > 0]
-    if positive.size == 0:
-        return float("-inf")
-    clipped = np.maximum(errors, positive.min())
-    slope, _ = np.polyfit(np.log(T_values), np.log(clipped), 1)
+    if not (errors > 0).all():
+        raise ValidationError("a log-log slope needs positive errors")
+    slope, _ = np.polyfit(np.log(T_values), np.log(errors), 1)
     return float(slope)
 
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One (k, T) of a scan: its error, and the float floor of that error,
+    2^-52 (|factor| sum |terms| + |exact|) scale, which bounds the rounding
+    of the truncation and of the closed form."""
+
     k: int
     T: float
     error: float
+    floor: float
 
 
 @dataclass(frozen=True)
 class ScanTable:
-    """Truncation errors on a (k, T) grid plus per-k log-log slopes."""
+    """Truncation errors on a (k, T) grid plus per-k log-log slopes, each
+    fitted over the rows above FLOOR_MULTIPLE floors, or None where fewer
+    than two distinct T are."""
 
     rows: tuple[ScanRow, ...]
-    slopes: dict[int, float] = field(compare=False)
+    slopes: dict[int, float | None] = field(compare=False)
 
 
 def truncation_error_scan(
@@ -174,8 +184,6 @@ def truncation_error_scan(
         raise ValidationError(f"largest order k={k_max} outside [0, {MAX_ORDER}]")
     offset = _as_point(offset, "offset", d)
     T_arr = [float(T) for T in np.atleast_1d(np.asarray(T_list, dtype=np.float64))]
-    if len(T_arr) == 0:
-        raise ValidationError("empty T list")
     scales, exacts = [], []
     for T in T_arr:
         if not T > 2 * t >= 0.0:
@@ -185,14 +193,18 @@ def truncation_error_scan(
         if exacts[-1] == 0.0:
             raise ValidationError(f"the Gaussian kernel is 0.0 in floating point at "
                                   f"d={d}, T={T}, so the scan would measure nothing")
+    if len(set(T_arr)) < 2:
+        raise ValidationError(f"a scan needs >= 2 distinct T values, got {T_arr}")
     rows = []
-    slopes: dict[int, float] = {}
+    slopes: dict[int, float | None] = {}
     for k in range(k_max + 1):
-        errs = []
+        fit = []
         for T, scale, exact in zip(T_arr, scales, exacts):
-            err = abs(exact - truncated_kernel(offset, T, t, k)) * scale
-            rows.append(ScanRow(k=k, T=T, error=err))
-            errs.append(err)
-        slopes[k] = fit_loglog_slope(T_arr, errs)
+            value, factor, terms = _truncation(offset, T, t, k)
+            floor = 2.0**-52 * (abs(factor) * _fsum(map(abs, terms)) + abs(exact)) * scale
+            rows.append(ScanRow(k=k, T=T, error=abs(exact - value) * scale, floor=floor))
+            if rows[-1].error > FLOOR_MULTIPLE * floor:
+                fit.append((T, rows[-1].error))
+        slopes[k] = fit_loglog_slope(*zip(*fit)) if len({T for T, _ in fit}) >= 2 else None
     return ScanTable(rows=tuple(rows), slopes=slopes)
 

@@ -310,6 +310,17 @@ def test_kernel_check_overflowing_scale_exits_2(raw, capsys):
     assert "d=250, T=64.0" in capsys.readouterr().err
 
 
+def test_kernel_check_prints_no_slope_from_rows_at_the_float_floor(capsys):
+    assert cli.main(["kernel-check", "--d", "1", "--t", "1", "--k", "6",
+                     "--T", "64,128,256,512", "--raw"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+            if ln[:1].isdigit()]
+    slopes = {k: s for k, _, _, s in rows}
+    assert slopes["6"] == ""
+    assert [float(slopes[k]) for k in "012345"] == pytest.approx(
+        [-1.5009, -2.4865, -3.5123, -4.5084, -5.5102, -6.5149], abs=1e-4)
+
+
 def _d300_files(tmp_path):
     """A unit box and a k=0 table in d=300, and one count for the box."""
     box = rg.Box((0.0,) * 300, (1.0,) * 300)

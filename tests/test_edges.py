@@ -128,8 +128,8 @@ def test_infer_over_the_float_range(edges, counts, T0, m, k):
 @given(data=st.data(), d=st.integers(1, 3), k=st.integers(0, 3), raw=st.booleans(),
        t=st.one_of(st.just(0.0), REALS))
 def test_kernel_check_over_the_float_range(data, d, k, raw, t):
-    # Only the exit code: an exit-0 scan may still print -inf slopes from
-    # rows whose errors sit at the float floor.
+    # Only the exit code: an exit-0 scan prints an empty slope for a k
+    # whose errors sit at the float floor.
     horizons = data.draw(st.lists(REALS, min_size=1, max_size=3))
     offset = data.draw(st.lists(REALS, min_size=d, max_size=d))
     _run(["kernel-check", "--d", str(d), f"--t={t!r}", "--k", str(k),

@@ -72,10 +72,11 @@ def test_fit_loglog_slope_recovers_power():
     T = np.array([50.0, 100.0, 200.0, 400.0])
     errs = 3.7 * T**-3.0
     assert kx.fit_loglog_slope(T, errs) == pytest.approx(-3.0, abs=1e-12)
-    # zero entries are clipped, not fatal
+    # a zero error has no log: refused, not clipped to the smallest other
     errs2 = errs.copy()
     errs2[-1] = 0.0
-    assert math.isfinite(kx.fit_loglog_slope(T, errs2))
+    with pytest.raises(ValidationError, match="positive errors"):
+        kx.fit_loglog_slope(T, errs2)
     with pytest.raises(ValidationError):
         kx.fit_loglog_slope([10.0], [1.0])
     # repeated horizons are one point, and one point fits no slope
@@ -116,6 +117,27 @@ def test_scan_bits_are_pinned():
         0: "-0x1.03fac264c6028p+0", 1: "-0x1.0164e8e3f02a3p+1",
         2: "-0x1.7f7dac778f52bp+1", 3: "-0x1.12750895e2ceap+2",
     }
+
+
+def test_scan_fits_slopes_only_above_the_float_floor():
+    # Each row's error against 16 of its floors: k <= 3 keep every row and
+    # the slopes fitted before the floor; k=4 drops T=512 (11.5 floors),
+    # k=5 keeps T=64, 128, and k=6 keeps T=64 alone, so it fits no slope,
+    # where every row once gave -2.24 (errors 0.0 clipped).
+    scan = kx.truncation_error_scan(1, 1.0, [0.7], 6, [64, 128, 256, 512], scaled=False)
+    kept = {k: [r.T for r in scan.rows if r.k == k and r.error > 16 * r.floor]
+            for k in scan.slopes}
+    assert kept == {**dict.fromkeys(range(4), [64.0, 128.0, 256.0, 512.0]),
+                    4: [64.0, 128.0, 256.0], 5: [64.0, 128.0], 6: [64.0]}
+    assert [repr(scan.slopes[k]) for k in range(4)] == [
+        "-1.500919080645832", "-2.4865095145022567", "-3.5122506828231166",
+        "-4.508352642282166"]
+    assert scan.slopes[4] == pytest.approx(-5.5102, abs=1e-4)
+    assert scan.slopes[5] == pytest.approx(-6.515, abs=1e-3)
+    assert scan.slopes[6] is None
+    # errors of exactly 0.0 sit below any floor
+    scan = kx.truncation_error_scan(1, 0.5, [0.7], 12, [1000, 2000])
+    assert [k for k, s in scan.slopes.items() if s is not None] == [0, 1, 2]
 
 
 def test_raw_scan_rolls_off_faster():

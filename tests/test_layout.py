@@ -130,7 +130,7 @@ def test_one_routine_takes_hermite_products():
     # hermite_table stays for the oracles and the README's API.
     assert users_of("hermite_table") == []
     assert sorted(users_of("hermite_products")) == [
-        "kernel_expansion.truncated_kernel",
+        "kernel_expansion._truncation",
         "martingales._pairwise_v",
         "martingales.ensemble_v_matrix",
     ]

@@ -294,26 +294,22 @@ def _cpus() -> int:
 
 def _diagnose_task(task):
     """One independent computation of `cmd_diagnose`: a radius run or the
-    increment ensemble, given by name and keyword arguments.  A failure is
-    returned, not raised, so that the caller can raise the one the tasks
-    would meet first one by one."""
+    increment ensemble, given by name and keyword arguments."""
     name, kwargs = task
-    try:
-        if name == "radius":
-            return sim.radius_profile(**kwargs)
-        return mg.l2_increment_diagnostic(**kwargs)
-    except Exception as exc:
-        return exc
+    if name == "radius":
+        return sim.radius_profile(**kwargs)
+    return mg.l2_increment_diagnostic(**kwargs)
 
 
 def _run_tasks(tasks):
     """`_diagnose_task` over ``tasks``, results in task order, on one forked
     process per available CPU, starting with the last task, which
     `cmd_diagnose` makes its longest.  With only one CPU, one task, or no
-    fork, the tasks run in order in this process, one as each result is
-    taken.  Every task is a pure function of its seed, so the results do
-    not depend on the path.  Returns None, having said why on stderr, when
-    a worker process dies abruptly (killed for memory, say)."""
+    fork, the tasks run in order in this process.  Every task is a pure
+    function of its seed, so the results do not depend on the path, and
+    either way the failure of the first failing task in task order is
+    raised.  Returns None, having said why on stderr, when a worker process
+    dies abruptly (killed for memory, say)."""
     procs = min(_cpus(), len(tasks))
     if procs > 1:
         import multiprocessing
@@ -332,7 +328,7 @@ def _run_tasks(tasks):
             except BrokenProcessPool as exc:
                 print(f"aborted: {exc}", file=sys.stderr)
                 return None
-    return map(_diagnose_task, tasks)
+    return [_diagnose_task(t) for t in tasks]
 
 
 def cmd_diagnose(args) -> int:
@@ -357,14 +353,9 @@ def cmd_diagnose(args) -> int:
     tasks.append(("increments", dict(replicas=args.replicas, alphas=alphas,
                                      t_max=min(cfg.t_max, 8), law=law, seed=cfg.seed,
                                      population_cap=cfg.population_cap)))
-    done = _run_tasks(tasks)
-    if done is None:
+    results = _run_tasks(tasks)
+    if results is None:
         return EXIT_CAP
-    results = []
-    for result in done:
-        if isinstance(result, Exception):
-            raise result
-        results.append(result)
     *profiles, tables = results
 
     # Radius-versus-t^(1+eps) check over independent runs.

@@ -5,7 +5,8 @@ offsets, coordinates, radii, coefficients and counts) is drawn
 log-uniformly over [5e-324, 1.78e308], in both signs.  Each call of
 ``cli.main`` must end with a documented exit code and raise no exception
 and no warning.  An exit-0 ``predict``, ``expand`` or ``infer`` must also
-write only finite numbers, in JSON that parses without NaN or Infinity.
+write only finite numbers, in JSON that parses without NaN or Infinity, and
+an exit-0 ``kernel-check`` finite errors and slopes, or an empty slope.
 """
 
 import contextlib
@@ -128,10 +129,14 @@ def test_infer_over_the_float_range(edges, counts, T0, m, k):
 @given(data=st.data(), d=st.integers(1, 3), k=st.integers(0, 3), raw=st.booleans(),
        t=st.one_of(st.just(0.0), REALS))
 def test_kernel_check_over_the_float_range(data, d, k, raw, t):
-    # Only the exit code: an exit-0 scan prints an empty slope for a k
-    # whose errors sit at the float floor.
+    # An exit-0 scan prints finite errors, and a finite slope or, for a k
+    # whose errors sit at the float floor, none.
     horizons = data.draw(st.lists(REALS, min_size=1, max_size=3))
     offset = data.draw(st.lists(REALS, min_size=d, max_size=d))
-    _run(["kernel-check", "--d", str(d), f"--t={t!r}", "--k", str(k),
-          "--T=" + ",".join(map(repr, horizons)), "--offset=" + ",".join(map(repr, offset)),
-          *(["--raw"] if raw else [])])
+    rc, out = _run(["kernel-check", "--d", str(d), f"--t={t!r}", "--k", str(k),
+                    "--T=" + ",".join(map(repr, horizons)),
+                    "--offset=" + ",".join(map(repr, offset)), *(["--raw"] if raw else [])])
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    assert rc != cli.EXIT_OK or rows
+    for _, _, error, slope in rows:
+        assert math.isfinite(float(error)) and (slope == "" or math.isfinite(float(slope)))

@@ -102,8 +102,9 @@ def solve_n(observed_counts, system: DesignSystem, m: float) -> NTable:
     """Recover the N_gamma from counts observed at T0.
 
     Right-hand side: b_A = (2 pi T0)^(d/2) count_A / m^T0.  Solves by
-    least squares, each column scaled by its largest |entry|.  Counts are real particle counts in
-    production; synthetic/validation callers may pass floats.
+    least squares, each column scaled by its largest |entry|.  Counts are
+    real particle counts in production; synthetic/validation callers may
+    pass floats.
     """
     counts = np.asarray(observed_counts, dtype=np.float64)
     if counts.shape != (len(system.sets),):

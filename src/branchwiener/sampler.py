@@ -82,8 +82,7 @@ def _u01(h: np.ndarray) -> np.ndarray:
 
 
 def _fold_hash(hi, lo, key, out=None) -> np.ndarray:
-    """The keyed fold hash of each id, into ``out`` or else in place of the
-    fold: key is a scalar, or one per column of out."""
+    """_mix(hi ^ lo ^ key), into ``out`` or else in place; key: a scalar or one per column."""
     fold = hi ^ lo
     return _mix(np.bitwise_xor(fold, key, out=fold if out is None else out))
 
@@ -124,7 +123,8 @@ _MANTISSA = _U64((1 << 52) - 1)
 
 
 def _ratio(coefs, x):
-    """num(x) / den(x) for coefs = (num, den), by Horner's rule in two new arrays."""
+    """num(x) / den(x) for coefs = (num, den), by Horner's rule in two new
+    arrays."""
     num, den = coefs
     p = x * num[-1]
     q = x * den[-1]

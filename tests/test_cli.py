@@ -486,8 +486,8 @@ def test_infer_refuses_a_system_beyond_float64(sets, counts, T0, k, message, tmp
 def test_infer_solves_a_system_whose_column_norm_squares_beyond_float64(lower, upper, count,
                                                                         tmp_path):
     # Each column is scaled by its largest |entry|, which takes no square:
-    # scaled by its 2-norm, the wide set's column overflowed and the narrow
-    # one's underflowed to 0.0, and both exact 1x1 systems exited 3.
+    # the squares of a 2-norm would overflow for the wide set and underflow
+    # to 0.0 for the narrow one, though both 1x1 systems are exact.
     sets_path = write_regions(tmp_path / "sets.json", [rg.Box((lower,), (upper,))])
     (tmp_path / "counts.csv").write_text(f"region_id,count\n0,{count!r}\n")
     rc = _main_without_warnings(["infer", "--counts", str(tmp_path / "counts.csv"), "--sets",

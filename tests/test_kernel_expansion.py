@@ -120,10 +120,10 @@ def test_scan_bits_are_pinned():
 
 
 def test_scan_fits_slopes_only_above_the_float_floor():
-    # Each row's error against 16 of its floors: k <= 3 keep every row and
-    # the slopes fitted before the floor; k=4 drops T=512 (11.5 floors),
-    # k=5 keeps T=64, 128, and k=6 keeps T=64 alone, so it fits no slope,
-    # where every row once gave -2.24 (errors 0.0 clipped).
+    # Each row's error against 16 of its floors: k <= 3 keep every row, so
+    # their slopes are the fits through all four; k=4 drops T=512 (11.5
+    # floors), k=5 keeps T=64, 128, and k=6 keeps T=64 alone, so it fits
+    # no slope.
     scan = kx.truncation_error_scan(1, 1.0, [0.7], 6, [64, 128, 256, 512], scaled=False)
     kept = {k: [r.T for r in scan.rows if r.k == k and r.error > 16 * r.floor]
             for k in scan.slopes}

@@ -31,6 +31,7 @@ from .simulator import (
     count,
     max_radius,
     read_snapshot_file,
+    replay_ids,
     run,
     step,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "count",
     "max_radius",
     "read_snapshot_file",
+    "replay_ids",
     "NTable",
     "estimate_n",
     "n0_second_moment",

@@ -28,7 +28,7 @@ from . import sampler
 from .sampler import SAMPLER_NAME
 
 DEFAULT_POPULATION_CAP = 10**8
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 # Longest header or record line the reader accepts (records are ~100 bytes).
 _MAX_RECORD_LINE = 1 << 20
 
@@ -105,12 +105,12 @@ class Snapshot:
 
     ``positions`` has shape (n, d).  ``id_hi``/``id_lo`` hold the two words
     of each particle's 128-bit lineage id.  Snapshots from `run` and `step`
-    carry them, and the snapshot file stores them, so a snapshot read back
-    from disk can be advanced with `step` exactly as the in-memory one.
-    Without ids (e.g. a snapshot built from bare positions) it can be
-    analyzed but not advanced.  ``root``, when set, holds each particle's
-    root: the row of the generation-0 population it descends from, which
-    `step` carries to the children.
+    carry them.  A snapshot file stores positions only, and `replay_ids`
+    gives the snapshots read from it their ids, so that `step` advances them
+    exactly as the in-memory ones.  Without ids it can be analyzed but not
+    advanced.  ``root``, when set, holds each particle's root: the row of
+    the generation-0 population it descends from, which `step` carries to
+    the children.
     """
 
     t: int
@@ -274,7 +274,7 @@ def step(
     function of (snapshot, law, seed).
     """
     if not s.has_ids:
-        raise ValidationError("snapshot has no lineage ids and cannot be advanced")
+        raise ValidationError("snapshot has no lineage ids to advance (see `replay_ids`)")
     seed = _check_int(seed, "seed", 0, 2**64)
     counts = _offspring_counts(law, seed, s.id_hi, s.id_lo)
     total = int(counts.sum())
@@ -349,24 +349,19 @@ def _json_line(obj: dict) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def _record_nbytes(n: int, d: int, ids: bool) -> int:
-    return n * d * 8 + (16 * n if ids else 0)
-
-
 class SnapshotWriter:
-    """Single-owner snapshot file writer (format version 3).
+    """Single-owner snapshot file writer (format version 4).
 
     The first line is a JSON header record.  A snapshot is written in parts,
     which may interleave with other snapshots' parts.  Each `write` adds one
-    part: a JSON record line ``{"type": "part", "t", "n", "ids", "nbytes",
-    "crc32"}`` followed by exactly ``nbytes`` raw little-endian bytes, the
-    positions as float64, row-major, then the lineage-id words ``id_hi`` and
-    ``id_lo`` as uint64 when ``ids`` is true.  ``crc32`` (zlib) covers those
-    raw bytes.  `end` closes a snapshot with a record line ``{"type": "end",
-    "t", "n"}``, where n counts the rows of its parts; the snapshot is its
-    parts joined in file order.  Values are stored bit for bit, and a
-    snapshot written with its lineage ids reads back as one that can be
-    advanced.
+    part: a JSON record line ``{"type": "part", "t", "n", "nbytes",
+    "crc32"}`` followed by exactly ``nbytes`` = n*d*8 raw bytes, the
+    positions as little-endian float64, row-major; ``crc32`` (zlib) covers
+    them.  `end` closes a snapshot with a record line ``{"type": "end", "t",
+    "n"}``, where n counts the rows of its parts; the snapshot is its parts
+    joined in file order.  Positions are stored bit for bit.  Lineage ids
+    are not stored: they are a function of the header's seed and pmf, which
+    `replay_ids` replays.
     """
 
     def __init__(self, path, *, d: int, pmf, seed: int):
@@ -384,23 +379,16 @@ class SnapshotWriter:
 
     def write(self, s: Snapshot) -> None:
         """Write s as one part of the snapshot at s.t."""
-        arrays = [s.positions.astype("<f8", copy=False)]
-        if s.has_ids:
-            arrays += [a.astype("<u8", copy=False) for a in (s.id_hi, s.id_lo)]
-        crc = 0
-        for a in arrays:
-            crc = zlib.crc32(a, crc)
+        data = s.positions.astype("<f8", copy=False)
         record = {
             "type": "part",
             "t": s.t,
             "n": s.n,
-            "ids": s.has_ids,
-            "nbytes": _record_nbytes(s.n, s.d, s.has_ids),
-            "crc32": crc,
+            "nbytes": data.nbytes,
+            "crc32": zlib.crc32(data),
         }
         self._fh.write(_json_line(record))
-        for a in arrays:
-            self._fh.write(a)
+        self._fh.write(data)
         self._rows[s.t] = self._rows.get(s.t, 0) + s.n
 
     def end(self, t: int) -> int:
@@ -427,18 +415,19 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
     """Read a snapshot file written by `SnapshotWriter`.
 
     Returns (header, snapshots): one snapshot per end record, in strictly
-    increasing t, with lineage ids when its parts stored them.  Parts that
-    no end record closes, the tail of a run stopped by the population cap,
-    are dropped.  The record lines are indexed first, seeking past the
+    increasing t, of positions only (`replay_ids` adds the lineage ids).
+    Parts that no end record closes, the tail of a run stopped by the
+    population cap, are dropped.  The record lines are indexed first, seeking past the
     data; then each snapshot is allocated once and each part read straight
     into its rows, so the reader holds little more than what it returns.
-    Any malformed, truncated, corrupted or out-of-order content, and a file
-    in another format version, raises `ValidationError` naming the record
-    (the header is record 0) and the last complete snapshot time before it.
+    Any malformed, truncated, corrupted or out-of-order content, a file in
+    another format version, and a header seed, pmf or sampler that could
+    not have made a run, raises `ValidationError` naming the record (the
+    header is record 0) and the last complete snapshot time before it.
     """
     ends: list[tuple[int, int, int]] = []  # (record, t, n) of each end record
-    # t -> (record, n, ids, data offset, crc32) of each of its parts
-    parts: dict[int, list[tuple[int, int, bool, int, int]]] = {}
+    # t -> (record, n, data offset, crc32) of each of its parts
+    parts: dict[int, list[tuple[int, int, int, int]]] = {}
 
     def fail(index: int, msg: str):
         done = [t for i, t, _ in ends if i < index]
@@ -473,9 +462,14 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
                 f"supported (this version reads {SNAPSHOT_FORMAT_VERSION}); "
                 "re-run `simulate` to write the file again",
             )
-        d = header.get("d")
-        if not (_is_count(d) and d >= 1):
-            raise fail(0, f"header dimension {d!r} is not an integer >= 1")
+        try:
+            d = _check_int(header.get("d"), "header dimension d", 1)
+            _check_int(header.get("seed"), "header seed", 0, 2**64)
+            OffspringLaw(header.get("pmf"), test_mode=True)
+        except ValidationError as exc:
+            raise fail(0, str(exc)) from None
+        if not isinstance(header.get("sampler"), str):
+            raise fail(0, f"header sampler {header.get('sampler')!r} is not a string")
         index = 1
         while (rec := json_record(fh, index)) is not None:
             kind, t, n = rec.get("type"), rec.get("t"), rec.get("n")
@@ -493,44 +487,33 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
                 ends.append((index, t, n))
                 index += 1
                 continue
-            ids, nbytes, crc = rec.get("ids"), rec.get("nbytes"), rec.get("crc32")
-            if type(ids) is not bool or not _is_count(crc):
-                raise fail(index, "record needs a boolean 'ids' and an integer 'crc32'")
-            if mine and ids != mine[0][2]:
-                raise fail(index, f"'ids' differs between the parts of t={t}")
-            want = _record_nbytes(n, d, ids)
-            if nbytes != want:
-                raise fail(index, f"nbytes={nbytes!r}, but n={n}, d={d}, ids={ids} "
-                           f"need {want}")
+            nbytes, crc = rec.get("nbytes"), rec.get("crc32")
+            if not _is_count(crc):
+                raise fail(index, "record needs an integer 'crc32'")
+            if nbytes != n * d * 8:
+                raise fail(index, f"nbytes={nbytes!r}, but n={n}, d={d} need {n * d * 8}")
             # Checked before anything is allocated, so a damaged n cannot ask
             # for the memory; a file shrinking under the reader fails below.
             left = size - fh.tell()
             if nbytes > left:
                 raise fail(index, f"truncated: {left} of {nbytes} data bytes present")
-            mine.append((index, n, ids, fh.tell(), crc))
+            mine.append((index, n, fh.tell(), crc))
             fh.seek(nbytes, os.SEEK_CUR)
             index += 1
 
         snaps = []
         for _, t, n in ends:
-            mine = parts[t]
-            ids = mine[0][2] if mine else True
-            arrays = [np.empty((n, d), dtype="<f8")]
-            if ids:
-                arrays += [np.empty(n, dtype="<u8"), np.empty(n, dtype="<u8")]
+            positions = np.empty((n, d), dtype="<f8")
             row = 0
-            for index, m, _, offset, crc in mine:
+            for index, m, offset, crc in parts[t]:
                 fh.seek(offset)
-                got = 0
-                for a in arrays:
-                    rows = a[row:row + m]
-                    if fh.readinto(rows) != rows.nbytes:
-                        raise fail(index, "truncated: the file shrank while it was read")
-                    got = zlib.crc32(rows, got)
-                if got != crc:
+                rows = positions[row:row + m]
+                if fh.readinto(rows) != rows.nbytes:
+                    raise fail(index, "truncated: the file shrank while it was read")
+                if zlib.crc32(rows) != crc:
                     raise fail(index, "crc32 mismatch: the data bytes are corrupted")
                 row += m
-            snaps.append(Snapshot(t, *arrays))
+            snaps.append(Snapshot(t, positions))
     return header, snaps
 
 
@@ -559,6 +542,36 @@ def run(cfg: SimConfig, out=None) -> list:
                 t = wanted.pop(0)
                 result.append((t, writer.end(t)) if writer else Snapshot(t, *kept.pop(t)))
     return result
+
+
+def replay_ids(header: dict, snapshots: list[Snapshot]) -> list[Snapshot]:
+    """The snapshots read with ``header`` from a snapshot file, given the
+    lineage ids of the run that wrote them, so that `step` can advance them.
+
+    A run's ids are a function of its seed and pmf alone, so one uncapped
+    walk of `_generations` from the run's root, on positions of width 0
+    (`sampler.displace` then draws nothing), to the largest t replays them:
+    the file's end records show that the run passed its cap.  A header of
+    another sampler, or a snapshot whose n is not its generation's, raises
+    `ValidationError`."""
+    if header.get("sampler") != SAMPLER_NAME:
+        raise ValidationError(f"snapshot file sampler {header.get('sampler')!r} is not "
+                              f"{SAMPLER_NAME!r}, so its lineage ids cannot be replayed")
+    kept = {s.t: (np.empty((0, 0)), np.empty(0, "u8"), np.empty(0, "u8")) for s in snapshots}
+    cfg = SimConfig(d=1, pmf=header.get("pmf"), seed=header.get("seed"),
+                    t_max=max(kept, default=0), population_cap=2**64, test_mode=True)
+    root = Snapshot(0, np.empty((1, 0)), *sampler.root_ids(cfg.seed, 1))
+    for part, _ in _generations(cfg, _RUN_CHUNK, root):
+        if part.n and part.t in kept:
+            _append(kept[part.t], part)
+    replayed = []
+    for s in snapshots:
+        _, hi, lo = kept[s.t]
+        if hi.shape[0] != s.n:
+            raise ValidationError(f"snapshot t={s.t} holds {s.n} particles, but the run "
+                                  f"of the header's seed and pmf makes {hi.shape[0]}")
+        replayed.append(Snapshot(s.t, s.positions, hi, lo, s.root))
+    return replayed
 
 
 def count(s: Snapshot, region) -> int:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -153,7 +154,7 @@ def test_simulate_population_cap_in_parts(tmp_path, capsys, monkeypatch):
     records = [r for _, r in oracles.snapshot_records(out.read_bytes())][1:]
     ended = [r["t"] for r in records if r["type"] == "end"]
     assert {r["t"] for r in records} - set(ended)  # parts with no end record
-    _, snaps = sim.read_snapshot_file(str(out))
+    snaps = sim.replay_ids(*sim.read_snapshot_file(str(out)))
     # t=3 waits on the rest of t=2 while the walk goes deeper
     assert [s.t for s in snaps] == ended == [0, 1, 2]
     whole = oracles.whole_generation_run(sim.SimConfig(**{**cfg, "population_cap": 10**8}))
@@ -749,11 +750,44 @@ def test_estimate_n_bad_header_pmf_exits_2(pmf, doubling_config, tmp_path, capsy
     capsys.readouterr()
     out = str(tmp_path / "t.json")
     assert cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out]) == 2
-    assert "error: pmf" in capsys.readouterr().err
+    assert "record 0: pmf" in capsys.readouterr().err
     # The law comes from the header alone: there is no --m to fall back on.
     with pytest.raises(SystemExit) as e:
         cli.main(["estimate-n", str(snaps), "--k", "1", "--out", out, "--m", "2"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("key, value, msg", [
+    ("seed", "a", "seed must be an integer"),
+    ("seed", -1, r"seed -1 outside \[0, "),
+    ("seed", 3.5, "seed must be an integer"),
+    ("seed", 2**64, "outside"),
+    ("seed", None, "seed must be an integer"),
+    ("pmf", None, "pmf must be a sequence"),
+    ("pmf", [0.5, 0.4], "pmf sums to"),
+    ("sampler", 4, "sampler 4 is not a string"),
+    ("sampler", None, "sampler None is not a string"),
+], ids=["seed-string", "seed-negative", "seed-float", "seed-2^64", "seed-missing",
+        "pmf-missing", "pmf-sum", "sampler-int", "sampler-missing"])
+def test_commands_refuse_a_header_that_could_not_make_the_run(
+        key, value, msg, doubling_config, tmp_path, capsys):
+    # The CRC covers only data bytes, so the reader checks the header's
+    # seed, pmf and sampler itself.  None drops the key.
+    snaps = tmp_path / "snaps.bin"
+    assert cli.main(["simulate", "--config", doubling_config, "--out", str(snaps)]) == 0
+    head, rest = snaps.read_bytes().split(b"\n", 1)
+    header = {k: v for k, v in json.loads(head).items() if k != key}
+    if value is not None:
+        header[key] = value
+    snaps.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    capsys.readouterr()
+    for args in (["estimate-n", str(snaps), "--k", "1", "--out", str(tmp_path / "t.json")],
+                 ["count", str(snaps), "--region", '{"type": "box", "lower": [-1.0], '
+                  '"upper": [1.0]}']):
+        assert cli.main(args) == cli.EXIT_VALIDATION, args
+        err = capsys.readouterr().err
+        assert "record 0" in err and re.search(msg, err), err
+    assert not (tmp_path / "t.json").exists()
 
 
 def write_snapshots(path, times, pmf=(0.0, 0.0, 1.0)):

@@ -1,5 +1,6 @@
-"""The ```python blocks of README.md run without error, and its
-``$ branchwiener`` transcripts print what the README shows."""
+"""The ```python blocks of README.md run without error, its
+``$ branchwiener`` transcripts print what the README shows, and its
+snapshot file format is the one the package writes."""
 
 import re
 import shlex
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from branchwiener import cli
+from branchwiener import simulator as sim
+
+import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _TEXT = README.read_text(encoding="utf-8")
@@ -54,3 +58,15 @@ def test_readme_transcripts_print_what_the_readme_shows(tmp_path, monkeypatch, c
     for command, expected in TRANSCRIPTS:
         assert cli.main(shlex.split(command)[1:]) == 0, command
         assert capsys.readouterr().out.splitlines() == expected, command
+
+
+def test_readme_snapshot_format_is_the_one_written(tmp_path):
+    start = _TEXT.index("\n", _TEXT.index("#### Snapshot file format"))
+    section = _TEXT[start:start + re.search(r"^#{2,4} ", _TEXT[start:], re.M).start()]
+    versions = re.findall(r"format version (\d+)|`version` (\d+)", section)
+    assert versions and {int(a or b) for a, b in versions} == {sim.SNAPSHOT_FORMAT_VERSION}
+    path = tmp_path / "run.snap"
+    sim.run(sim.SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=1, t_max=2), out=str(path))
+    part = next(r for _, r in oracles.snapshot_records(path.read_bytes()) if r["type"] == "part")
+    (shown,) = re.findall(r'`\{"type": "part", [^}]*\}`', section)
+    assert [key.split(":")[0].strip(' "') for key in shown.strip("`{}").split(",")] == list(part)

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -450,6 +451,7 @@ def test_snapshot_file_round_trip(tmp_path):
     kept = sim.run(cfg)
     assert written == [(s.t, s.n) for s in kept]
     header, snaps = sim.read_snapshot_file(str(out))
+    snaps = sim.replay_ids(header, snaps)
     assert header["d"] == 3
     assert header["pmf"] == [0.25, 0.25, 0.5]
     assert header["seed"] == 5150
@@ -467,7 +469,7 @@ def test_extinct_snapshot_round_trips(tmp_path):
                     snapshot_times=(0, 1, 2))
     out = tmp_path / "extinct.snap"
     sim.run(cfg, out=str(out))
-    _, snaps = sim.read_snapshot_file(str(out))
+    snaps = sim.replay_ids(*sim.read_snapshot_file(str(out)))
     assert [(s.t, s.n, s.d) for s in snaps] == [(0, 1, 2), (1, 0, 2), (2, 0, 2)]
     assert all(s.has_ids for s in snaps)
 
@@ -479,7 +481,7 @@ def test_snapshot_read_from_file_advances_like_in_memory(tmp_path, d):
     out = tmp_path / "run.snap"
     sim.run(cfg, out=str(out))
     kept = sim.run(cfg)
-    _, snaps = sim.read_snapshot_file(str(out))
+    snaps = sim.replay_ids(*sim.read_snapshot_file(str(out)))
     s = snaps[0]
     assert s.t == 15
     for _ in range(5):
@@ -497,15 +499,11 @@ def test_snapshot_read_from_file_advances_like_in_memory(tmp_path, d):
     t=st.integers(0, 10**6),
     n=st.integers(0, 8),
     d=st.integers(1, 4),
-    with_ids=st.booleans(),
 )
-def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d, with_ids):
+def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d):
     # st.floats() covers -0.0, subnormals, +-max, infinities and NaNs
     pos = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats()))
-    ids = {}
-    if with_ids:
-        ids = {k: data.draw(hnp.arrays(np.uint64, n)) for k in ("id_hi", "id_lo")}
-    snap = Snapshot(t=t, positions=pos, **ids)
+    snap = Snapshot(t=t, positions=pos)
     out = tmp_path_factory.mktemp("bitexact") / "s.snap"
     with sim.SnapshotWriter(str(out), d=d, pmf=(0.0, 1.0), seed=1) as w:
         w.write(snap)
@@ -514,10 +512,7 @@ def test_snapshot_file_is_bit_exact(tmp_path_factory, data, t, n, d, with_ids):
     assert back.t == t
     assert back.positions.shape == (n, d)
     assert back.positions.tobytes() == pos.tobytes()
-    assert back.has_ids == with_ids
-    if with_ids:
-        assert back.id_hi.tobytes() == ids["id_hi"].tobytes()
-        assert back.id_lo.tobytes() == ids["id_lo"].tobytes()
+    assert not back.has_ids
 
 
 def test_read_rejects_garbage(tmp_path, monkeypatch):
@@ -545,7 +540,7 @@ def test_read_rejects_garbage(tmp_path, monkeypatch):
         with pytest.raises(ValidationError, match="re-run `simulate`"):
             sim.read_snapshot_file(str(p))
 
-    # A d=2 doubling run with ids, in parts of 2 parents: records 1 and 2
+    # A d=2 doubling run, in parts of 2 parents: records 1 and 2
     # are the part (n=2) and end of t=1, records 3 and 4 the two parts
     # (n=4 each) of t=3, and record 5 its end.
     monkeypatch.setattr(sim, "_RUN_CHUNK", 2)
@@ -560,10 +555,9 @@ def test_read_rejects_garbage(tmp_path, monkeypatch):
     first_bad = [
         (b'"t":1,', b'"t":-1,', "integers >= 0"),
         (b'"n":2,', b'"n":-2,', "integers >= 0"),
-        (b'"nbytes":64,', b'"nbytes":63,', "nbytes=63"),
-        # a damaged n with a matching nbytes must not allocate 32 TB
-        (b'"n":2,"ids":true,"nbytes":64,',
-         b'"n":1000000000000,"ids":true,"nbytes":32000000000000,', "truncated"),
+        (b'"nbytes":32,', b'"nbytes":31,', "nbytes=31"),
+        # a damaged n with a matching nbytes must not allocate 16 TB
+        (b'"n":2,"nbytes":32,', b'"n":1000000000000,"nbytes":16000000000000,', "truncated"),
     ]
     for old, new, msg in first_bad:
         p.write_bytes(good.replace(old, new, 1))
@@ -591,10 +585,10 @@ def test_read_rejects_garbage(tmp_path, monkeypatch):
         p.write_bytes(good[:cut])
         _, snaps = sim.read_snapshot_file(str(p))
         assert [(s.t, s.n) for s in snaps] == [(1, 2)]
-    # an end record with no parts is an empty snapshot, with ids
+    # an end record with no parts is an empty snapshot
     p.write_bytes(good + b'{"type":"end","t":5,"n":0}\n')
     _, snaps = sim.read_snapshot_file(str(p))
-    assert [(s.t, s.n, s.d, s.has_ids) for s in snaps][1:] == [(3, 8, 2, True), (5, 0, 2, True)]
+    assert [(s.t, s.n, s.d, s.has_ids) for s in snaps][1:] == [(3, 8, 2, False), (5, 0, 2, False)]
     # ... and must count the rows of its parts, and follow the last end
     ends_bad = [
         (b'{"type":"end","t":5,"n":2}\n', "parts of t=5 hold 0"),
@@ -607,6 +601,49 @@ def test_read_rejects_garbage(tmp_path, monkeypatch):
             sim.read_snapshot_file(str(p))
         assert "record 6" in str(info.value)
         assert "last complete snapshot: t=3" in str(info.value)
+
+
+def test_read_asks_to_rerun_a_version_3_file(tmp_path):
+    # Version 3 stored each part's lineage ids after its positions.
+    data = np.zeros(3).tobytes()
+    p = tmp_path / "v3.snap"
+    p.write_bytes(b'{"type":"header","version":3,"d":1,"pmf":[0.0,1.0],"seed":0,'
+                  b'"sampler":"splitmix64-as241-v4"}\n'
+                  b'{"type":"part","t":0,"n":1,"ids":true,"nbytes":24,"crc32":%d}\n'
+                  % zlib.crc32(data) + data + b'{"type":"end","t":0,"n":1}\n')
+    with pytest.raises(ValidationError, match="re-run `simulate`") as info:
+        sim.read_snapshot_file(str(p))
+    assert "record 0" in str(info.value)
+
+
+def test_step_refusal_names_the_replay():
+    s = Snapshot(t=0, positions=np.zeros((1, 1)))
+    with pytest.raises(ValidationError, match="replay_ids"):
+        sim.step(s, OffspringLaw((0.0, 1.0), test_mode=True), 0)
+
+
+def test_replay_refuses_a_foreign_sampler(tmp_path):
+    cfg = SimConfig(d=1, pmf=(0.0, 0.5, 0.5), seed=3, t_max=4)
+    out = tmp_path / "run.snap"
+    sim.run(cfg, out=str(out))
+    out.write_bytes(out.read_bytes().replace(b"-v4", b"-v3", 1))
+    header, snaps = sim.read_snapshot_file(str(out))
+    assert header["sampler"] == "splitmix64-as241-v3"
+    with pytest.raises(ValidationError, match="'splitmix64-as241-v3' is not"):
+        sim.replay_ids(header, snaps)
+
+
+def test_replay_refuses_a_snapshot_that_is_not_the_runs(tmp_path):
+    # A doubling run holds 4 particles at t=2 and 8 at t=3, not 7.
+    out = tmp_path / "odd.snap"
+    with sim.SnapshotWriter(str(out), d=1, pmf=(0.0, 0.0, 1.0), seed=0) as w:
+        for t, n in ((2, 4), (3, 7)):
+            w.write(Snapshot(t=t, positions=np.zeros((n, 1))))
+            w.end(t)
+    header, snaps = sim.read_snapshot_file(str(out))
+    with pytest.raises(ValidationError, match="t=3 holds 7 particles, but .* makes 8"):
+        sim.replay_ids(header, snaps)
+    assert [(s.t, s.n, s.has_ids) for s in sim.replay_ids(header, snaps[:1])] == [(2, 4, True)]
 
 
 # ------------------------------------------------------------ snapshot ops
@@ -756,7 +793,7 @@ def test_run_is_the_whole_generation_run(name, monkeypatch, tmp_path):
     want = oracles.whole_generation_run(cfg)
     out = tmp_path / "run.snap"
     assert sim.run(cfg, out=str(out)) == [(s.t, s.n) for s in want]
-    for got in (sim.run(cfg), sim.read_snapshot_file(str(out))[1]):
+    for got in (sim.run(cfg), sim.replay_ids(*sim.read_snapshot_file(str(out)))):
         assert [s.t for s in got] == [s.t for s in want]
         for g, w in zip(got, want):
             for field in ("positions", "id_hi", "id_lo"):
@@ -881,7 +918,7 @@ def test_run_to_a_file_memory_is_bounded_in_chunks(monkeypatch, tmp_path):
 
 def test_read_allocates_the_snapshots_once(monkeypatch, tmp_path):
     # t=15 is 16 parts of 2048 rows; joining them after reading would hold
-    # its 1.5 MB twice.
+    # its 0.5 MB twice.
     monkeypatch.setattr(sim, "_RUN_CHUNK", 1024)
     cfg = SimConfig(d=2, pmf=(0.0, 0.0, 1.0), seed=5, t_max=15, test_mode=True,
                     snapshot_times=(10, 15))
@@ -889,8 +926,8 @@ def test_read_allocates_the_snapshots_once(monkeypatch, tmp_path):
     sim.run(cfg, out=out)
     snaps = []
     peak = _traced_peak(lambda: snaps.extend(sim.read_snapshot_file(out)[1]))
-    data = sum(s.positions.nbytes + s.id_hi.nbytes + s.id_lo.nbytes for s in snaps)
-    assert data == 2**15 * 32 + 2**10 * 32
+    data = sum(s.positions.nbytes for s in snaps)
+    assert data == 2**15 * 16 + 2**10 * 16
     assert peak <= data + 2**16, peak - data
 
 
@@ -912,8 +949,8 @@ def test_run_in_memory_holds_the_generation_once(monkeypatch):
 
 # sha256 of the positions, id_hi and id_lo bytes of each snapshot of a run,
 # in order, under SAMPLER_NAME splitmix64-as241-v4, as (config, parents per
-# part or None, digest).  A stream change without a SAMPLER_NAME bump fails
-# here.  The d=3 run's last generations span 9 to 19 parts of 5 parents.
+# part or None, digest); the file's snapshots take their ids from the
+# replay.  A stream change without a SAMPLER_NAME bump fails here.  The d=3 run's last generations span 9 to 19 parts of 5 parents.
 GOLDEN = {
     "d2": (SimConfig(d=2, pmf=(0.0, 0.5, 0.5), seed=2024, t_max=12,
                      snapshot_times=(0, 6, 12)), None,
@@ -932,7 +969,7 @@ def test_golden_streams(name, monkeypatch, tmp_path):
     assert sim.SAMPLER_NAME == "splitmix64-as241-v4"
     out = str(tmp_path / "run.snap")
     sim.run(cfg, out=out)
-    for snaps in (sim.run(cfg), sim.read_snapshot_file(out)[1]):
+    for snaps in (sim.run(cfg), sim.replay_ids(*sim.read_snapshot_file(out))):
         h = hashlib.sha256()
         for s in snaps:
             for a in (s.positions, s.id_hi, s.id_lo):

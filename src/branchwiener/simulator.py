@@ -417,9 +417,10 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
     Returns (header, snapshots): one snapshot per end record, in strictly
     increasing t, of positions only (`replay_ids` adds the lineage ids).
     Parts that no end record closes, the tail of a run stopped by the
-    population cap, are dropped.  The record lines are indexed first, seeking past the
-    data; then each snapshot is allocated once and each part read straight
-    into its rows, so the reader holds little more than what it returns.
+    population cap, are dropped.  The record lines are indexed first,
+    seeking past the data; then each snapshot is allocated once and each
+    part read straight into its rows, so the reader holds little more than
+    what it returns.
     Any malformed, truncated, corrupted or out-of-order content, a file in
     another format version, and a header seed, pmf or sampler that could
     not have made a run, raises `ValidationError` naming the record (the
@@ -548,30 +549,27 @@ def replay_ids(header: dict, snapshots: list[Snapshot]) -> list[Snapshot]:
     """The snapshots read with ``header`` from a snapshot file, given the
     lineage ids of the run that wrote them, so that `step` can advance them.
 
-    A run's ids are a function of its seed and pmf alone, so one uncapped
-    walk of `_generations` from the run's root, on positions of width 0
-    (`sampler.displace` then draws nothing), to the largest t replays them:
-    the file's end records show that the run passed its cap.  A header of
-    another sampler, or a snapshot whose n is not its generation's, raises
-    `ValidationError`."""
+    A run's ids are a function of its seed and pmf alone.  One walk of
+    `_generations` from the run's root to the largest t, on positions of
+    width 0 (so `sampler.displace` draws nothing), replays them.  It is
+    uncapped: the file's end records show that the run passed its cap.  A
+    header of another sampler, or a snapshot whose n is not its
+    generation's, raises `ValidationError`."""
     if header.get("sampler") != SAMPLER_NAME:
         raise ValidationError(f"snapshot file sampler {header.get('sampler')!r} is not "
                               f"{SAMPLER_NAME!r}, so its lineage ids cannot be replayed")
     kept = {s.t: (np.empty((0, 0)), np.empty(0, "u8"), np.empty(0, "u8")) for s in snapshots}
-    cfg = SimConfig(d=1, pmf=header.get("pmf"), seed=header.get("seed"),
+    cfg = SimConfig(d=header.get("d"), pmf=header.get("pmf"), seed=header.get("seed"),
                     t_max=max(kept, default=0), population_cap=2**64, test_mode=True)
     root = Snapshot(0, np.empty((1, 0)), *sampler.root_ids(cfg.seed, 1))
     for part, _ in _generations(cfg, _RUN_CHUNK, root):
         if part.n and part.t in kept:
             _append(kept[part.t], part)
-    replayed = []
     for s in snapshots:
-        _, hi, lo = kept[s.t]
-        if hi.shape[0] != s.n:
+        if kept[s.t][1].shape[0] != s.n:
             raise ValidationError(f"snapshot t={s.t} holds {s.n} particles, but the run "
-                                  f"of the header's seed and pmf makes {hi.shape[0]}")
-        replayed.append(Snapshot(s.t, s.positions, hi, lo, s.root))
-    return replayed
+                                  f"of the header's seed and pmf makes {kept[s.t][1].shape[0]}")
+    return [Snapshot(s.t, s.positions, *kept[s.t][1:], s.root) for s in snapshots]
 
 
 def count(s: Snapshot, region) -> int:

@@ -103,17 +103,6 @@ def _load_regions(path_or_json: str):
     return [rg.region_from_dict(o) for o in (obj if isinstance(obj, list) else [obj])]
 
 
-def _pick_snapshot(snaps, t):
-    if t is None:
-        return snaps[-1]
-    for s in snaps:
-        if s.t == t:
-            return s
-    raise ValidationError(
-        f"no snapshot at t={t}; file holds t in {[s.t for s in snaps]}"
-    )
-
-
 # ---------------------------------------------------------------- simulate
 
 
@@ -139,13 +128,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _, snaps = sim.read_snapshot_file(args.snapshots)
-    if not snaps:
-        raise ValidationError(f"{args.snapshots} holds no snapshots")
+    _, (snap,) = sim.read_snapshot_file(
+        args.snapshots, only="last" if args.t is None else args.t)
     region = _load_regions(args.region)
     if len(region) != 1:
         raise ValidationError("count expects exactly one region")
-    snap = _pick_snapshot(snaps, args.t)
     value = sim.count(snap, region[0])
     manifest = _manifest(args, [args.snapshots], [])
     if args.format == "json":
@@ -184,11 +171,8 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_estimate_n(args) -> int:
-    header, snaps = sim.read_snapshot_file(args.snapshots)
-    if not snaps:
-        raise ValidationError(f"{args.snapshots} holds no snapshots")
+    header, (last,) = sim.read_snapshot_file(args.snapshots, only="last")
     law = sim.OffspringLaw(header.get("pmf"), test_mode=True)
-    last = snaps[-1]
     alphas = xp.required_indices(args.k, last.d)
     table = mg.estimate_n(last, alphas, law, k=args.k, seed=header.get("seed"))
     manifest = _manifest(args, [args.snapshots], [args.out])

@@ -411,16 +411,19 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
+def read_snapshot_file(path, *, only=None) -> tuple[dict, list[Snapshot]]:
     """Read a snapshot file written by `SnapshotWriter`.
 
     Returns (header, snapshots): one snapshot per end record, in strictly
     increasing t, of positions only (`replay_ids` adds the lineage ids).
-    Parts that no end record closes, the tail of a run stopped by the
-    population cap, are dropped.  The record lines are indexed first,
-    seeking past the data; then each snapshot is allocated once and each
-    part read straight into its rows, so the reader holds little more than
-    what it returns.
+    With ``only`` a generation t, or ``"last"``, the list holds just that
+    snapshot, and a file without it is refused.  Parts that no end record
+    closes, the tail of a run stopped by the population cap, are dropped.
+    The record lines are indexed first, seeking past the data; then each
+    snapshot returned is allocated once and each of its parts read straight
+    into its rows, while the other snapshots' parts pass through one buffer
+    of 1 MiB for their crc32, so the reader holds little more than what it
+    returns.
     Any malformed, truncated, corrupted or out-of-order content, a file in
     another format version, and a header seed, pmf or sampler that could
     not have made a run, raises `ValidationError` naming the record (the
@@ -502,19 +505,30 @@ def read_snapshot_file(path) -> tuple[dict, list[Snapshot]]:
             fh.seek(nbytes, os.SEEK_CUR)
             index += 1
 
-        snaps = []
+        times = [t for _, t, _ in ends]
+        if only is not None and not times:
+            raise ValidationError(f"{path} holds no snapshots")
+        only = times[-1] if only == "last" else only
+        if only is not None and only not in times:
+            raise ValidationError(f"no snapshot at t={only}; file holds t in {times}")
+        snaps, buf = [], np.empty(0 if only is None else 1 << 20, np.uint8)
         for _, t, n in ends:
-            positions = np.empty((n, d), dtype="<f8")
+            keep = only is None or t == only
+            positions = np.empty((n, d), dtype="<f8") if keep else None
             row = 0
             for index, m, offset, crc in parts[t]:
                 fh.seek(offset)
-                rows = positions[row:row + m]
-                if fh.readinto(rows) != rows.nbytes:
-                    raise fail(index, "truncated: the file shrank while it was read")
-                if zlib.crc32(rows) != crc:
+                nbytes, value = m * d * 8, 0
+                for block in ([positions[row:row + m].view(np.uint8).reshape(-1)] if keep else
+                              [buf[:nbytes - a] for a in range(0, nbytes, buf.size)]):
+                    if fh.readinto(block) != block.size:
+                        raise fail(index, "truncated: the file shrank while it was read")
+                    value = zlib.crc32(block, value)
+                if value != crc:
                     raise fail(index, "crc32 mismatch: the data bytes are corrupted")
                 row += m
-            snaps.append(Snapshot(t, positions))
+            if keep:
+                snaps.append(Snapshot(t, positions))
     return header, snaps
 
 

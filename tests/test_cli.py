@@ -202,8 +202,53 @@ def test_count_formats(doubling_config, tmp_path, capsys):
     assert data[0] == "t,count"
     assert data[1].startswith("3,")
     assert (tmp_path / "count.csv.manifest.json").exists()
-    # missing time
+    # missing time: the refusal names the times the file holds
     assert cli.main(["count", str(out), "--region", region, "--t", "5"]) == 2
+    assert capsys.readouterr().err == "error: no snapshot at t=5; file holds t in [0, 3, 6]\n"
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("count", ["--region", '{"type": "box", "lower": [-1.0], "upper": [1.0]}']),
+    ("count", ["--region", '{"type": "box", "lower": [-1.0], "upper": [1.0]}', "--t", "5"]),
+    ("estimate-n", ["--k", "1", "--out", "t.json"]),
+], ids=["count", "count-t", "estimate-n"])
+def test_commands_refuse_a_file_capped_before_its_first_snapshot(command, argv, tmp_path,
+                                                                 capsys, monkeypatch):
+    # 2^4 > 10 at t=4, before the first snapshot time: the file is its header.
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({
+        "d": 1, "pmf": [0.0, 0.0, 1.0], "seed": 3, "t_max": 6, "population_cap": 10,
+        "snapshot_times": [5, 6], "test_mode": True}))
+    assert cli.main(["simulate", "--config", "cfg.json", "--out", "run.snap"]) == cli.EXIT_CAP
+    capsys.readouterr()
+    assert cli.main([command, "run.snap", *argv]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: run.snap holds no snapshots\n"
+    assert not Path("t.json").exists()
+
+
+def test_a_damaged_snapshot_the_command_skips_still_exits_2(tmp_path, capsys):
+    # One particle, or a few, at t=21..23; a data byte of t=21 is damaged,
+    # though `count --t 23` and `estimate-n` use t=23 only.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.99, 0.01], "seed": 5, "t_max": 23,
+                               "snapshot_times": [21, 22, 23]}))
+    out = tmp_path / "run.snap"
+    cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    good = out.read_bytes()
+    at, recs = zip(*oracles.snapshot_records(good))
+    assert (recs[1]["type"], recs[1]["t"], recs[2]["type"]) == ("part", 21, "end")
+    region = '{"type": "box", "lower": [-100.0], "upper": [100.0]}'
+    argvs = [["count", str(out), "--region", region, "--t", "23"],
+             ["estimate-n", str(out), "--k", "1", "--out", str(tmp_path / "t.json")]]
+    for argv in argvs:
+        assert cli.main(argv) == cli.EXIT_OK
+    damaged = bytearray(good)
+    damaged[at[2] - 1] ^= 0x01  # the last data byte of t=21's one part
+    out.write_bytes(bytes(damaged))
+    capsys.readouterr()
+    for argv in argvs:
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "record 1: crc32 mismatch" in capsys.readouterr().err
 
 
 def test_count_region_errors(doubling_config, tmp_path, capsys):

@@ -603,6 +603,29 @@ def test_read_rejects_garbage(tmp_path, monkeypatch):
         assert "last complete snapshot: t=3" in str(info.value)
 
 
+def test_read_returns_only_the_snapshot_asked_for(tmp_path):
+    # t=0's one part spans two blocks of the 1 MiB buffer that checks it
+    # when it is not returned.
+    rng = np.random.default_rng(5)
+    big, small = rng.standard_normal((150_000, 1)), rng.standard_normal((3, 1))
+    out = tmp_path / "two.snap"
+    with sim.SnapshotWriter(str(out), d=1, pmf=(0.0, 1.0), seed=0) as w:
+        for t, pos in ((0, big), (2, small)):
+            w.write(Snapshot(t=t, positions=pos))
+            w.end(t)
+    for only, want in ((0, big), (2, small), ("last", small)):
+        _, (s,) = sim.read_snapshot_file(str(out), only=only)
+        assert s.positions.tobytes() == want.tobytes()
+    with pytest.raises(ValidationError, match=r"^no snapshot at t=1; file holds t in \[0, 2\]$"):
+        sim.read_snapshot_file(str(out), only=1)
+    at = [offset for offset, _ in oracles.snapshot_records(out.read_bytes())]
+    damaged = bytearray(out.read_bytes())
+    damaged[at[2] - 1] ^= 0x01  # the last data byte of t=0, in its second block
+    out.write_bytes(bytes(damaged))
+    with pytest.raises(ValidationError, match="record 1: crc32 mismatch"):
+        sim.read_snapshot_file(str(out), only=2)
+
+
 def test_read_asks_to_rerun_a_version_3_file(tmp_path):
     # Version 3 stored each part's lineage ids after its positions.
     data = np.zeros(3).tobytes()
@@ -929,6 +952,16 @@ def test_read_allocates_the_snapshots_once(monkeypatch, tmp_path):
     data = sum(s.positions.nbytes for s in snaps)
     assert data == 2**15 * 16 + 2**10 * 16
     assert peak <= data + 2**16, peak - data
+    # Asked for t=15 only, it allocates t=15's positions and one buffer of
+    # 1 MiB for the crc32 of t=10's parts, and never t=10's positions.
+    shapes, empty = [], np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **k: shapes.append(shape) or
+                        empty(shape, *a, **k))
+    snaps = []
+    peak = _traced_peak(lambda: snaps.extend(sim.read_snapshot_file(out, only=15)[1]))
+    assert [(s.t, s.positions.nbytes) for s in snaps] == [(15, 2**15 * 16)]
+    assert peak <= 2**15 * 16 + 2**20 + 2**16, peak - 2**15 * 16
+    assert (2**15, 2) in shapes and (2**10, 2) not in shapes, shapes
 
 
 def test_run_in_memory_holds_the_generation_once(monkeypatch):

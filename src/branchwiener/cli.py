@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -150,10 +151,8 @@ def cmd_count(args) -> int:
 
 def cmd_kernel_check(args) -> int:
     T_list = _parse_float_list(args.T, "T")
-    offset = (
-        [0.7] * args.d if args.offset is None
-        else _parse_float_list(args.offset, "offset")
-    )
+    offset = ([0.7] * rg._check_dim(args.d) if args.offset is None
+              else _parse_float_list(args.offset, "offset"))
     scan = kx.truncation_error_scan(
         args.d, args.t, offset, args.k, T_list, scaled=not args.raw
     )
@@ -276,29 +275,18 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _diagnose_task(task):
-    """One independent computation of `cmd_diagnose`: a radius run or the
-    increment ensemble, given by name and keyword arguments."""
-    name, kwargs = task
-    if name == "radius":
-        return sim.radius_profile(**kwargs)
-    return mg.l2_increment_diagnostic(**kwargs)
-
-
 def _run_tasks(tasks):
-    """`_diagnose_task` over ``tasks``, results in task order, on one forked
-    process per available CPU, starting with the last task, which
-    `cmd_diagnose` makes its longest.  With only one CPU, one task, or no
-    fork, the tasks run in order in this process.  Every task is a pure
-    function of its seed, so the results do not depend on the path, and
-    either way the failure of the first failing task in task order is
-    raised.  Returns None, having said why on stderr, when a worker process
-    dies abruptly (killed for memory, say)."""
+    """The results of ``tasks``, zero-argument calls that pickle, in task
+    order: on one forked process per available CPU, starting with the last
+    task, which `cmd_diagnose` makes its longest, or with one CPU, one task
+    or no fork, in turn in this process.  Every task is a pure function of
+    its seed, so the path does not change the results, and either way the
+    first failure in task order is raised.  Returns None, having said why
+    on stderr, when a worker process dies abruptly (killed for memory, say)."""
     procs = min(_cpus(), len(tasks))
     if procs > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         # Forked workers start with the package imported, where spawned ones
         # would each pay an interpreter start-up.
         if "fork" in multiprocessing.get_all_start_methods():
@@ -307,12 +295,12 @@ def _run_tasks(tasks):
                 # Leaving the block waits for every worker process to exit;
                 # a broken pool has ended the others first.
                 with ProcessPoolExecutor(procs, mp_context=context) as pool:
-                    futures = [pool.submit(_diagnose_task, t) for t in reversed(tasks)]
+                    futures = [pool.submit(task) for task in reversed(tasks)]
                     return [f.result() for f in reversed(futures)]
-            except BrokenProcessPool as exc:
+            except BrokenExecutor as exc:
                 print(f"aborted: {exc}", file=sys.stderr)
                 return None
-    return [_diagnose_task(t) for t in tasks]
+    return [task() for task in tasks]
 
 
 def cmd_diagnose(args) -> int:
@@ -325,7 +313,7 @@ def cmd_diagnose(args) -> int:
     if not (math.isfinite(eps) and eps >= -1.0):
         raise ValidationError(f"--epsilon {eps} must be a finite real >= -1")
     what = f"--epsilon {eps}: the bound t^(1+epsilon) overflows a float at t_max={cfg.t_max}"
-    bounds = [kx._power(float(t), 1.0 + eps, what) for t in range(cfg.t_max + 1)]
+    kx._power(cfg.t_max, 1.0 + eps, what)  # the largest bound, so no run is wasted
     law = cfg.law
     e1 = tuple([1] + [0] * (cfg.d - 1))
     alphas = ((0,) * cfg.d, e1)
@@ -333,10 +321,10 @@ def cmd_diagnose(args) -> int:
     # the population cap leaves no output behind.  The first failure in task
     # order is raised: the radius runs', then the ensemble's.
     seeds = [(cfg.seed + r) % 2**64 for r in range(args.runs)]
-    tasks = [("radius", dict(cfg=dataclasses.replace(cfg, seed=s))) for s in seeds]
-    tasks.append(("increments", dict(replicas=args.replicas, alphas=alphas,
-                                     t_max=min(cfg.t_max, 8), law=law, seed=cfg.seed,
-                                     population_cap=cfg.population_cap)))
+    tasks = [partial(sim.radius_profile, dataclasses.replace(cfg, seed=s)) for s in seeds]
+    tasks.append(partial(mg.l2_increment_diagnostic, args.replicas, alphas,
+                         min(cfg.t_max, 8), law, seed=cfg.seed,
+                         population_cap=cfg.population_cap))
     results = _run_tasks(tasks)
     if results is None:
         return EXIT_CAP
@@ -347,10 +335,11 @@ def cmd_diagnose(args) -> int:
     worst = 0.0
     for r, (seed, profile) in enumerate(zip(seeds, profiles)):
         for t, rad in profile:
-            ok = int(t == 0 or rad <= bounds[t])
+            bound = kx._power(float(t), 1.0 + eps, what)
+            ok = int(t == 0 or rad <= bound)
             if t > 0:
-                worst = max(worst, rad / bounds[t])
-            radius.append(f"{r},{seed},{t},{rad!r},{bounds[t]!r},{ok}")
+                worst = max(worst, rad / bound)
+            radius.append(f"{r},{seed},{t},{rad!r},{bound!r},{ok}")
 
     # L^2 increment decay of the normalized statistics.
     increments = []

@@ -29,19 +29,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .multiindex import as_multiindex
+from .regions import _check_int
 
 #: Highest degree accepted by the evaluators.  Series checks need degrees up
 #: to 120 (60 even-order terms); beyond ~150 the values overflow float64 for
 #: moderate t anyway.
 MAX_DEGREE = 130
-
-
-def _check_degree(n: int) -> int:
-    if not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"degree must be an integer, got {n!r}")
-    if n < 0 or n > MAX_DEGREE:
-        raise ValidationError(f"degree {n} outside [0, {MAX_DEGREE}]")
-    return int(n)
 
 
 def _rows(x, t: float, top: int):
@@ -69,7 +62,7 @@ def hermite_1d(n: int, x, t: float):
     -------
     float or ndarray, matching the shape of ``x``.
     """
-    n = _check_degree(n)
+    n = _check_int(n, "degree", 0, MAX_DEGREE + 1)
     x = np.asarray(x, dtype=np.float64)
     h = np.ones_like(x) if n == 0 else x.copy()
     for h in _rows(x, t, n):
@@ -83,7 +76,7 @@ def hermite_table(n_max: int, x, t: float) -> np.ndarray:
     Shares the recurrence work across degrees; the workhorse behind
     multi-index products over particle clouds.
     """
-    n_max = _check_degree(n_max)
+    n_max = _check_int(n_max, "degree", 0, MAX_DEGREE + 1)
     x = np.asarray(x, dtype=np.float64)
     return np.array([np.ones_like(x), x, *_rows(x, t, n_max)][:n_max + 1])
 
@@ -105,7 +98,8 @@ def hermite_products(x, t: float, alphas):
             raise ValidationError(f"batch shape {x.shape} does not match dim {a.dim}")
     if not alphas:
         return
-    tops = [_check_degree(max(a[i] for a in alphas)) for i in range(d)]
+    tops = [_check_int(max(a[i] for a in alphas), "degree", 0, MAX_DEGREE + 1)
+            for i in range(d)]
     rows = [[None, x[:, i], *_rows(x[:, i], t, top)] for i, top in enumerate(tops)]
     for a in alphas:
         factors = [rows[i][ai] for i, ai in enumerate(a) if ai]

@@ -180,6 +180,7 @@ def truncation_error_scan(
     T^-(k+1) truncation decay; the raw difference carries an extra
     T^(-d/2) roll-off from the prefactor.
     """
+    d = rg._check_dim(d)
     if not (0 <= k_max <= MAX_ORDER):
         raise ValidationError(f"largest order k={k_max} outside [0, {MAX_ORDER}]")
     offset = _as_point(offset, "offset", d)

@@ -30,10 +30,10 @@ from .errors import ValidationError
 from .hermite import hermite_products
 from .kernel_expansion import _power
 from .multiindex import MultiIndex, as_multiindex, factorial
-from .regions import _read_json, _real
+from .regions import _check_int, _read_json, _real
 from .sampler import root_ids
 from .simulator import (BLOCK, DEFAULT_POPULATION_CAP, OffspringLaw, SimConfig, Snapshot,
-                        _check_int, _generations)
+                        _generations)
 
 
 def v_alpha_many(s: Snapshot, alphas: Sequence) -> dict[MultiIndex, float]:

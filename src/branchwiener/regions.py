@@ -28,6 +28,23 @@ from .multiindex import as_multiindex
 #: Largest |beta| served by moment(); expansion orders k <= 8 need at most
 #: |beta| = 2k.
 MOMENT_CAP = 16
+#: Largest dimension d of a config, a snapshot file or a kernel scan.
+MAX_DIM = 1024
+
+
+def _check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high); bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        top = "inf" if high is None else high
+        raise ValidationError(f"{what} {value} outside [{low}, {top})")
+    return int(value)
+
+
+def _check_dim(d, what: str = "dimension d") -> int:
+    """d as an int in [1, MAX_DIM]."""
+    return _check_int(d, what, 1, MAX_DIM + 1)
 
 
 def _real(value, what: str) -> float:
@@ -213,13 +230,17 @@ def _moment_plan(betas: tuple[tuple[int, ...], ...]):
     nds, terms = [sum(g) + d for g in core_of], np.array(terms)
     huge = next(((sum(b), nd) for b in betas
                  if (nd := d + sum(c - c % 2 for c in b)) >= 341), None)
-    return SimpleNamespace(
-        d=d, betas=np.array(betas).T, spans=spans, core=terms[:, 0], exps=terms[:, 2:].T,
-        choose=terms[:, 1].astype(np.float64), nds=nds,
+    plan = SimpleNamespace(
+        d=d, betas=np.array(betas).T, spans=tuple(spans), core=terms[:, 0],
+        exps=terms[:, 2:].T, choose=terms[:, 1].astype(np.float64), nds=tuple(nds),
         gam=np.array([[math.gamma((c + 1) / 2.0) for c in g] for g in core_of]).T,
         # nd Gamma(nd/2) overflows from nd = 341: NaN there refuses a ball, not a box.
         den=np.array([nd * math.gamma(nd / 2.0) if nd < 341 else math.nan for nd in nds]),
         huge=huge)
+    for value in vars(plan).values():  # the cache shares one plan among callers
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return plan
 
 
 def _powers(values, exps) -> np.ndarray:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import zlib
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterator
 
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import PopulationCapError, ValidationError
 from . import regions as _regions
 from . import sampler
+from .regions import _check_dim, _check_int
 from .sampler import SAMPLER_NAME
 
 DEFAULT_POPULATION_CAP = 10**8
@@ -40,16 +42,6 @@ BLOCK = 1 << 13
 #: first; `martingales.ensemble_v_matrix`, whose generations are all wide,
 #: walks its replicas in parts of BLOCK parents.
 _RUN_CHUNK = 4 * BLOCK
-
-
-def _check_int(value, what: str, low: int, high: int | None = None) -> int:
-    """value as an int in [low, high); bools, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    if value < low or (high is not None and value >= high):
-        top = "inf" if high is None else high
-        raise ValidationError(f"{what} {value} outside [{low}, {top})")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ class SimConfig:
     test_mode: bool = False
 
     def __post_init__(self):
-        _check_int(self.d, "dimension d", 1)
+        _check_dim(self.d)
         _check_int(self.seed, "seed", 0, 2**64)
         _check_int(self.t_max, "t_max", 0)
         _check_int(self.population_cap, "population_cap", 1)
@@ -306,7 +298,7 @@ def _generations(cfg: SimConfig, chunk: int,
     (as a profiler or tracer does) sees every one.
     """
     law, cap = cfg.law, cfg.population_cap
-    made = [0] * (cfg.t_max + 1)
+    made = Counter()  # rows of each generation made so far
     s = initial_snapshot(cfg) if start is None else start
     yield s, 1
     todo = [s] if cfg.t_max else []
@@ -467,7 +459,7 @@ def read_snapshot_file(path, *, only=None) -> tuple[dict, list[Snapshot]]:
                 "re-run `simulate` to write the file again",
             )
         try:
-            d = _check_int(header.get("d"), "header dimension d", 1)
+            d = _check_dim(header.get("d"), "header dimension d")
             _check_int(header.get("seed"), "header seed", 0, 2**64)
             OffspringLaw(header.get("pmf"), test_mode=True)
         except ValidationError as exc:

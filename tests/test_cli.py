@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -117,6 +118,32 @@ def test_simulate_bad_config_field_types_exit_2(field, message, tmp_path, capsys
     rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "x.snap")])
     assert rc == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [0, -1, 2**64, 10**12])
+def test_commands_refuse_a_dimension_out_of_range(d, tmp_path, capsys):
+    # Beyond MAX_DIM a d is refused by name before anything the size of d
+    # is made: 2^64 fits no index and 10^12 coordinates no memory.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d": d, "pmf": [0.0, 0.5, 0.5], "seed": 1, "t_max": 2}))
+    for argv in (["simulate", "--config", str(config), "--out", str(tmp_path / "run.snap")],
+                 ["diagnose", "--config", str(config), "--out", str(tmp_path / "diag"),
+                  "--runs", "2", "--replicas", "10"],
+                 ["kernel-check", f"--d={d}"]):
+        assert cli.main(argv) == cli.EXIT_VALIDATION, argv
+        assert capsys.readouterr() == ("", f"error: dimension d {d} outside [1, "
+                                           f"{rg.MAX_DIM + 1})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_simulate_takes_the_largest_dimension(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d": rg.MAX_DIM, "pmf": [0.0, 0.5, 0.5], "seed": 1,
+                                  "t_max": 2}))
+    out = tmp_path / "run.snap"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    _, (snap,) = sim.read_snapshot_file(str(out))
+    assert snap.positions.shape[1] == rg.MAX_DIM
 
 
 def test_simulate_population_cap_exits_4(tmp_path, capsys):
@@ -812,8 +839,9 @@ def test_estimate_n_bad_header_pmf_exits_2(pmf, doubling_config, tmp_path, capsy
     ("pmf", [0.5, 0.4], "pmf sums to"),
     ("sampler", 4, "sampler 4 is not a string"),
     ("sampler", None, "sampler None is not a string"),
+    ("d", 2**64, r"dimension d 18446744073709551616 outside \[1, 1025\)"),
 ], ids=["seed-string", "seed-negative", "seed-float", "seed-2^64", "seed-missing",
-        "pmf-missing", "pmf-sum", "sampler-int", "sampler-missing"])
+        "pmf-missing", "pmf-sum", "sampler-int", "sampler-missing", "d-2^64"])
 def test_commands_refuse_a_header_that_could_not_make_the_run(
         key, value, msg, doubling_config, tmp_path, capsys):
     # The CRC covers only data bytes, so the reader checks the header's
@@ -1077,19 +1105,24 @@ def test_diagnose_honours_the_population_cap(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+#: The seeds of the radius runs `_counted_radius_profile` made in this process.
+_RUNS_HERE = []
+_RADIUS_PROFILE = sim.radius_profile
+
+
+def _counted_radius_profile(cfg):
+    # Module-level, so that diagnose's pool can pickle a call of it; a
+    # forked worker counts into its own copy of the list.
+    _RUNS_HERE.append(cfg.seed)
+    return _RADIUS_PROFILE(cfg)
+
+
 def _diagnose_on(cpus, argv, prefix, capsys, monkeypatch):
     """exit code, stdout, stderr and CSV texts of `diagnose` run as if on
     ``cpus`` CPUs; also the number of radius runs made in this process."""
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    here = []
-    profile = sim.radius_profile
-
-    def counted(cfg):
-        here.append(cfg.seed)
-        return profile(cfg)
-
-    # A forked worker counts into its own copy of the list.
-    monkeypatch.setattr(sim, "radius_profile", counted)
+    monkeypatch.setattr(sim, "radius_profile", _counted_radius_profile)
+    _RUNS_HERE.clear()
     rc = cli.main(["diagnose", "--out", str(prefix), *argv])
     out, err = capsys.readouterr()
     texts = {}
@@ -1098,7 +1131,7 @@ def _diagnose_on(cpus, argv, prefix, capsys, monkeypatch):
         if path.exists():
             texts[part] = path.read_text()
             path.unlink()
-    return rc, out, err, texts, len(here)
+    return rc, out, err, texts, len(_RUNS_HERE)
 
 
 @pytest.mark.parametrize("runs", [0, 1, 4])
@@ -1149,19 +1182,19 @@ def test_diagnose_raises_the_first_radius_run_cap_abort(tmp_path, capsys, monkey
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def _die_in_a_worker(cfg):
+    # Module-level, so that diagnose's pool can pickle a call of it.
+    assert multiprocessing.parent_process() is not None, "a radius run ran in the test's process"
+    os._exit(1)
+
+
 def test_diagnose_exits_4_when_a_worker_process_dies(tmp_path, capsys, monkeypatch):
     # A worker killed abruptly (for memory, say) breaks the pool: one line
     # on stderr, no traceback, and no output file.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"d": 1, "pmf": [0.0, 0.5, 0.5], "seed": 3, "t_max": 6}))
-    here = os.getpid()
-
-    def die(cfg):
-        assert os.getpid() != here, "a radius run ran in the test's process"
-        os._exit(1)
-
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setattr(sim, "radius_profile", die)
+    monkeypatch.setattr(sim, "radius_profile", _die_in_a_worker)
     rc = cli.main(["diagnose", "--config", str(config), "--out", str(tmp_path / "diag"),
                    "--runs", "2", "--replicas", "50"])
     out, err = capsys.readouterr()

@@ -1,5 +1,6 @@
-"""The forecast and kernel commands over the whole float range, and the
-file commands over damaged snapshot files.
+"""The forecast and kernel commands over the whole float range, the file
+commands over damaged snapshot files, and `simulate` and `diagnose` over
+configs at and beyond their limits.
 
 Every float a command takes (horizons, observation times, offspring means,
 offsets, coordinates, radii, coefficients and counts) is drawn
@@ -9,7 +10,8 @@ and no warning.  An exit-0 ``predict``, ``expand`` or ``infer`` must also
 write only finite numbers, in JSON that parses without NaN or Infinity, and
 an exit-0 ``kernel-check`` finite errors and slopes, or an empty slope.
 ``count`` and ``estimate-n`` on a cut or damaged file exit 0, or 2 with
-one line that names the record at fault.
+one line that names the record at fault.  ``simulate`` and ``diagnose``
+exit 0, 2 or 4, with one line on stderr when they fail.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchwiener import cli
+from branchwiener import regions as rg
 from branchwiener import simulator as sim
 from branchwiener.expansion import required_indices
 
@@ -200,3 +203,76 @@ def test_file_commands_on_damaged_files(d, pmf, seed, chunk, times, data, where)
                 assert FILE_REFUSAL.fullmatch(err), err
             if where == "data":
                 assert "crc32 mismatch" in err, err
+
+
+#: Leaves a config key out.
+ABSENT = object()
+
+#: Laws that grow, die or stay critical; none keeps one particle forever,
+#: so that a run to a far t_max ends by extinction or by its cap.
+LAWS = [[0.0, 0.5, 0.5], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0], [1.0], [0.5, 0.5],
+        [0.5, 0.0, 0.5], [1e-300, 0.0, 1.0 - 1e-300]]
+
+#: Values that break one config field, or one diagnose argument.
+BREAKS = {
+    "d": [0, -1, rg.MAX_DIM + 1, 2**64, 10**12, 1.0, True, "2", ABSENT],
+    "pmf": [[0.5, 0.4], [-0.5, 1.5], [], [math.nan, 1.0], [0.0, "0.5", 0.5], "x", ABSENT],
+    "seed": [2**64, -1, 1.5, "7", True, ABSENT],
+    "t_max": [-1, 2.0, "3", ABSENT],
+    "population_cap": [0, -1, 1.5, None],
+    "snapshot_times": [[2**64], [-1], [1, 1], [], "x", [1.5]],
+    "initial_position": [[math.nan], [0.0] * (rg.MAX_DIM + 1), ["a"], [10**400]],
+    "test_mode": [1, "yes", None],
+    "speed": [1],  # an unknown key
+    "--runs": [-1],
+    "--replicas": [0, -3],
+    "--epsilon": [-2.0, math.nan, math.inf],
+}
+
+
+@st.composite
+def configs(draw) -> tuple[dict, list[str]]:
+    """A config for simulate and diagnose, with its fields at their limits,
+    and diagnose's arguments; now and then one of them broken."""
+    d = draw(st.sampled_from([1, 2, 3, rg.MAX_DIM]))
+    t_max = draw(st.sampled_from([0, 1, 2, 5, 2**64 - 1, 10**12]))
+    values = {
+        "d": d,
+        "pmf": draw(st.sampled_from(LAWS)),
+        "seed": draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))),
+        "t_max": t_max,
+        # A run to a far t_max is bounded by a small cap.
+        "population_cap": draw(st.sampled_from([1, 2, 64] + [2**64, ABSENT] * (t_max <= 5))),
+        "snapshot_times": draw(st.sampled_from([ABSENT, [0], sorted({0, min(t_max, 2)}),
+                                                [t_max]])),
+        "initial_position": draw(st.sampled_from([ABSENT, [0.0] * d, [1e308] * d,
+                                                  [-1e308] * d, [5e-324] * d])),
+        "test_mode": draw(st.sampled_from([True, True, False, ABSENT])),
+        "--runs": draw(st.sampled_from([0, 1, 3])),
+        "--replicas": draw(st.sampled_from([1, 2, 50])),
+        "--epsilon": draw(st.sampled_from([-1.0, -0.5, 0.0, 5e-324, 1.0, 1e308])),
+    }
+    broken = draw(st.sampled_from([None] * len(BREAKS) + list(BREAKS)))
+    if broken is not None:
+        values[broken] = draw(st.sampled_from(BREAKS[broken]))
+    config = {k: v for k, v in values.items() if v is not ABSENT and not k.startswith("-")}
+    return config, [f"{k}={values[k]!r}" for k in ("--runs", "--replicas", "--epsilon")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(drawn=configs())
+def test_simulate_and_diagnose_on_configs_at_their_limits(drawn):
+    # One CPU, so that every run stays in this process.
+    config, options = drawn
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_cpus", lambda: 1):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        for argv in (["simulate", "--config", str(path), "--out", str(Path(tmp) / "run.snap")],
+                     ["diagnose", "--config", str(path), "--out", str(Path(tmp) / "diag"),
+                      *options]):
+            rc, _, err = _run(argv)
+            assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_CAP), (argv, err)
+            if rc == cli.EXIT_OK:
+                assert err == "", (config, err)
+            else:
+                assert err.count("\n") == 1 and err.endswith("\n"), (config, err)

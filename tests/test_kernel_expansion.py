@@ -140,6 +140,12 @@ def test_scan_fits_slopes_only_above_the_float_floor():
     assert [k for k, s in scan.slopes.items() if s is not None] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("d", [0, -1, 2**64, 10**12])
+def test_scan_refuses_a_dimension_out_of_range(d):
+    with pytest.raises(ValidationError, match=rf"^dimension d {d} outside \[1, 1025\)$"):
+        kx.truncation_error_scan(d, 1.0, [0.7], 2, [64.0, 128.0])
+
+
 def test_raw_scan_rolls_off_faster():
     # the unscaled error carries the (2 pi T)^(-d/2) prefactor, so its
     # fitted slope is steeper by about d/2

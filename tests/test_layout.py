@@ -20,22 +20,36 @@ an `OverflowError` from a scalar ``**`` or from ``math.fsum``'s partials: in
 factors (-T)^(-n) are taken in one function.  Only ``sampler`` names the
 stream's hash, keys, tags, uniforms and normal quantile, and no module
 imports a private name from it.
+
+The benchmark under ``perfbench/`` reaches into the package by name: what
+it imports and what its tracer wraps must exist, every command its
+workloads build must parse, and every config key they write must be a
+``SimConfig`` field.  These tests read ``perfbench/`` and write nothing
+there.
 """
 
 import ast
+import dataclasses
+import importlib.util
+import inspect
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import branchwiener
+from branchwiener import cli
+from branchwiener.simulator import SimConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "branchwiener"
 README = ROOT / "README.md"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _names_used(node) -> set[str]:
@@ -196,3 +210,93 @@ def test_cli_import_leaves_out_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.split() == ["False"]
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    """perfbench's workloads and tracer modules, imported from the checkout
+    without writing bytecode beside them."""
+    names = ("workloads", "reference", "tracer")
+    before = {name: sys.modules.get(name) for name in names}
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield SimpleNamespace(**{name: importlib.import_module(name) for name in names})
+    for name, module in before.items():
+        if module is None:
+            sys.modules.pop(name, None)
+
+
+def _resolves(module, name: str) -> bool:
+    """``from module import name`` would succeed."""
+    return hasattr(module, name) or (
+        hasattr(module, "__path__")
+        and importlib.util.find_spec(f"{module.__name__}.{name}") is not None)
+
+
+def test_what_the_benchmark_names_exists(perfbench):
+    # The harness decodes its reference snapshot with the program's reader,
+    # and the tracer wraps functions and methods found by name: a move of
+    # either out of its module must fail here before it breaks a benchmark.
+    missing = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "branchwiener"
+        for alias in node.names
+        if not _resolves(importlib.import_module(node.module), alias.name)
+    ]
+    tracer = perfbench.tracer
+    modules = {short: importlib.import_module(f"branchwiener.{short}")
+               for short in tracer.TRACED_MODULES}
+    missing += [f"tracer: {short}.{cls}.{meth}" for short, cls, meth in tracer.TRACED_METHODS
+                if meth not in vars(getattr(modules[short], cls, object))]
+    # A span with extras is recorded only around a function of the module
+    # that defines it.
+    for span in tracer.EXTRAS:
+        short, name = span.split(".")
+        fn = getattr(modules[short], name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == modules[short].__name__):
+            missing.append(f"tracer: {span}")
+    assert missing == []
+
+
+@pytest.fixture()
+def smoke_workloads(perfbench, tmp_path):
+    """Each benchmark workload at smoke size, prepared with a runner that
+    runs nothing, and every command it builds, its references' included."""
+    wl = perfbench.workloads
+    made, commands = [], []
+
+    def refuse(command):
+        commands.append(command)
+        return wl.Result(command.label, 0.0, 0, 1, "not run")
+
+    for name in wl.WORKLOADS:
+        (tmp_path / name).mkdir()
+        workload = wl.make(name, tmp_path / name, 1, True, 2)
+        workload.prepare(refuse)
+        commands += workload.commands(0)
+        made.append(workload)
+    return made, commands
+
+
+def test_every_benchmark_command_parses(smoke_workloads):
+    parser = cli.build_parser()
+    refused = []
+    for command in smoke_workloads[1]:
+        try:
+            parser.parse_args(command.args)
+        except SystemExit:
+            refused.append(command.label)
+    assert len(smoke_workloads[1]) >= 5 and refused == []
+
+
+def test_every_benchmark_config_key_is_a_config_field(smoke_workloads):
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    configs = [w.config for w in smoke_workloads[0] if hasattr(w, "config")]
+    assert len(configs) == 2
+    for path in configs:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert set(obj) <= fields, path.name
+        SimConfig.from_dict(obj)

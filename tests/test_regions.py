@@ -226,6 +226,17 @@ def test_moment_cap_and_dim_checks():
     assert math.isfinite(rg.moment(box, (rg.MOMENT_CAP,)))
 
 
+def test_the_cached_moment_plans_are_read_only():
+    # lru_cache hands every caller the same plan, so no caller may change it.
+    plan = rg._moment_plan(((0, 2), (1, 1), (3, 0)))
+    arrays = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["betas", "choose", "core", "den", "exps", "gam"]
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert isinstance(plan.spans, tuple) and isinstance(plan.nds, tuple)
+
+
 def test_separation_test_never_overflows():
     # A huge radius overlaps the box; a gap above 1.3e154 once overflowed
     # as a square, and is a plain separation.
